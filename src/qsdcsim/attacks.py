@@ -1,8 +1,9 @@
 """Attack strategies and their measurable consequences.
 
-Strategies come in two shapes: passive taps installed on a quantum leg
-(the line hands each photon over and carries whatever the tap returns),
-and corrupt-party behaviors that reroute the photon flow of a controlled
+Every strategy subclasses ``Attack`` and overrides the hooks it needs.
+They come in two shapes: passive taps installed on a quantum leg (the
+line hands each photon over and carries whatever the tap returns), and
+corrupt-party behaviors that reroute the photon flow of a controlled
 session. Every strategy can turn a finished session into an
 ``AttackReport`` with the detection flag, the check error rate, and the
 adversary's message-guess accuracy where one exists.
@@ -13,11 +14,29 @@ resistance against exactly these strategies, nothing stronger.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Mapping, Sequence
 
 from .errors import ConfigError
-from .fabric import ClassicalChannel, QuantumChannel
-from .protocol import SessionOutcome
+from .fabric import ClassicalChannel, QuantumChannel, Transcript
+from .multiparty import (
+    AnnouncementSchedule,
+    Chain,
+    HonestController,
+    HonestReporter,
+    McSessionConfig,
+    controller_pass,
+    honest_chain,
+)
+from .protocol import (
+    CheckSet,
+    Permutation,
+    PSequence,
+    SessionOutcome,
+    decode_accuracy,
+    prepare_p_sequence,
+    transmit_sequence,
+)
 from .quantum import (
     Basis,
     OpLabel,
@@ -67,12 +86,25 @@ class MeasureResendTap:
         return resent
 
 
-class PassiveNone:
-    """No adversary. Exists so experiment configs always name a strategy
-    and reports stay uniform."""
+class Attack:
+    """Base strategy, and itself the no-adversary one: every hook is a
+    no-op. A strategy overrides the hooks it needs:
+
+      install          before any photon flies: register taps on the first
+                       and return legs, keep a handle on the public log.
+      receive_secrets  two-party sessions, after the shuffle: secrets the
+                       protocol never discloses (the permutation, the
+                       ascending origins, the check set and the labels).
+      reroute          controlled sessions, after preparation: return a
+                       ``Chain`` that replaces the honest controller chain,
+                       or None to leave it alone.
+      report           turn a finished session into an ``AttackReport``.
+
+    ``protocols`` names the protocols a strategy applies to.
+    """
 
     name = "none"
-    kind = "passive"
+    protocols: tuple[str, ...] = ("qsdc", "mcqsdc")
 
     def install(
         self,
@@ -83,24 +115,53 @@ class PassiveNone:
     ) -> None:
         pass
 
+    def receive_secrets(
+        self,
+        perm: Permutation,
+        origins: Sequence[int],
+        check: CheckSet,
+        labels: Sequence[StateLabel],
+    ) -> None:
+        pass
+
+    def reroute(
+        self,
+        config: McSessionConfig,
+        sequence: PSequence,
+        hops: Sequence[QuantumChannel],
+        rng: RandomSource,
+        public: ClassicalChannel,
+        transcript: Transcript | None,
+    ) -> Chain | None:
+        return None
+
     def report(self, outcome: SessionOutcome) -> AttackReport:
+        return self._report(outcome, None)
+
+    def _report(
+        self, outcome: SessionOutcome, accuracy: float | None, **metadata: Any
+    ) -> AttackReport:
         return AttackReport(
             attack=self.name,
             detected=outcome.aborted,
             check_error_rate=outcome.measured_error_rate,
-            message_guess_accuracy=None,
-            metadata={"n_check": outcome.n_check},
+            message_guess_accuracy=accuracy,
+            metadata={"n_check": outcome.n_check, **metadata},
         )
 
 
-class InterceptResend:
+#: No adversary. Exists so experiment configs always name a strategy and
+#: reports stay uniform.
+PassiveNone = Attack
+
+
+class InterceptResend(Attack):
     """Eve intercepts the prepared sequence on its way to the encoder,
     measures each photon in a uniformly random basis, and resends the
     eigenstate. Mismatched bases randomize the state, so each check photon
     errs with probability 1/4."""
 
     name = "intercept_resend"
-    kind = "passive"
 
     def __init__(self) -> None:
         self.tap = MeasureResendTap()
@@ -115,16 +176,10 @@ class InterceptResend:
         forward.taps.append(self.tap)
 
     def report(self, outcome: SessionOutcome) -> AttackReport:
-        return AttackReport(
-            attack=self.name,
-            detected=outcome.aborted,
-            check_error_rate=outcome.measured_error_rate,
-            message_guess_accuracy=None,
-            metadata={"n_check": outcome.n_check, "n_tapped": len(self.tap.records)},
-        )
+        return self._report(outcome, None, n_tapped=len(self.tap.records))
 
 
-class ReturnLegTap:
+class ReturnLegTap(Attack):
     """Eve measures every photon of the returned (rearranged, encoded)
     sequence in a random basis and guesses the message bits.
 
@@ -136,7 +191,6 @@ class ReturnLegTap:
     """
 
     name = "return_leg_tap"
-    kind = "passive"
 
     def __init__(
         self, disclose_permutation: bool = False, disclose_initial_states: bool = False
@@ -165,15 +219,20 @@ class ReturnLegTap:
 
     def receive_secrets(
         self,
-        message_positions: Sequence[int],
-        message_origins: Sequence[int],
+        perm: Permutation,
+        origins: Sequence[int],
+        check: CheckSet,
         labels: Sequence[StateLabel],
     ) -> None:
-        """Experiment instrumentation: hand Eve the true position of each
-        message bit and/or the preparation record, per the flags."""
+        """Experiment instrumentation: hand Eve, per the flags, the
+        returned position and the origin of each message bit (in ascending
+        origin order), and the preparation record."""
         if self.disclose_permutation:
-            self._true_positions = list(message_positions)
-            self._true_origins = list(message_origins)
+            check_srcs = set(check.positions)
+            srcs = [i for i in range(len(origins)) if i not in check_srcs]
+            inverse = perm.inverse()
+            self._true_positions = [inverse.mapping[src] for src in srcs]
+            self._true_origins = [origins[src] for src in srcs]
         if self.disclose_initial_states:
             self._labels = list(labels)
 
@@ -207,22 +266,26 @@ class ReturnLegTap:
         guesses = self.message_guess(len(sent))
         hits = sum(1 for g, s in zip(guesses, sent) if g == s)
         compared = min(len(guesses), len(sent))
-        accuracy = hits / compared if compared else 0.0
-        return AttackReport(
-            attack=self.name,
-            detected=outcome.aborted,
-            check_error_rate=outcome.measured_error_rate,
-            message_guess_accuracy=accuracy,
-            metadata={
-                "n_check": outcome.n_check,
-                "n_guessed": compared,
-                "disclose_permutation": self.disclose_permutation,
-                "disclose_initial_states": self.disclose_initial_states,
-            },
+        return self._report(
+            outcome,
+            hits / compared if compared else 0.0,
+            n_guessed=compared,
+            disclose_permutation=self.disclose_permutation,
+            disclose_initial_states=self.disclose_initial_states,
         )
 
 
-class BypassReporter:
+class CollusionReporter(HonestReporter):
+    """Check behavior of the corrupt sender when the final controller
+    colludes: she reports the plain preparation-basis outcome, whatever H
+    parity was announced, and leaves the parity bookkeeping to her
+    partner's announcements."""
+
+    def report(self, position: int, origin: int, h_parity: int) -> int:
+        return super().report(position, origin, 0)
+
+
+class BypassReporter(CollusionReporter):
     """Check behavior of the corrupt sender in the bypass attack.
 
     She holds photons the controllers never touched, so measuring in the
@@ -231,23 +294,37 @@ class BypassReporter:
     the decoys, so she adds a coin-flip guess of it to her report.
     """
 
-    def __init__(
-        self,
-        labels: Sequence[StateLabel],
-        photons_by_position: Mapping[int, PhotonState],
-        rng: RandomSource,
-    ) -> None:
-        self._labels = labels
-        self._photons = photons_by_position
-        self._rng = rng
-
     def report(self, position: int, origin: int, h_parity: int) -> int:
-        outcome = measure(self._photons[position], self._labels[origin].basis, self._rng)
-        parity_guess = int(self._rng.integers(0, 2))
-        return outcome ^ parity_guess
+        return super().report(position, origin, h_parity) ^ int(self._rng.integers(0, 2))
 
 
-class FakeSequenceBypass:
+def _decoy_chain(
+    sequence: PSequence,
+    n_decoy: int,
+    legs: Sequence[QuantumChannel],
+    reporter: type[HonestReporter],
+    rng: RandomSource,
+    public: ClassicalChannel,
+    transcript: Transcript | None,
+) -> Chain:
+    """Corrupt-sender routing: a decoy sequence runs through the first
+    ``n_decoy`` controllers, whose records are real but describe photons
+    that never reach the encoder, while the true photons take ``legs``
+    straight to the encoder untouched."""
+    decoys = prepare_p_sequence(len(sequence), rng).photons
+    agents = []
+    for c in range(n_decoy):
+        decoys, record = controller_pass(decoys, rng)
+        agents.append(HonestController(c, dict(enumerate(record.ops))))
+    photons = sequence.photons
+    for leg in legs:
+        photons, _arrived = transmit_sequence(leg, photons, rng, transcript, "chain")
+    origins = list(range(len(sequence)))
+    public.announce("bob", "arrived_forward", origins, stage="chain")
+    return Chain(photons, origins, agents, partial(reporter, sequence.labels, rng=rng))
+
+
+class FakeSequenceBypass(Attack):
     """The corrupt sender routes the true photons straight to the encoder
     and feeds decoys to the controller chain, hoping to decode without any
     release. Each check photon survives her parity guess with probability
@@ -255,52 +332,28 @@ class FakeSequenceBypass:
     nothing to bypass and the behavior degenerates to honest."""
 
     name = "fake_sequence_bypass"
-    kind = "bypass"
+    protocols = ("mcqsdc",)
 
-    def make_reporter(
+    def reroute(
         self,
-        labels: Sequence[StateLabel],
-        photons_by_position: Mapping[int, PhotonState],
+        config: McSessionConfig,
+        sequence: PSequence,
+        hops: Sequence[QuantumChannel],
         rng: RandomSource,
-    ) -> BypassReporter:
-        return BypassReporter(labels, photons_by_position, rng)
-
-    def report(self, outcome: SessionOutcome) -> AttackReport:
-        accuracy = None
-        if not outcome.aborted and outcome.decoded_bits is not None:
-            sent = outcome.message_sent
-            hits = sum(
-                1
-                for bit, k in zip(outcome.decoded_bits, outcome.decoded_positions or [])
-                if bit == sent[k]
-            )
-            accuracy = hits / len(outcome.decoded_bits) if outcome.decoded_bits else 0.0
-        return AttackReport(
-            attack=self.name,
-            detected=outcome.aborted,
-            check_error_rate=outcome.measured_error_rate,
-            message_guess_accuracy=accuracy,
-            metadata={"n_check": outcome.n_check},
+        public: ClassicalChannel,
+        transcript: Transcript | None,
+    ) -> Chain:
+        if config.loss > 0.0:
+            raise ConfigError("bypass attack does not support lossy channels")
+        if config.controllers == 0:
+            return honest_chain(sequence, hops, rng, public, transcript)
+        direct = QuantumChannel(name="alice=>bob", noise=config.noise)
+        return _decoy_chain(
+            sequence, config.controllers, [direct], BypassReporter, rng, public, transcript
         )
 
-
-class CollusionReporter:
-    """Check behavior of the corrupt sender when the final controller
-    colludes: she reports the plain preparation-basis outcome and leaves
-    the parity bookkeeping to her partner's announcements."""
-
-    def __init__(
-        self,
-        labels: Sequence[StateLabel],
-        photons_by_position: Mapping[int, PhotonState],
-        rng: RandomSource,
-    ) -> None:
-        self._labels = labels
-        self._photons = photons_by_position
-        self._rng = rng
-
-    def report(self, position: int, origin: int, h_parity: int) -> int:
-        return measure(self._photons[position], self._labels[origin].basis, self._rng)
+    def report(self, outcome: SessionOutcome) -> AttackReport:
+        return self._report(outcome, decode_accuracy(outcome))
 
 
 class ColluderAgent:
@@ -329,10 +382,18 @@ class ColluderAgent:
         self.announced_flips[origin] = flip
         return flip
 
+    def release(self, origins: Sequence[int]) -> dict[int, OpLabel]:
+        """A release consistent with whatever it announced during the
+        check; unannounced positions claim identity."""
+        flips = self.announced_flips
+        return {orig: (OpLabel.U if flips.get(orig, 0) else OpLabel.I) for orig in origins}
 
-class CollusionAttack:
+
+class CollusionAttack(Attack):
     """Corrupt sender plus the final controller.
 
+    True photons go straight to the colluder, who forwards them to the
+    encoder untouched, while decoys feed the honest prefix of the chain.
     Under the flawed fixed announcement order (the colluder always speaks
     last) the pair is never detected and recovers the whole message; under
     the per-photon random order the colluder speaks last only with
@@ -341,50 +402,39 @@ class CollusionAttack:
     """
 
     name = "collusion"
-    kind = "collusion"
+    protocols = ("mcqsdc",)
 
     def __init__(self, schedule_variant: str = "random_order") -> None:
         if schedule_variant not in ("random_order", "fixed_order"):
             raise ConfigError(f"unknown schedule variant {schedule_variant!r}")
         self.schedule_variant = schedule_variant
-        self._colluder: ColluderAgent | None = None
 
-    def make_reporter(
+    def reroute(
         self,
-        labels: Sequence[StateLabel],
-        photons_by_position: Mapping[int, PhotonState],
+        config: McSessionConfig,
+        sequence: PSequence,
+        hops: Sequence[QuantumChannel],
         rng: RandomSource,
-    ) -> CollusionReporter:
-        return CollusionReporter(labels, photons_by_position, rng)
-
-    def make_colluder(self, rng: RandomSource) -> ColluderAgent:
-        self._colluder = ColluderAgent(rng)
-        return self._colluder
-
-    def release_record(self, origins: Sequence[int]) -> dict[int, OpLabel]:
-        """A release consistent with whatever the colluder announced
-        during the check; unannounced positions claim identity."""
-        flips = self._colluder.announced_flips if self._colluder is not None else {}
-        return {
-            orig: (OpLabel.U if flips.get(orig, 0) else OpLabel.I) for orig in origins
-        }
+        public: ClassicalChannel,
+        transcript: Transcript | None,
+    ) -> Chain:
+        if config.loss > 0.0:
+            raise ConfigError("collusion attack does not support lossy channels")
+        m = config.controllers
+        if m < 2:
+            raise ConfigError("collusion needs at least two controllers")
+        direct = QuantumChannel(name="alice=>colluder", noise=config.noise)
+        chain = _decoy_chain(
+            sequence, m - 1, [direct, hops[m]], CollusionReporter, rng, public, transcript
+        )
+        chain.agents.append(ColluderAgent(rng))
+        if self.schedule_variant == "fixed_order":
+            chain.schedule = lambda n_check, m, _rng: AnnouncementSchedule.chain_order(n_check, m)
+        return chain
 
     def report(self, outcome: SessionOutcome) -> AttackReport:
-        accuracy = None
-        if not outcome.aborted and outcome.decoded_bits is not None:
-            sent = outcome.message_sent
-            hits = sum(
-                1
-                for bit, k in zip(outcome.decoded_bits, outcome.decoded_positions or [])
-                if bit == sent[k]
-            )
-            accuracy = hits / len(outcome.decoded_bits) if outcome.decoded_bits else 0.0
-        return AttackReport(
-            attack=self.name,
-            detected=outcome.aborted,
-            check_error_rate=outcome.measured_error_rate,
-            message_guess_accuracy=accuracy,
-            metadata={"n_check": outcome.n_check, "schedule_variant": self.schedule_variant},
+        return self._report(
+            outcome, decode_accuracy(outcome), schedule_variant=self.schedule_variant
         )
 
 
@@ -407,7 +457,7 @@ def bypass_photon_pass_probability() -> float:
     return 0.5
 
 
-ATTACK_REGISTRY: dict[str, type] = {
+ATTACK_REGISTRY: dict[str, type[Attack]] = {
     PassiveNone.name: PassiveNone,
     InterceptResend.name: InterceptResend,
     ReturnLegTap.name: ReturnLegTap,
@@ -416,10 +466,18 @@ ATTACK_REGISTRY: dict[str, type] = {
 }
 
 
-def build_attack(name: str, params: Mapping[str, Any] | None = None) -> Any:
-    """Instantiate a strategy by config name."""
-    if name not in ATTACK_REGISTRY:
+def build_attack(name: str, params: Mapping[str, Any] | None = None) -> Attack:
+    """Instantiate a strategy by config name; unknown names, params that
+    are not an object and unknown keywords are configuration errors."""
+    if not isinstance(name, str) or name not in ATTACK_REGISTRY:
         raise ConfigError(
             f"unknown attack {name!r}; known: {sorted(ATTACK_REGISTRY)}"
         )
-    return ATTACK_REGISTRY[name](**dict(params or {}))
+    if params is None:
+        params = {}
+    if not isinstance(params, Mapping):
+        raise ConfigError(f"attack params must be an object, got {params!r}")
+    try:
+        return ATTACK_REGISTRY[name](**params)
+    except TypeError as exc:
+        raise ConfigError(f"bad params for attack {name!r}: {exc}") from exc

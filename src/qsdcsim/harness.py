@@ -22,7 +22,7 @@ from .attacks import AttackReport, build_attack
 from .errors import ConfigError
 from .fabric import NoiseKind, NoiseModel, Transcript
 from .multiparty import McSessionConfig, run_mc_session
-from .protocol import SessionConfig, SessionOutcome, run_session
+from .protocol import SessionConfig, SessionOutcome, decode_accuracy, run_session
 from .quantum import (
     ATOL,
     CANONICAL_LABELS,
@@ -38,7 +38,6 @@ from .quantum import (
 )
 
 PROTOCOLS = ("qsdc", "mcqsdc")
-MC_ONLY_ATTACKS = ("fake_sequence_bypass", "collusion")
 SWEEP_AXES = (
     "n_photons",
     "check_fraction",
@@ -78,6 +77,13 @@ def _as_int(key: str, value: Any) -> int:
     return int(value)
 
 
+def _as_float(key: str, value: Any) -> float:
+    """Accept JSON numbers; reject strings, booleans and anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: protocol choice, session parameters, the attack,
@@ -103,14 +109,21 @@ class ExperimentConfig:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.attack_name in MC_ONLY_ATTACKS and self.protocol != "mcqsdc":
-            raise ConfigError(f"attack {self.attack_name!r} requires the mcqsdc protocol")
+        protocols = build_attack(self.attack_name, self.attack_params).protocols
+        if self.protocol not in protocols:
+            raise ConfigError(
+                f"attack {self.attack_name!r} requires the {' or '.join(protocols)} protocol"
+            )
         if self.protocol == "qsdc" and self.controllers:
             raise ConfigError("controllers are only meaningful for mcqsdc")
-        for axis in self.sweep:
+        if not isinstance(self.sweep, Mapping):
+            raise ConfigError("sweep must be an object mapping axes to lists of values")
+        for axis, values in self.sweep.items():
             if axis not in SWEEP_AXES:
                 raise ConfigError(f"unknown sweep axis {axis!r}; known: {SWEEP_AXES}")
-            if not self.sweep[axis]:
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"sweep axis {axis!r} must be a list of values")
+            if not values:
                 raise ConfigError(f"sweep axis {axis!r} has no values")
         # Validate the session parameters eagerly so bad configs fail fast.
         self.session_config(self.seed)
@@ -124,24 +137,24 @@ class ExperimentConfig:
             if not isinstance(noise, Mapping):
                 raise ConfigError("noise must be an object with 'kind' and 'p'")
             kwargs["noise_kind"] = noise.get("kind", "none")
-            kwargs["noise_p"] = float(noise.get("p", 0.0))
+            kwargs["noise_p"] = noise.get("p", 0.0)
         attack = data.pop("attack", None)
         if attack is not None:
             if not isinstance(attack, Mapping):
                 raise ConfigError("attack must be an object with 'name' and optional 'params'")
             kwargs["attack_name"] = attack.get("name", "none")
-            kwargs["attack_params"] = dict(attack.get("params", {}))
+            kwargs["attack_params"] = attack.get("params", {})
         known = set(cls.__dataclass_fields__)
         for key, value in data.items():
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             kwargs[key] = value
         for key in ("n_photons", "check_count", "controllers", "trials", "seed"):
-            if kwargs.get(key) is not None:
+            if key in kwargs and not (key == "check_count" and kwargs[key] is None):
                 kwargs[key] = _as_int(key, kwargs[key])
         for key in ("check_fraction", "error_threshold", "loss", "noise_p"):
             if key in kwargs:
-                kwargs[key] = float(kwargs[key])
+                kwargs[key] = _as_float(key, kwargs[key])
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -157,7 +170,7 @@ class ExperimentConfig:
             "noise": {"kind": self.noise_kind, "p": self.noise_p},
             "loss": self.loss,
             "controllers": self.controllers,
-            "attack": {"name": self.attack_name, "params": dict(self.attack_params)},
+            "attack": {"name": self.attack_name, "params": dict(self.attack_params or {})},
             "trials": self.trials,
             "seed": self.seed,
             "sweep": {k: list(v) for k, v in self.sweep.items()},
@@ -209,19 +222,6 @@ def run_trial(
     else:
         outcome = run_session(session, attack=attack, transcript=transcript)
     return outcome, attack.report(outcome)
-
-
-def decode_accuracy(outcome: SessionOutcome) -> float | None:
-    """Fraction of decoded bits matching the sent message (None when the
-    session aborted)."""
-    if outcome.aborted or outcome.decoded_bits is None:
-        return None
-    if not outcome.decoded_bits:
-        return None
-    sent = outcome.message_sent
-    positions = outcome.decoded_positions or range(len(outcome.decoded_bits))
-    hits = sum(1 for bit, k in zip(outcome.decoded_bits, positions) if bit == sent[k])
-    return hits / len(outcome.decoded_bits)
 
 
 def bits_to_str(bits: Iterable[int] | None) -> str | None:
@@ -283,14 +283,12 @@ def aggregate_trials(results: list[tuple[SessionOutcome, AttackReport]]) -> Aggr
         stderr = math.sqrt(var / n)
     else:
         stderr = 0.0
-    accuracies: list[float] = []
-    for outcome, report in results:
-        if report.message_guess_accuracy is not None:
-            accuracies.append(report.message_guess_accuracy)
-        else:
-            acc = decode_accuracy(outcome)
-            if acc is not None:
-                accuracies.append(acc)
+    # The adversary's guess accuracy where it has one, else the receiver's.
+    guesses = (
+        r.message_guess_accuracy if r.message_guess_accuracy is not None else decode_accuracy(o)
+        for o, r in results
+    )
+    accuracies = [acc for acc in guesses if acc is not None]
     accuracy = sum(accuracies) / len(accuracies) if accuracies else None
     return AggregateStats(
         trials=n,
@@ -313,21 +311,27 @@ def sweep_points(config: ExperimentConfig) -> list[dict[str, Any]]:
     return points
 
 
+def _point_config(config: ExperimentConfig, point: Mapping[str, Any]) -> ExperimentConfig:
+    """The experiment at one sweep point, validated like any config."""
+    overrides = {
+        key: _as_int(key, value) if key in ("n_photons", "check_count", "controllers")
+        else _as_float(key, value)
+        for key, value in point.items()
+    }
+    if "noise_p" in overrides and config.noise_kind == "none" and overrides["noise_p"] > 0:
+        raise ConfigError("sweeping noise_p requires a non-'none' noise kind")
+    return replace(config, sweep={}, **overrides)
+
+
 def run_sweep(config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
-    """Run every sweep point and return the CSV header plus rows."""
+    """Run every sweep point and return the CSV header plus rows. Every
+    point is validated before the first trial runs."""
     axes = sorted(config.sweep)
     header = [*axes, "trials", "detection_freq", "mean_error_rate", "stderr", "accuracy"]
+    points = sweep_points(config)
+    point_configs = [_point_config(config, point) for point in points]
     rows: list[list[str]] = []
-    for point_index, point in enumerate(sweep_points(config)):
-        overrides = dict(point)
-        for key, value in overrides.items():
-            if key in ("n_photons", "check_count", "controllers"):
-                overrides[key] = _as_int(key, value)
-            else:
-                overrides[key] = float(value)
-        if "noise_p" in overrides and config.noise_kind == "none" and overrides["noise_p"] > 0:
-            raise ConfigError("sweeping noise_p requires a non-'none' noise kind")
-        point_config = replace(config, sweep={}, **overrides)
+    for point_index, (point, point_config) in enumerate(zip(points, point_configs)):
         results = []
         for trial in range(config.trials):
             seed = derive_seed(config.seed, point_index, trial)
@@ -387,10 +391,9 @@ def control_property_accuracy(
         outcome = run_mc_session(session, withheld_controller=withheld)
         if outcome.aborted or outcome.decoded_bits is None:
             raise RuntimeError("honest noiseless session unexpectedly aborted")
-        sent = outcome.message_sent
-        positions = outcome.decoded_positions or range(len(outcome.decoded_bits))
-        hits += sum(1 for bit, k in zip(outcome.decoded_bits, positions) if bit == sent[k])
-        bits += len(outcome.decoded_bits)
+        session_hits, session_bits = outcome.decode_hits()
+        hits += session_hits
+        bits += session_bits
         trial += 1
     return hits / bits, bits
 

@@ -20,33 +20,29 @@ which is the control property the harness measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
 from .fabric import (
     ClassicalChannel,
-    Lost,
     QuantumChannel,
     Transcript,
     label_payload,
     measurement_event,
 )
 from .protocol import (
-    OP_FOR_BIT,
-    CheckAnnouncement,
+    PSequence,
     SessionConfig,
     SessionOutcome,
-    encode,
+    decide_and_reveal,
+    encoder_turn,
     prepare_p_sequence,
-    rearrange,
-    run_check,
-    select_check_positions,
     transmit_sequence,
 )
 from .quantum import (
-    Basis,
     FrameEffect,
     OpLabel,
     PhotonState,
@@ -57,6 +53,9 @@ from .quantum import (
     compose_effects,
     measure,
 )
+
+if TYPE_CHECKING:
+    from .attacks import Attack
 
 CONTROLLER_OPS = (OpLabel.I, OpLabel.U, OpLabel.H)
 
@@ -209,7 +208,8 @@ class CheckPhotonRound:
 
 class HonestController:
     """Answers announcement rounds truthfully from a private record keyed
-    by original position."""
+    by original position, and releases the whole record after a passing
+    check."""
 
     def __init__(self, index: int, ops_by_origin: Mapping[int, OpLabel]):
         self.index = index
@@ -220,6 +220,9 @@ class HonestController:
 
     def announce_flip(self, origin: int, heard: Sequence[int], remaining: int) -> int:
         return 1 if self._ops[origin] is OpLabel.U else 0
+
+    def release(self, origins: Sequence[int]) -> dict[int, OpLabel]:
+        return dict(self._ops)
 
 
 class HonestReporter:
@@ -244,6 +247,26 @@ class HonestReporter:
         outcome = measure(self._photons[position], basis, self._rng)
         measurement_event(self._transcript, "check", "alice", position, basis, outcome)
         return outcome
+
+
+@dataclass
+class Chain:
+    """What the controller chain delivered to the encoder, and who speaks
+    for it at the check.
+
+    ``photons`` are the survivors in arrival order and ``origins`` their
+    indices in the prepared order. ``agents`` holds one announcing agent
+    per controller, each able to ``release`` its record. ``reporter``
+    builds the receiver's check behavior from the returned photons, and
+    ``schedule`` draws the announcement orders as
+    ``schedule(n_check, m, rng)``.
+    """
+
+    photons: list[PhotonState]
+    origins: list[int]
+    agents: list[Any]
+    reporter: Callable[[Mapping[int, PhotonState]], HonestReporter]
+    schedule: Callable[[int, int, RandomSource], AnnouncementSchedule] = AnnouncementSchedule.draw
 
 
 def mc_check_round(
@@ -298,6 +321,30 @@ def mc_check_round(
     return error_rate, mismatches
 
 
+def frame_decode(
+    labels: Sequence[StateLabel],
+    message_order: Sequence[tuple[int, int]],
+    photons_by_position: Mapping[int, PhotonState],
+    records: Sequence[Mapping[int, OpLabel]],
+    rng: RandomSource,
+    transcript: Transcript | None = None,
+) -> list[int]:
+    """Frame-corrected decode over the given controller records, bits in
+    ascending origin order. For each message photon the receiver composes
+    the records' frame effect, measures in the swap-adjusted basis, and
+    strips both the initial bit and the flip parity. With no records this
+    is the plain preparation-basis decode."""
+    bits: list[int] = []
+    for pos, orig in sorted(message_order, key=lambda pair: pair[1]):
+        effect = compose_effects(record[orig] for record in records)
+        initial = labels[orig]
+        basis = initial.basis.conjugate() if effect.swap else initial.basis
+        outcome = measure(photons_by_position[pos], basis, rng)
+        measurement_event(transcript, "reveal", "alice", pos, basis, outcome)
+        bits.append(outcome ^ initial.bit ^ effect.flip)
+    return bits
+
+
 def release_and_reconstruct(
     alice_labels: Sequence[StateLabel],
     message_order: Sequence[tuple[int, int]],
@@ -310,23 +357,13 @@ def release_and_reconstruct(
     """Decode the message from the controllers' released records.
 
     Refuses outright when any controller's release is missing: the whole
-    point of the control structure. For each message photon the receiver
-    composes the chain's frame effect, measures in the swap-adjusted
-    basis, and strips both the initial bit and the chain's flip parity.
+    point of the control structure.
     """
     missing = set(range(n_controllers)) - set(release.records)
     if missing:
         raise ProtocolError(f"reconstruction refused: missing release from controllers {sorted(missing)}")
-    bits: list[int] = []
-    for pos, orig in sorted(message_order, key=lambda pair: pair[1]):
-        ops = [release.records[c][orig] for c in range(n_controllers)]
-        effect = compose_effects(ops)
-        initial = alice_labels[orig]
-        basis = initial.basis.conjugate() if effect.swap else initial.basis
-        outcome = measure(photons_by_position[pos], basis, rng)
-        measurement_event(transcript, "reveal", "alice", pos, basis, outcome)
-        bits.append(outcome ^ initial.bit ^ effect.flip)
-    return bits
+    records = [release.records[c] for c in range(n_controllers)]
+    return frame_decode(alice_labels, message_order, photons_by_position, records, rng, transcript)
 
 
 def reconstruct_with_missing(
@@ -345,17 +382,8 @@ def reconstruct_with_missing(
     This is the measurement side of the control property; the production
     path is ``release_and_reconstruct``, which refuses instead.
     """
-    bits: list[int] = []
-    for pos, orig in sorted(message_order, key=lambda pair: pair[1]):
-        ops = [
-            release.records[c][orig] for c in range(n_controllers) if c != withheld
-        ]
-        effect = compose_effects(ops)
-        initial = alice_labels[orig]
-        basis = initial.basis.conjugate() if effect.swap else initial.basis
-        outcome = measure(photons_by_position[pos], basis, rng)
-        bits.append(outcome ^ initial.bit ^ effect.flip)
-    return bits
+    records = [release.records[c] for c in range(n_controllers) if c != withheld]
+    return frame_decode(alice_labels, message_order, photons_by_position, records, rng)
 
 
 def _chain_hop_names(m: int) -> list[str]:
@@ -367,29 +395,47 @@ def _chain_hop_names(m: int) -> list[str]:
     return names
 
 
+def honest_chain(
+    sequence: PSequence,
+    hops: Sequence[QuantumChannel],
+    rng: RandomSource,
+    public: ClassicalChannel,
+    transcript: Transcript | None,
+) -> Chain:
+    """Walk the photons through the controller chain, hop by hop, with
+    per-hop arrival announcements and private op records."""
+    photons: list[PhotonState] = list(sequence.photons)
+    origins = list(range(len(photons)))
+    agents: list[Any] = []
+    for c, hop in enumerate(hops):
+        photons, alive = transmit_sequence(hop, photons, rng, transcript, "chain")
+        origins = [origins[i] for i in alive]
+        if c < len(hops) - 1:
+            public.announce(f"controller_{c}", "arrived", origins, stage="chain")
+            photons, record = controller_pass(photons, rng)
+            agents.append(HonestController(c, dict(zip(origins, record.ops))))
+    public.announce("bob", "arrived_forward", origins, stage="chain")
+    reporter = partial(HonestReporter, sequence.labels, rng=rng, transcript=transcript)
+    return Chain(photons, origins, agents, reporter)
+
+
 def run_mc_session(
     config: McSessionConfig,
-    attack: Any = None,
+    attack: Attack | None = None,
     message: Sequence[int] | None = None,
     transcript: Transcript | None = None,
     withheld_controller: int | None = None,
 ) -> SessionOutcome:
     """Run one controlled session end to end.
 
-    ``attack`` may be a passive tap strategy (installed on the first and
-    return legs) or one of the corrupt-party strategies, which reroute the
-    photon flow; see the adversary module. ``withheld_controller`` runs an
-    honest session but decodes with that controller's release withheld,
-    measuring the control property.
+    ``attack`` may tap the first and return legs, or reroute the photon
+    flow as a corrupt party; see the adversary module.
+    ``withheld_controller`` runs an honest session but decodes with that
+    controller's release withheld, measuring the control property.
     """
     m = config.controllers
     rng = np.random.default_rng(config.seed)
     public = ClassicalChannel(transcript)
-    kind = getattr(attack, "kind", "passive") if attack is not None else "passive"
-    if kind in ("bypass", "collusion") and config.loss > 0.0:
-        raise ConfigError(f"{kind} attack does not support lossy channels")
-    if kind == "collusion" and m < 2:
-        raise ConfigError("collusion needs at least two controllers")
     if withheld_controller is not None and not 0 <= withheld_controller < m:
         raise ConfigError(f"withheld controller {withheld_controller} out of range for m={m}")
 
@@ -398,311 +444,68 @@ def run_mc_session(
         for name in _chain_hop_names(m)
     ]
     back = QuantumChannel(name="bob->alice", noise=config.noise, loss=config.loss)
-    if attack is not None and kind == "passive":
+    if attack is not None:
         attack.install(hop_channels[0], back, public, rng)
 
     sequence = prepare_p_sequence(config.n_photons, rng)
+    chain = None
+    if attack is not None:
+        chain = attack.reroute(config, sequence, hop_channels, rng, public, transcript)
+    rerouted = chain is not None
+    if chain is None:
+        chain = honest_chain(sequence, hop_channels, rng, public, transcript)
 
-    if kind == "bypass" and m >= 1:
-        bob_photons, origins, records_by_origin, reporter_factory = _bypass_transport(
-            config, sequence, hop_channels, attack, rng, public, transcript
-        )
-    elif kind == "collusion":
-        bob_photons, origins, records_by_origin, reporter_factory = _collusion_transport(
-            config, sequence, hop_channels, attack, rng, public, transcript
-        )
-    else:
-        bob_photons, origins, records_by_origin = _honest_transport(
-            sequence, hop_channels, m, rng, public, transcript
-        )
-        reporter_factory = None
-
-    n_alive = len(bob_photons)
-    if n_alive < 2:
-        raise ProtocolError("too few photons survived to form a check set and a message")
-
-    # Encoder stage: identical to the two-party flow.
-    size = config.check_size(n_alive)
-    if size >= n_alive:
-        raise ProtocolError("check set would leave no message positions after loss")
-    check = select_check_positions(n_alive, size, rng)
-    n_message = n_alive - len(check)
-    if message is None:
-        message_bits = [int(b) for b in rng.integers(0, 2, size=n_message)]
-    else:
-        if len(message) != n_message:
-            raise ConfigError(f"message length {len(message)} != {n_message} free positions")
-        message_bits = [int(b) for b in message]
-    encoded, _ops, check_record = encode(bob_photons, check, message_bits, rng)
-    shuffled, perm = rearrange(encoded, rng)
-    if transcript is not None:
-        transcript.record("event", "shuffle", party="bob", count=len(shuffled))
-    returned = transmit_sequence(back, shuffled, rng, transcript, "return")
-
-    arrived_back = [j for j, ph in enumerate(returned) if not isinstance(ph, Lost)]
-    public.announce("alice", "receipt", arrived_back, stage="receipt")
-    arrived_set = set(arrived_back)
-    photons_by_position: dict[int, PhotonState] = {
-        j: returned[j] for j in arrived_back  # type: ignore[misc]
-    }
-
-    check_set = set(check.positions)
-    check_items: list[tuple[int, int]] = []
-    bob_ops_by_position: dict[int, OpLabel] = {}
-    for j in sorted(arrived_set):
-        src = perm.mapping[j]
-        if src in check_set:
-            check_items.append((j, origins[src]))
-            bob_ops_by_position[j] = check_record[src]
-    if not check_items:
-        raise ProtocolError("no check photons survived the return transmission")
-    public.announce(
-        "bob",
-        "check_open",
-        {"positions": [p for p, _ in check_items], "origins": [o for _, o in check_items]},
-        stage="check",
-    )
+    turn = encoder_turn(config, chain.photons, chain.origins, message, rng, transcript)
+    receipt = turn.send_back(back, rng, public, transcript)
+    positions, check_origins, ops = zip(*receipt.check_items)
+    check_items = list(zip(positions, check_origins))
+    payload = {"positions": list(positions), "origins": list(check_origins)}
+    public.announce("bob", "check_open", payload, stage="check")
 
     # The receiver publishes the initial states of the check photons so the
     # encoder can evaluate; the disclosure is logged like any announcement.
     public.announce(
         "alice",
         "check_initial_states",
-        {str(orig): label_payload(sequence.labels[orig]) for _pos, orig in check_items},
+        {str(orig): label_payload(sequence.labels[orig]) for orig in check_origins},
         stage="check",
     )
-
-    if kind == "collusion" and getattr(attack, "schedule_variant", "") == "fixed_order":
-        schedule = AnnouncementSchedule.chain_order(len(check_items), m)
-    else:
-        schedule = AnnouncementSchedule.draw(len(check_items), m, rng)
-
-    controller_agents: list[Any] = [
-        HonestController(c, records_by_origin[c]) for c in range(m)
-    ]
-    if kind == "collusion":
-        controller_agents[m - 1] = attack.make_colluder(rng)
-    if reporter_factory is not None:
-        reporter = reporter_factory(photons_by_position)
-    else:
-        reporter = HonestReporter(sequence.labels, photons_by_position, rng, transcript)
-
-    initial_by_origin = {orig: sequence.labels[orig] for _pos, orig in check_items}
     error_rate, _mismatches = mc_check_round(
         check_items,
-        initial_by_origin,
-        bob_ops_by_position,
-        schedule,
-        reporter,
-        controller_agents,
+        {orig: sequence.labels[orig] for orig in check_origins},
+        dict(zip(positions, ops)),
+        chain.schedule(len(check_items), m, rng),
+        chain.reporter(receipt.photons),
+        chain.agents,
         public,
         transcript,
     )
-    aborted = error_rate > config.error_threshold
-    public.announce(
-        "bob",
-        "check_decision",
-        {
-            "error_rate": error_rate,
-            "aborted": aborted,
-            "ops": {str(pos): op.value for pos, op in sorted(bob_ops_by_position.items())},
-        },
-        stage="check",
-    )
-    if transcript is not None:
-        transcript.record(
-            "decision",
-            "check",
-            error_rate=error_rate,
-            threshold=config.error_threshold,
-            aborted=aborted,
-        )
-
-    if aborted:
-        return SessionOutcome(
-            aborted=True,
-            measured_error_rate=error_rate,
-            message_sent=message_bits,
-            decoded_bits=None,
-            decoded_positions=None,
-            n_check=len(check_items),
-            transcript=transcript,
-        )
-
-    message_order = []
-    for j in sorted(arrived_set):
-        src = perm.mapping[j]
-        if src not in check_set:
-            message_order.append((j, origins[src]))
-    public.announce(
-        "bob", "message_order", [[pos, orig] for pos, orig in message_order], stage="reveal"
-    )
+    disclosed = {str(pos): op.value for pos, op in zip(positions, ops)}
+    if decide_and_reveal(
+        public, transcript, "bob", error_rate, config.error_threshold, receipt, ops=disclosed
+    ):
+        return turn.outcome(receipt, error_rate, None, transcript)
 
     # Controllers release their full records (fabricated ones included:
     # a colluder announces whatever it committed to during the check).
-    release_records: dict[int, dict[int, OpLabel]] = {}
-    for c in range(m):
-        if kind == "collusion" and c == m - 1:
-            record = attack.release_record(origins)
-        else:
-            record = dict(records_by_origin[c])
-        release_records[c] = record
+    records: dict[int, dict[int, OpLabel]] = {}
+    for c, agent in enumerate(chain.agents):
+        records[c] = agent.release(chain.origins)
         public.announce(
             f"controller_{c}",
             "release",
-            {str(orig): op.value for orig, op in sorted(record.items())},
+            {str(orig): op.value for orig, op in sorted(records[c].items())},
             stage="reveal",
         )
-    release = ControlRelease(records=release_records)
+    release = ControlRelease(records=records)
 
-    if kind in ("bypass", "collusion"):
+    args = (sequence.labels, receipt.message_order, receipt.photons)
+    if rerouted:
         # The corrupt receiver ignores the releases: the photons she holds
         # never met the controllers, so the preparation basis decodes them.
-        decoded = _illicit_decode(sequence.labels, message_order, photons_by_position, rng)
+        decoded = frame_decode(*args, [], rng)
     elif withheld_controller is not None:
-        decoded = reconstruct_with_missing(
-            sequence.labels,
-            message_order,
-            photons_by_position,
-            release,
-            m,
-            withheld_controller,
-            rng,
-        )
+        decoded = reconstruct_with_missing(*args, release, m, withheld_controller, rng)
     else:
-        decoded = release_and_reconstruct(
-            sequence.labels, message_order, photons_by_position, release, m, rng, transcript
-        )
-
-    all_message_origins = sorted(
-        origins[i] for i in range(n_alive) if i not in check_set
-    )
-    rank = {orig: k for k, orig in enumerate(all_message_origins)}
-    decoded_positions = sorted(rank[orig] for _pos, orig in message_order)
-
-    return SessionOutcome(
-        aborted=False,
-        measured_error_rate=error_rate,
-        message_sent=message_bits,
-        decoded_bits=decoded,
-        decoded_positions=decoded_positions,
-        n_check=len(check_items),
-        transcript=transcript,
-    )
-
-
-def _honest_transport(
-    sequence,
-    hop_channels: list[QuantumChannel],
-    m: int,
-    rng: RandomSource,
-    public: ClassicalChannel,
-    transcript: Transcript | None,
-) -> tuple[list[PhotonState], list[int], list[dict[int, OpLabel]]]:
-    """Walk the photons through the controller chain, hop by hop, with
-    per-hop arrival announcements and private op records."""
-    photons: list[PhotonState] = list(sequence.photons)
-    origins = list(range(len(photons)))
-    records_by_origin: list[dict[int, OpLabel]] = []
-    for c in range(m):
-        delivered = transmit_sequence(hop_channels[c], photons, rng, transcript, "chain")
-        alive = [i for i, ph in enumerate(delivered) if not isinstance(ph, Lost)]
-        origins = [origins[i] for i in alive]
-        photons = [delivered[i] for i in alive]  # type: ignore[misc]
-        public.announce(f"controller_{c}", "arrived", origins, stage="chain")
-        photons, record = controller_pass(photons, rng)
-        records_by_origin.append(
-            {orig: op for orig, op in zip(origins, record.ops)}
-        )
-    delivered = transmit_sequence(hop_channels[m] if m else hop_channels[0], photons, rng, transcript, "chain")
-    alive = [i for i, ph in enumerate(delivered) if not isinstance(ph, Lost)]
-    origins = [origins[i] for i in alive]
-    photons = [delivered[i] for i in alive]  # type: ignore[misc]
-    public.announce("bob", "arrived_forward", origins, stage="chain")
-    return photons, origins, records_by_origin
-
-
-def _fake_chain_records(
-    n: int,
-    m: int,
-    rng: RandomSource,
-) -> list[dict[int, OpLabel]]:
-    """Run a decoy sequence through honest controllers and return their
-    records. The decoys never reach Bob; the corrupt sender intercepts the
-    chain output and discards it."""
-    fakes = prepare_p_sequence(n, rng).photons
-    records: list[dict[int, OpLabel]] = []
-    for _c in range(m):
-        fakes, record = controller_pass(fakes, rng)
-        records.append({orig: op for orig, op in zip(range(n), record.ops)})
-    return records
-
-
-def _bypass_transport(
-    config: McSessionConfig,
-    sequence,
-    hop_channels: list[QuantumChannel],
-    attack: Any,
-    rng: RandomSource,
-    public: ClassicalChannel,
-    transcript: Transcript | None,
-):
-    """Corrupt sender routing: true photons take one direct hop to Bob
-    while decoys feed the controller chain."""
-    m = config.controllers
-    records_by_origin = _fake_chain_records(len(sequence.photons), m, rng)
-    direct = QuantumChannel(name="alice=>bob", noise=config.noise, loss=0.0)
-    delivered = transmit_sequence(direct, sequence.photons, rng, transcript, "chain")
-    origins = list(range(len(sequence.photons)))
-    photons: list[PhotonState] = [ph for ph in delivered if not isinstance(ph, Lost)]  # type: ignore[misc]
-    public.announce("bob", "arrived_forward", origins, stage="chain")
-
-    def reporter_factory(photons_by_position: Mapping[int, PhotonState]):
-        return attack.make_reporter(sequence.labels, photons_by_position, rng)
-
-    return photons, origins, records_by_origin, reporter_factory
-
-
-def _collusion_transport(
-    config: McSessionConfig,
-    sequence,
-    hop_channels: list[QuantumChannel],
-    attack: Any,
-    rng: RandomSource,
-    public: ClassicalChannel,
-    transcript: Transcript | None,
-):
-    """Corrupt sender + final controller: true photons go straight to the
-    colluder, who forwards them to Bob untouched; decoys feed the honest
-    prefix of the chain."""
-    m = config.controllers
-    records_by_origin = _fake_chain_records(len(sequence.photons), m - 1, rng)
-    records_by_origin.append({})  # the colluder applies nothing
-    direct = QuantumChannel(name="alice=>colluder", noise=config.noise, loss=0.0)
-    delivered = transmit_sequence(direct, sequence.photons, rng, transcript, "chain")
-    photons: list[PhotonState] = [ph for ph in delivered if not isinstance(ph, Lost)]  # type: ignore[misc]
-    final_hop = hop_channels[m]
-    delivered = transmit_sequence(final_hop, photons, rng, transcript, "chain")
-    photons = [ph for ph in delivered if not isinstance(ph, Lost)]  # type: ignore[misc]
-    origins = list(range(len(sequence.photons)))
-    public.announce("bob", "arrived_forward", origins, stage="chain")
-
-    def reporter_factory(photons_by_position: Mapping[int, PhotonState]):
-        return attack.make_reporter(sequence.labels, photons_by_position, rng)
-
-    return photons, origins, records_by_origin, reporter_factory
-
-
-def _illicit_decode(
-    labels: Sequence[StateLabel],
-    message_order: Sequence[tuple[int, int]],
-    photons_by_position: Mapping[int, PhotonState],
-    rng: RandomSource,
-) -> list[int]:
-    """Decode photons that never met the controllers: preparation basis,
-    no parity corrections."""
-    bits: list[int] = []
-    for pos, orig in sorted(message_order, key=lambda pair: pair[1]):
-        outcome = measure(photons_by_position[pos], labels[orig].basis, rng)
-        bits.append(outcome ^ labels[orig].bit)
-    return bits
+        decoded = release_and_reconstruct(*args, release, m, rng, transcript)
+    return turn.outcome(receipt, error_rate, decoded, transcript)

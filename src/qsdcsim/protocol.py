@@ -27,7 +27,7 @@ lossy channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Protocol as TypingProtocol, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +51,9 @@ from .quantum import (
     random_labels,
     state_from_label,
 )
+
+if TYPE_CHECKING:
+    from .attacks import Attack
 
 #: Message-bit encoding: operation applied for bit 0 and bit 1.
 OP_FOR_BIT = (OpLabel.I, OpLabel.U)
@@ -202,23 +205,22 @@ class SessionOutcome:
     n_check: int
     transcript: Transcript | None
 
+    def decode_hits(self) -> tuple[int, int]:
+        """(hits, bits): how many decoded bits equal the sent bit they
+        carry, out of all decoded bits; (0, 0) when nothing was decoded."""
+        if self.decoded_bits is None:
+            return 0, 0
+        positions = self.decoded_positions or range(len(self.decoded_bits))
+        sent = self.message_sent
+        hits = sum(1 for bit, k in zip(self.decoded_bits, positions) if bit == sent[k])
+        return hits, len(self.decoded_bits)
 
-class SessionAttack(TypingProtocol):
-    """Duck interface a two-party attack strategy implements.
 
-    ``install`` lets the strategy register channel taps and keep a handle
-    on the public broadcast log before the session starts.
-    """
-
-    name: str
-
-    def install(
-        self,
-        forward: QuantumChannel,
-        back: QuantumChannel,
-        public: ClassicalChannel,
-        rng: RandomSource,
-    ) -> None: ...
+def decode_accuracy(outcome: SessionOutcome) -> float | None:
+    """Fraction of decoded bits matching the sent message (None when the
+    session aborted or decoded nothing)."""
+    hits, bits = outcome.decode_hits()
+    return hits / bits if bits else None
 
 
 def prepare_p_sequence(n: int, rng: RandomSource) -> PSequence:
@@ -354,21 +356,168 @@ def transmit_sequence(
     rng: RandomSource,
     transcript: Transcript | None,
     stage: str,
-) -> list[PhotonState | Lost]:
+) -> tuple[list[PhotonState], list[int]]:
     """Send a whole sequence down a channel, logging the send and the set
-    of arrived positions."""
+    of arrived positions. Returns the photons that arrived and their
+    positions in the sent sequence."""
     if transcript is not None:
         transcript.record("quantum_send", stage, leg=channel.name, count=len(photons))
     delivered = [transmit(channel, ph, rng) for ph in photons]
+    arrived = [i for i, ph in enumerate(delivered) if not isinstance(ph, Lost)]
     if transcript is not None:
-        arrived = [i for i, ph in enumerate(delivered) if not isinstance(ph, Lost)]
         transcript.record("quantum_deliver", stage, leg=channel.name, arrived=arrived)
-    return delivered
+    return [delivered[i] for i in arrived], arrived  # type: ignore[misc]
+
+
+@dataclass(frozen=True)
+class Receipt:
+    """The returned sequence as the receiver holds it after the receipt:
+    arrived photons by returned position, and the encoder's private split
+    of those positions into check items (position, origin, check op) and
+    the message order (position, origin), both in ascending position."""
+
+    photons: dict[int, PhotonState]
+    check_items: list[tuple[int, int, OpLabel]]
+    message_order: list[tuple[int, int]]
+
+
+@dataclass(frozen=True)
+class EncoderTurn:
+    """The encoder's private state once it has encoded and shuffled the
+    photons it received; ``origins[i]`` is the prepared-order index of the
+    i-th of them."""
+
+    origins: list[int]
+    message_bits: list[int]
+    check: CheckSet
+    check_record: dict[int, OpLabel]
+    perm: Permutation
+    shuffled: list[PhotonState]
+
+    def send_back(
+        self,
+        back: QuantumChannel,
+        rng: RandomSource,
+        public: ClassicalChannel,
+        transcript: Transcript | None,
+    ) -> Receipt:
+        """Return leg and receipt: the receiver confirms which returned
+        positions arrived, and the encoder splits them into check photons
+        and message photons."""
+        returned, arrived = transmit_sequence(back, self.shuffled, rng, transcript, "return")
+        public.announce("alice", "receipt", arrived, stage="receipt")
+        check_items: list[tuple[int, int, OpLabel]] = []
+        message_order: list[tuple[int, int]] = []
+        for j in arrived:
+            src = self.perm.mapping[j]
+            if src in self.check_record:
+                check_items.append((j, self.origins[src], self.check_record[src]))
+            else:
+                message_order.append((j, self.origins[src]))
+        if not check_items:
+            raise ProtocolError("no check photons survived the return transmission")
+        return Receipt(dict(zip(arrived, returned)), check_items, message_order)
+
+    def outcome(
+        self,
+        receipt: Receipt,
+        error_rate: float,
+        decoded: list[int] | None,
+        transcript: Transcript | None,
+    ) -> SessionOutcome:
+        """Assemble the session result; ``decoded`` is None exactly when
+        the check aborted."""
+        decoded_positions = None
+        if decoded is not None:
+            # Which sent-message indices did the decoded bits land on? Ranks
+            # of the surviving message origins within all message origins.
+            all_message_origins = sorted(
+                orig for i, orig in enumerate(self.origins) if i not in self.check_record
+            )
+            rank = {orig: k for k, orig in enumerate(all_message_origins)}
+            decoded_positions = sorted(rank[orig] for _pos, orig in receipt.message_order)
+        return SessionOutcome(
+            aborted=decoded is None,
+            measured_error_rate=error_rate,
+            message_sent=self.message_bits,
+            decoded_bits=decoded,
+            decoded_positions=decoded_positions,
+            n_check=len(receipt.check_items),
+            transcript=transcript,
+        )
+
+
+def encoder_turn(
+    config: SessionConfig,
+    photons: list[PhotonState],
+    origins: list[int],
+    message: Sequence[int] | None,
+    rng: RandomSource,
+    transcript: Transcript | None,
+) -> EncoderTurn:
+    """The encoder's turn: carve the check set out of the surviving
+    photons, encode the message on the rest, and shuffle. ``message``
+    fixes the bits (its length must match the free positions); by default
+    random bits are drawn."""
+    n_alive = len(photons)
+    if n_alive < 2:
+        raise ProtocolError("too few photons survived to form a check set and a message")
+    size = config.check_size(n_alive)
+    if size >= n_alive:
+        raise ProtocolError("check set would leave no message positions after loss")
+    check = select_check_positions(n_alive, size, rng)
+    n_message = n_alive - len(check)
+    if message is None:
+        message_bits = [int(b) for b in rng.integers(0, 2, size=n_message)]
+    else:
+        if len(message) != n_message:
+            raise ConfigError(f"message length {len(message)} != {n_message} free positions")
+        message_bits = [int(b) for b in message]
+    encoded, _ops, check_record = encode(photons, check, message_bits, rng)
+
+    # Shuffle: the permutation exists only in Bob's head at this point.
+    shuffled, perm = rearrange(encoded, rng)
+    if transcript is not None:
+        transcript.record("event", "shuffle", party="bob", count=len(shuffled))
+    return EncoderTurn(origins, message_bits, check, check_record, perm, shuffled)
+
+
+def decide_and_reveal(
+    public: ClassicalChannel,
+    transcript: Transcript | None,
+    sender: str,
+    error_rate: float,
+    threshold: float,
+    receipt: Receipt,
+    **payload: Any,
+) -> bool:
+    """Announce and record the check decision; only after a passing check
+    does the encoder publish the order of the message positions. Returns
+    whether the session aborted."""
+    aborted = error_rate > threshold
+    public.announce(
+        sender,
+        "check_decision",
+        {"error_rate": error_rate, "aborted": aborted, **payload},
+        stage="check",
+    )
+    if transcript is not None:
+        transcript.record(
+            "decision", "check", error_rate=error_rate, threshold=threshold, aborted=aborted
+        )
+    if not aborted:
+        public.announce(
+            "bob",
+            "message_order",
+            [[pos, orig] for pos, orig in receipt.message_order],
+            stage="reveal",
+        )
+    return aborted
 
 
 def run_session(
     config: SessionConfig,
-    attack: SessionAttack | None = None,
+    attack: Attack | None = None,
     message: Sequence[int] | None = None,
     transcript: Transcript | None = None,
 ) -> SessionOutcome:
@@ -388,76 +537,22 @@ def run_session(
 
     # Preparation: Alice's labels stay private; only the photons travel.
     sequence = prepare_p_sequence(config.n_photons, rng)
-    delivered = transmit_sequence(forward, sequence.photons, rng, transcript, "prepare")
+    photons, origins = transmit_sequence(forward, sequence.photons, rng, transcript, "prepare")
 
     # Receiver announces arrivals; both sides drop lost positions.
-    surviving_origins = [i for i, ph in enumerate(delivered) if not isinstance(ph, Lost)]
-    public.announce("bob", "arrived_forward", surviving_origins, stage="prepare")
-    bob_photons: list[PhotonState] = [delivered[i] for i in surviving_origins]  # type: ignore[misc]
-    n_alive = len(bob_photons)
-    if n_alive < 2:
-        raise ProtocolError("too few photons survived to form a check set and a message")
-
-    # Encoding: random ops on the check subset, message bits on the rest.
-    size = config.check_size(n_alive)
-    if size >= n_alive:
-        raise ProtocolError("check set would leave no message positions after loss")
-    check = select_check_positions(n_alive, size, rng)
-    n_message = n_alive - len(check)
-    if message is None:
-        message_bits = [int(b) for b in rng.integers(0, 2, size=n_message)]
-    else:
-        if len(message) != n_message:
-            raise ConfigError(f"message length {len(message)} != {n_message} free positions")
-        message_bits = [int(b) for b in message]
-    encoded, _ops, check_record = encode(bob_photons, check, message_bits, rng)
-
-    # Shuffle: the permutation exists only in Bob's head at this point.
-    shuffled, perm = rearrange(encoded, rng)
-    if transcript is not None:
-        transcript.record("event", "shuffle", party="bob", count=len(shuffled))
+    public.announce("bob", "arrived_forward", origins, stage="prepare")
+    turn = encoder_turn(config, photons, origins, message, rng, transcript)
 
     # Experiment instrumentation: a strategy may ask for secrets that the
     # protocol itself never discloses, to isolate what each one protects.
-    if attack is not None and hasattr(attack, "receive_secrets"):
-        check_srcs = set(check.positions)
-        origins_by_index = sorted(
-            surviving_origins[i] for i in range(n_alive) if i not in check_srcs
-        )
-        inverse = perm.inverse()
-        position_of_origin = {
-            surviving_origins[src]: inverse.mapping[src]
-            for src in range(n_alive)
-            if src not in check_srcs
-        }
-        attack.receive_secrets(
-            [position_of_origin[orig] for orig in origins_by_index],
-            origins_by_index,
-            sequence.labels,
-        )
+    if attack is not None:
+        attack.receive_secrets(turn.perm, origins, turn.check, sequence.labels)
 
-    returned = transmit_sequence(back, shuffled, rng, transcript, "return")
-
-    # Receipt: Alice confirms which returned positions arrived.
-    arrived_back = [j for j, ph in enumerate(returned) if not isinstance(ph, Lost)]
-    public.announce("alice", "receipt", arrived_back, stage="receipt")
-    arrived_set = set(arrived_back)
+    receipt = turn.send_back(back, rng, public, transcript)
 
     # Check disclosure: positions, their origins, and Bob's check ops --
     # but only for check photons, the message order stays secret.
-    check_set = set(check.positions)
-    check_triples = []
-    for j in sorted(arrived_set):
-        src = perm.mapping[j]
-        if src in check_set:
-            check_triples.append((j, surviving_origins[src], check_record[src]))
-    if not check_triples:
-        raise ProtocolError("no check photons survived the return transmission")
-    announced = CheckAnnouncement(
-        positions=tuple(t[0] for t in check_triples),
-        origins=tuple(t[1] for t in check_triples),
-        ops=tuple(t[2] for t in check_triples),
-    )
+    announced = CheckAnnouncement(*zip(*receipt.check_items))
     public.announce(
         "bob",
         "check_open",
@@ -471,76 +566,23 @@ def run_session(
 
     # Alice measures every check photon in its preparation basis.
     check_measurements: dict[int, int] = {}
-    for pos, orig, _op in check_triples:
+    for pos, orig, _op in receipt.check_items:
         basis = sequence.labels[orig].basis
-        outcome = measure(returned[pos], basis, rng)
+        outcome = measure(receipt.photons[pos], basis, rng)
         measurement_event(transcript, "check", "alice", pos, basis, outcome)
         check_measurements[pos] = outcome
     error_rate = run_check(sequence.labels, announced, check_measurements)
-    aborted = error_rate > config.error_threshold
-    public.announce(
-        "alice", "check_decision", {"error_rate": error_rate, "aborted": aborted}, stage="check"
-    )
-    if transcript is not None:
-        transcript.record(
-            "decision",
-            "check",
-            error_rate=error_rate,
-            threshold=config.error_threshold,
-            aborted=aborted,
-        )
-
-    n_check_alive = len(check_triples)
-    if aborted:
-        return SessionOutcome(
-            aborted=True,
-            measured_error_rate=error_rate,
-            message_sent=message_bits,
-            decoded_bits=None,
-            decoded_positions=None,
-            n_check=n_check_alive,
-            transcript=transcript,
-        )
-
-    # Reveal: Bob publishes the secret order of the message positions.
-    message_order = []
-    for j in sorted(arrived_set):
-        src = perm.mapping[j]
-        if src not in check_set:
-            message_order.append((j, surviving_origins[src]))
-    public.announce(
-        "bob",
-        "message_order",
-        [[pos, orig] for pos, orig in message_order],
-        stage="reveal",
-    )
+    if decide_and_reveal(public, transcript, "alice", error_rate, config.error_threshold, receipt):
+        return turn.outcome(receipt, error_rate, None, transcript)
 
     # Alice measures the message photons in their preparation bases.
     message_measurements: dict[int, int] = {}
-    for pos, orig in message_order:
+    for pos, orig in receipt.message_order:
         basis = sequence.labels[orig].basis
-        outcome = measure(returned[pos], basis, rng)
+        outcome = measure(receipt.photons[pos], basis, rng)
         measurement_event(transcript, "reveal", "alice", pos, basis, outcome)
         message_measurements[pos] = outcome
     decoded = reveal_order_and_decode(
-        sequence.labels, message_order, message_measurements, check_passed=True
+        sequence.labels, receipt.message_order, message_measurements, check_passed=True
     )
-
-    # Which sent-message indices did the decoded bits land on? Ranks of the
-    # surviving message origins within all message origins, ascending.
-    all_message_origins = sorted(
-        surviving_origins[i] for i in range(n_alive) if i not in check_set
-    )
-    rank = {orig: k for k, orig in enumerate(all_message_origins)}
-    decoded_positions = sorted(rank[orig] for _pos, orig in message_order)
-
-    return SessionOutcome(
-        aborted=False,
-        measured_error_rate=error_rate,
-        message_sent=message_bits,
-        decoded_bits=decoded,
-        decoded_positions=decoded_positions,
-        n_check=n_check_alive,
-        transcript=transcript,
-    )
-
+    return turn.outcome(receipt, error_rate, decoded, transcript)

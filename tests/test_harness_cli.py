@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from qsdcsim.attacks import ATTACK_REGISTRY
 from qsdcsim.errors import ConfigError
+from qsdcsim.fabric import Transcript
 from qsdcsim.harness import (
     ExperimentConfig,
     aggregate_trials,
@@ -111,11 +113,20 @@ class TestRunReport:
         assert a["message_sent"] != b["message_sent"]
         assert a["config"]["seed"] == 1
 
-    def test_identical_runs_identical_reports(self):
-        config = ExperimentConfig.from_dict(HONEST_QSDC)
-        a = json.dumps(run_report(config), sort_keys=True)
-        b = json.dumps(run_report(config), sort_keys=True)
+    @pytest.mark.parametrize(
+        "protocol,attack",
+        [(protocol, name) for name, cls in ATTACK_REGISTRY.items() for protocol in cls.protocols],
+    )
+    def test_identical_runs_identical_reports(self, protocol, attack):
+        controllers = 2 if protocol == "mcqsdc" else 0
+        config = ExperimentConfig.from_dict(
+            dict(HONEST_QSDC, protocol=protocol, controllers=controllers, attack={"name": attack})
+        )
+        first, second = Transcript(), Transcript()
+        a = json.dumps(run_report(config, transcript=first), sort_keys=True)
+        b = json.dumps(run_report(config, transcript=second), sort_keys=True)
         assert a == b
+        assert first.to_jsonl() == second.to_jsonl()
 
     def test_aggregate_accuracy_prefers_guesses(self):
         config = ExperimentConfig.from_dict(
@@ -290,9 +301,32 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
-    def test_invalid_field_exit_two(self, tmp_path):
-        proc = cli("run", config={"protocol": "qsdc", "n_photons": 1}, tmp_path=tmp_path)
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("run", {"protocol": "qsdc", "n_photons": 1}),
+            ("run", dict(HONEST_QSDC, attack={"name": "intercept_resend", "params": {"foo": 1}})),
+            ("run", dict(HONEST_QSDC, attack={"name": "intercept_resend", "params": [1, 2]})),
+            ("run", dict(HONEST_QSDC, check_fraction="abc")),
+            ("run", dict(HONEST_QSDC, noise={"kind": "bit_flip", "p": "x"})),
+            ("sweep", dict(HONEST_QSDC, sweep={"loss": ["abc"]})),
+            ("sweep", dict(HONEST_QSDC, sweep={"n_photons": [16, 1]})),
+        ],
+        ids=[
+            "n_photons_1",
+            "unknown_attack_param",
+            "attack_params_not_object",
+            "check_fraction_string",
+            "noise_p_string",
+            "sweep_value_string",
+            "sweep_point_invalid",
+        ],
+    )
+    def test_invalid_field_exit_two(self, tmp_path, command, config):
+        proc = cli(command, config=config, tmp_path=tmp_path)
         assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_seed_flag_overrides(self, tmp_path):
         base = cli("run", config=HONEST_QSDC, tmp_path=tmp_path)
