@@ -46,7 +46,6 @@ from .protocol import (
     CheckAnnouncement,
     CheckSet,
     Permutation,
-    PSequence,
     SessionConfig,
     SessionOutcome,
     encode,

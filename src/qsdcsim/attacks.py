@@ -31,7 +31,6 @@ from .multiparty import (
 from .protocol import (
     CheckSet,
     Permutation,
-    PSequence,
     SessionOutcome,
     decode_accuracy,
     prepare_p_sequence,
@@ -40,11 +39,9 @@ from .protocol import (
 from .quantum import (
     Basis,
     OpLabel,
-    PhotonState,
     RandomSource,
     StateLabel,
     measure,
-    state_from_label,
 )
 
 
@@ -62,13 +59,13 @@ class AttackReport:
 
 
 def measure_and_resend(
-    photon: PhotonState, basis: Basis, rng: RandomSource
-) -> tuple[int, PhotonState]:
+    photon: StateLabel, basis: Basis, rng: RandomSource
+) -> tuple[int, StateLabel]:
     """The intercept-resend primitive: measure in the chosen basis and
     forward the matching eigenstate. Nondisturbing exactly when the basis
     matches the photon's preparation basis."""
     outcome = measure(photon, basis, rng)
-    return outcome, state_from_label(StateLabel(basis, outcome))
+    return outcome, StateLabel(basis, outcome)
 
 
 class MeasureResendTap:
@@ -79,7 +76,7 @@ class MeasureResendTap:
     def __init__(self) -> None:
         self.records: list[tuple[Basis, int]] = []
 
-    def relay(self, photon: PhotonState, rng: RandomSource) -> PhotonState:
+    def relay(self, photon: StateLabel, rng: RandomSource) -> StateLabel:
         basis = Basis.Z if rng.integers(0, 2) == 0 else Basis.X
         outcome, resent = measure_and_resend(photon, basis, rng)
         self.records.append((basis, outcome))
@@ -92,9 +89,9 @@ class Attack:
 
       install          before any photon flies: register taps on the first
                        and return legs, keep a handle on the public log.
-      receive_secrets  two-party sessions, after the shuffle: secrets the
-                       protocol never discloses (the permutation, the
-                       ascending origins, the check set and the labels).
+      receive_secrets  after the shuffle: secrets the protocol never
+                       discloses (the permutation, the ascending origins,
+                       the check set and the labels).
       reroute          controlled sessions, after preparation: return a
                        ``Chain`` that replaces the honest controller chain,
                        or None to leave it alone.
@@ -127,7 +124,7 @@ class Attack:
     def reroute(
         self,
         config: McSessionConfig,
-        sequence: PSequence,
+        labels: list[StateLabel],
         hops: Sequence[QuantumChannel],
         rng: RandomSource,
         public: ClassicalChannel,
@@ -299,7 +296,7 @@ class BypassReporter(CollusionReporter):
 
 
 def _decoy_chain(
-    sequence: PSequence,
+    labels: list[StateLabel],
     n_decoy: int,
     legs: Sequence[QuantumChannel],
     reporter: type[HonestReporter],
@@ -311,17 +308,17 @@ def _decoy_chain(
     ``n_decoy`` controllers, whose records are real but describe photons
     that never reach the encoder, while the true photons take ``legs``
     straight to the encoder untouched."""
-    decoys = prepare_p_sequence(len(sequence), rng).photons
+    decoys = prepare_p_sequence(len(labels), rng)
     agents = []
     for c in range(n_decoy):
         decoys, record = controller_pass(decoys, rng)
         agents.append(HonestController(c, dict(enumerate(record.ops))))
-    photons = sequence.photons
+    photons = labels
     for leg in legs:
         photons, _arrived = transmit_sequence(leg, photons, rng, transcript, "chain")
-    origins = list(range(len(sequence)))
+    origins = list(range(len(labels)))
     public.announce("bob", "arrived_forward", origins, stage="chain")
-    return Chain(photons, origins, agents, partial(reporter, sequence.labels, rng=rng))
+    return Chain(photons, origins, agents, partial(reporter, labels, rng=rng))
 
 
 class FakeSequenceBypass(Attack):
@@ -337,7 +334,7 @@ class FakeSequenceBypass(Attack):
     def reroute(
         self,
         config: McSessionConfig,
-        sequence: PSequence,
+        labels: list[StateLabel],
         hops: Sequence[QuantumChannel],
         rng: RandomSource,
         public: ClassicalChannel,
@@ -346,10 +343,10 @@ class FakeSequenceBypass(Attack):
         if config.loss > 0.0:
             raise ConfigError("bypass attack does not support lossy channels")
         if config.controllers == 0:
-            return honest_chain(sequence, hops, rng, public, transcript)
+            return honest_chain(labels, hops, rng, public, transcript)
         direct = QuantumChannel(name="alice=>bob", noise=config.noise)
         return _decoy_chain(
-            sequence, config.controllers, [direct], BypassReporter, rng, public, transcript
+            labels, config.controllers, [direct], BypassReporter, rng, public, transcript
         )
 
     def report(self, outcome: SessionOutcome) -> AttackReport:
@@ -412,7 +409,7 @@ class CollusionAttack(Attack):
     def reroute(
         self,
         config: McSessionConfig,
-        sequence: PSequence,
+        labels: list[StateLabel],
         hops: Sequence[QuantumChannel],
         rng: RandomSource,
         public: ClassicalChannel,
@@ -425,7 +422,7 @@ class CollusionAttack(Attack):
             raise ConfigError("collusion needs at least two controllers")
         direct = QuantumChannel(name="alice=>colluder", noise=config.noise)
         chain = _decoy_chain(
-            sequence, m - 1, [direct, hops[m]], CollusionReporter, rng, public, transcript
+            labels, m - 1, [direct, hops[m]], CollusionReporter, rng, public, transcript
         )
         chain.agents.append(ColluderAgent(rng))
         if self.schedule_variant == "fixed_order":

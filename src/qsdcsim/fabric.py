@@ -16,11 +16,9 @@ from typing import Any, Protocol, Union
 from .errors import ConfigError
 from .quantum import (
     Basis,
-    PhotonState,
     RandomSource,
     StateLabel,
     random_label,
-    state_from_label,
 )
 
 
@@ -33,8 +31,9 @@ class NoiseKind(Enum):
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-transmission noise. ``bit_flip`` applies the Pauli-X matrix
-    [[0,1],[1,0]] with probability p; ``depolarizing`` replaces the state
-    with a uniformly random canonical state with probability p."""
+    [[0,1],[1,0]] with probability p, which flips the bit of a Z-basis
+    photon and only rephases an X-basis one; ``depolarizing`` replaces the
+    state with a uniformly random canonical state with probability p."""
 
     kind: NoiseKind = NoiseKind.NONE
     p: float = 0.0
@@ -74,7 +73,7 @@ class Lost:
 
 LOST = Lost()
 
-Delivered = Union[PhotonState, Lost]
+Delivered = Union[StateLabel, Lost]
 
 
 class Tap(Protocol):
@@ -85,7 +84,7 @@ class Tap(Protocol):
     keeps, the line does not carry.
     """
 
-    def relay(self, photon: PhotonState, rng: RandomSource) -> PhotonState: ...
+    def relay(self, photon: StateLabel, rng: RandomSource) -> StateLabel: ...
 
 
 @dataclass
@@ -102,7 +101,7 @@ class QuantumChannel:
             raise ConfigError(f"loss must be in [0,1], got {self.loss}")
 
 
-def transmit(channel: QuantumChannel, photon: PhotonState, rng: RandomSource) -> Delivered:
+def transmit(channel: QuantumChannel, photon: StateLabel, rng: RandomSource) -> Delivered:
     """Send one photon down a channel: taps, then loss, then noise.
 
     Loss yields the explicit ``LOST`` marker, never a silent drop. Draws
@@ -115,11 +114,11 @@ def transmit(channel: QuantumChannel, photon: PhotonState, rng: RandomSource) ->
         return LOST
     noise = channel.noise
     if noise.kind is NoiseKind.BIT_FLIP and noise.p > 0.0:
-        if rng.random() < noise.p:
-            photon = PhotonState(photon.beta, photon.alpha)
+        if rng.random() < noise.p and photon.basis is Basis.Z:
+            photon = StateLabel(Basis.Z, photon.bit ^ 1)
     elif noise.kind is NoiseKind.DEPOLARIZING and noise.p > 0.0:
         if rng.random() < noise.p:
-            photon = state_from_label(random_label(rng))
+            photon = random_label(rng)
     return photon
 
 

@@ -62,12 +62,6 @@ def three_sigma_band(p: float, n: int) -> float:
     return 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def binomial_stderr(p: float, n: int) -> float:
-    if n <= 0:
-        return 0.0
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
 def _as_int(key: str, value: Any) -> int:
     """Accept JSON numbers that are integral; reject anything fractional."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -491,12 +485,11 @@ def run_selftest(
     rng = np.random.default_rng(seed)
     det_ok = True
     for label in CANONICAL_LABELS:
-        st = state_from_label(label)
         for _ in range(32):
-            if measure(st, label.basis, rng) != label.bit:
+            if measure(label, label.basis, rng) != label.bit:
                 det_ok = False
     n_draws = 100_000
-    plus = state_from_label(StateLabel(Basis.X, 0))
+    plus = StateLabel(Basis.X, 0)
     zeros = sum(1 for _ in range(n_draws) if measure(plus, Basis.Z, rng) == 0)
     freq = zeros / n_draws
     meas_ok = det_ok and abs(freq - 0.5) < 0.01

@@ -34,7 +34,6 @@ from .fabric import (
     measurement_event,
 )
 from .protocol import (
-    PSequence,
     SessionConfig,
     SessionOutcome,
     decide_and_reveal,
@@ -45,10 +44,8 @@ from .protocol import (
 from .quantum import (
     FrameEffect,
     OpLabel,
-    PhotonState,
     RandomSource,
     StateLabel,
-    apply_op,
     apply_op_symbolic,
     compose_effects,
     measure,
@@ -118,13 +115,13 @@ class ControlRelease:
 
 
 def controller_pass(
-    photons: Sequence[PhotonState], rng: RandomSource
-) -> tuple[list[PhotonState], ControllerRecord]:
+    photons: Sequence[StateLabel], rng: RandomSource
+) -> tuple[list[StateLabel], ControllerRecord]:
     """Apply an independently uniform draw from {I, U, H} to each photon,
     retaining the choices privately."""
     picks = rng.integers(0, 3, size=len(photons))
     ops = tuple(CONTROLLER_OPS[int(i)] for i in picks)
-    transformed = [apply_op(op, ph) for op, ph in zip(ops, photons)]
+    transformed = [apply_op_symbolic(op, ph) for op, ph in zip(ops, photons)]
     return transformed, ControllerRecord(ops=ops)
 
 
@@ -232,7 +229,7 @@ class HonestReporter:
     def __init__(
         self,
         labels: Sequence[StateLabel],
-        photons_by_position: Mapping[int, PhotonState],
+        photons_by_position: Mapping[int, StateLabel],
         rng: RandomSource,
         transcript: Transcript | None = None,
     ):
@@ -262,10 +259,10 @@ class Chain:
     ``schedule(n_check, m, rng)``.
     """
 
-    photons: list[PhotonState]
+    photons: list[StateLabel]
     origins: list[int]
     agents: list[Any]
-    reporter: Callable[[Mapping[int, PhotonState]], HonestReporter]
+    reporter: Callable[[Mapping[int, StateLabel]], HonestReporter]
     schedule: Callable[[int, int, RandomSource], AnnouncementSchedule] = AnnouncementSchedule.draw
 
 
@@ -324,7 +321,7 @@ def mc_check_round(
 def frame_decode(
     labels: Sequence[StateLabel],
     message_order: Sequence[tuple[int, int]],
-    photons_by_position: Mapping[int, PhotonState],
+    photons_by_position: Mapping[int, StateLabel],
     records: Sequence[Mapping[int, OpLabel]],
     rng: RandomSource,
     transcript: Transcript | None = None,
@@ -348,7 +345,7 @@ def frame_decode(
 def release_and_reconstruct(
     alice_labels: Sequence[StateLabel],
     message_order: Sequence[tuple[int, int]],
-    photons_by_position: Mapping[int, PhotonState],
+    photons_by_position: Mapping[int, StateLabel],
     release: ControlRelease,
     n_controllers: int,
     rng: RandomSource,
@@ -369,7 +366,7 @@ def release_and_reconstruct(
 def reconstruct_with_missing(
     alice_labels: Sequence[StateLabel],
     message_order: Sequence[tuple[int, int]],
-    photons_by_position: Mapping[int, PhotonState],
+    photons_by_position: Mapping[int, StateLabel],
     release: ControlRelease,
     n_controllers: int,
     withheld: int,
@@ -396,7 +393,7 @@ def _chain_hop_names(m: int) -> list[str]:
 
 
 def honest_chain(
-    sequence: PSequence,
+    labels: list[StateLabel],
     hops: Sequence[QuantumChannel],
     rng: RandomSource,
     public: ClassicalChannel,
@@ -404,7 +401,7 @@ def honest_chain(
 ) -> Chain:
     """Walk the photons through the controller chain, hop by hop, with
     per-hop arrival announcements and private op records."""
-    photons: list[PhotonState] = list(sequence.photons)
+    photons = labels
     origins = list(range(len(photons)))
     agents: list[Any] = []
     for c, hop in enumerate(hops):
@@ -415,7 +412,7 @@ def honest_chain(
             photons, record = controller_pass(photons, rng)
             agents.append(HonestController(c, dict(zip(origins, record.ops))))
     public.announce("bob", "arrived_forward", origins, stage="chain")
-    reporter = partial(HonestReporter, sequence.labels, rng=rng, transcript=transcript)
+    reporter = partial(HonestReporter, labels, rng=rng, transcript=transcript)
     return Chain(photons, origins, agents, reporter)
 
 
@@ -447,15 +444,17 @@ def run_mc_session(
     if attack is not None:
         attack.install(hop_channels[0], back, public, rng)
 
-    sequence = prepare_p_sequence(config.n_photons, rng)
+    labels = prepare_p_sequence(config.n_photons, rng)
     chain = None
     if attack is not None:
-        chain = attack.reroute(config, sequence, hop_channels, rng, public, transcript)
+        chain = attack.reroute(config, labels, hop_channels, rng, public, transcript)
     rerouted = chain is not None
     if chain is None:
-        chain = honest_chain(sequence, hop_channels, rng, public, transcript)
+        chain = honest_chain(labels, hop_channels, rng, public, transcript)
 
     turn = encoder_turn(config, chain.photons, chain.origins, message, rng, transcript)
+    if attack is not None:
+        attack.receive_secrets(turn.perm, chain.origins, turn.check, labels)
     receipt = turn.send_back(back, rng, public, transcript)
     positions, check_origins, ops = zip(*receipt.check_items)
     check_items = list(zip(positions, check_origins))
@@ -467,12 +466,12 @@ def run_mc_session(
     public.announce(
         "alice",
         "check_initial_states",
-        {str(orig): label_payload(sequence.labels[orig]) for orig in check_origins},
+        {str(orig): label_payload(labels[orig]) for orig in check_origins},
         stage="check",
     )
     error_rate, _mismatches = mc_check_round(
         check_items,
-        {orig: sequence.labels[orig] for orig in check_origins},
+        {orig: labels[orig] for orig in check_origins},
         dict(zip(positions, ops)),
         chain.schedule(len(check_items), m, rng),
         chain.reporter(receipt.photons),
@@ -499,7 +498,7 @@ def run_mc_session(
         )
     release = ControlRelease(records=records)
 
-    args = (sequence.labels, receipt.message_order, receipt.photons)
+    args = (labels, receipt.message_order, receipt.photons)
     if rerouted:
         # The corrupt receiver ignores the releases: the photons she holds
         # never met the controllers, so the preparation basis decodes them.

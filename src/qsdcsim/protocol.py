@@ -43,13 +43,11 @@ from .fabric import (
 )
 from .quantum import (
     OpLabel,
-    PhotonState,
     RandomSource,
     StateLabel,
-    apply_op,
+    apply_op_symbolic,
     measure,
     random_labels,
-    state_from_label,
 )
 
 if TYPE_CHECKING:
@@ -57,24 +55,6 @@ if TYPE_CHECKING:
 
 #: Message-bit encoding: operation applied for bit 0 and bit 1.
 OP_FOR_BIT = (OpLabel.I, OpLabel.U)
-
-
-@dataclass
-class PSequence:
-    """Alice's prepared sequence: her private preparation record plus the
-    positionally aligned photons."""
-
-    labels: list[StateLabel]
-    photons: list[PhotonState]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) == 0:
-            raise ConfigError("photon sequence must be nonempty")
-        if len(self.labels) != len(self.photons):
-            raise ProtocolError("labels and photons must align positionally")
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -90,9 +70,6 @@ class CheckSet:
         if len(set(self.positions)) != len(self.positions):
             raise ProtocolError("check positions must be distinct")
         object.__setattr__(self, "positions", tuple(sorted(self.positions)))
-
-    def __contains__(self, position: int) -> bool:
-        return position in set(self.positions)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -110,10 +87,6 @@ class Permutation:
             raise ProtocolError(f"not a permutation of [0,{len(self.mapping)}): {self.mapping}")
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
     def random(cls, n: int, rng: RandomSource) -> "Permutation":
         return cls(tuple(int(i) for i in rng.permutation(n)))
 
@@ -127,9 +100,6 @@ class Permutation:
         for new_pos, src in enumerate(self.mapping):
             inv[src] = new_pos
         return Permutation(tuple(inv))
-
-    def __len__(self) -> int:
-        return len(self.mapping)
 
 
 @dataclass(frozen=True)
@@ -176,6 +146,8 @@ class SessionConfig:
             raise ConfigError(f"error_threshold must be in [0,1], got {self.error_threshold}")
         if not 0.0 <= self.loss <= 1.0:
             raise ConfigError(f"loss must be in [0,1], got {self.loss}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         size = self.check_size(self.n_photons)
         if size < 1:
             raise ConfigError("configuration yields an empty check set")
@@ -223,14 +195,13 @@ def decode_accuracy(outcome: SessionOutcome) -> float | None:
     return hits / bits if bits else None
 
 
-def prepare_p_sequence(n: int, rng: RandomSource) -> PSequence:
+def prepare_p_sequence(n: int, rng: RandomSource) -> list[StateLabel]:
     """Draw n preparation labels independently and uniformly from the
-    four-state alphabet and materialize the photons."""
+    four-state alphabet. The labels are Alice's private preparation record
+    and, as Pauli frames, the photons sent."""
     if n < 1:
         raise ConfigError(f"sequence length must be >= 1, got {n}")
-    labels = random_labels(n, rng)
-    photons = [state_from_label(lbl) for lbl in labels]
-    return PSequence(labels=labels, photons=photons)
+    return random_labels(n, rng)
 
 
 def select_check_set(n: int, fraction: float, rng: RandomSource) -> CheckSet:
@@ -252,11 +223,11 @@ def select_check_positions(n: int, size: int, rng: RandomSource) -> CheckSet:
 
 
 def encode(
-    photons: Sequence[PhotonState],
+    photons: Sequence[StateLabel],
     check: CheckSet | None,
     message: Sequence[int],
     rng: RandomSource,
-) -> tuple[list[PhotonState], list[OpLabel], dict[int, OpLabel]]:
+) -> tuple[list[StateLabel], list[OpLabel], dict[int, OpLabel]]:
     """Apply the encoder's operations position by position.
 
     Check positions receive an independently uniform draw from {I, U},
@@ -274,7 +245,7 @@ def encode(
         )
     ops: list[OpLabel] = []
     check_record: dict[int, OpLabel] = {}
-    out: list[PhotonState] = []
+    out: list[StateLabel] = []
     next_bit = iter(message)
     for pos in range(n):
         if pos in check_positions:
@@ -286,13 +257,13 @@ def encode(
                 raise ProtocolError(f"message bits must be 0/1, got {bit!r}")
             op = OP_FOR_BIT[bit]
         ops.append(op)
-        out.append(apply_op(op, photons[pos]))
+        out.append(apply_op_symbolic(op, photons[pos]))
     return out, ops, check_record
 
 
 def rearrange(
-    photons: Sequence[PhotonState], rng: RandomSource
-) -> tuple[list[PhotonState], Permutation]:
+    photons: Sequence[StateLabel], rng: RandomSource
+) -> tuple[list[StateLabel], Permutation]:
     """Reorder the sequence by a uniformly random secret permutation."""
     perm = Permutation.random(len(photons), rng)
     return perm.apply(photons), perm
@@ -352,11 +323,11 @@ def reveal_order_and_decode(
 
 def transmit_sequence(
     channel: QuantumChannel,
-    photons: Sequence[PhotonState],
+    photons: Sequence[StateLabel],
     rng: RandomSource,
     transcript: Transcript | None,
     stage: str,
-) -> tuple[list[PhotonState], list[int]]:
+) -> tuple[list[StateLabel], list[int]]:
     """Send a whole sequence down a channel, logging the send and the set
     of arrived positions. Returns the photons that arrived and their
     positions in the sent sequence."""
@@ -376,7 +347,7 @@ class Receipt:
     of those positions into check items (position, origin, check op) and
     the message order (position, origin), both in ascending position."""
 
-    photons: dict[int, PhotonState]
+    photons: dict[int, StateLabel]
     check_items: list[tuple[int, int, OpLabel]]
     message_order: list[tuple[int, int]]
 
@@ -392,7 +363,7 @@ class EncoderTurn:
     check: CheckSet
     check_record: dict[int, OpLabel]
     perm: Permutation
-    shuffled: list[PhotonState]
+    shuffled: list[StateLabel]
 
     def send_back(
         self,
@@ -449,7 +420,7 @@ class EncoderTurn:
 
 def encoder_turn(
     config: SessionConfig,
-    photons: list[PhotonState],
+    photons: list[StateLabel],
     origins: list[int],
     message: Sequence[int] | None,
     rng: RandomSource,
@@ -535,9 +506,9 @@ def run_session(
     if attack is not None:
         attack.install(forward, back, public, rng)
 
-    # Preparation: Alice's labels stay private; only the photons travel.
-    sequence = prepare_p_sequence(config.n_photons, rng)
-    photons, origins = transmit_sequence(forward, sequence.photons, rng, transcript, "prepare")
+    # Preparation: Alice's labels are her private record and the photons sent.
+    labels = prepare_p_sequence(config.n_photons, rng)
+    photons, origins = transmit_sequence(forward, labels, rng, transcript, "prepare")
 
     # Receiver announces arrivals; both sides drop lost positions.
     public.announce("bob", "arrived_forward", origins, stage="prepare")
@@ -546,7 +517,7 @@ def run_session(
     # Experiment instrumentation: a strategy may ask for secrets that the
     # protocol itself never discloses, to isolate what each one protects.
     if attack is not None:
-        attack.receive_secrets(turn.perm, origins, turn.check, sequence.labels)
+        attack.receive_secrets(turn.perm, origins, turn.check, labels)
 
     receipt = turn.send_back(back, rng, public, transcript)
 
@@ -567,22 +538,22 @@ def run_session(
     # Alice measures every check photon in its preparation basis.
     check_measurements: dict[int, int] = {}
     for pos, orig, _op in receipt.check_items:
-        basis = sequence.labels[orig].basis
+        basis = labels[orig].basis
         outcome = measure(receipt.photons[pos], basis, rng)
         measurement_event(transcript, "check", "alice", pos, basis, outcome)
         check_measurements[pos] = outcome
-    error_rate = run_check(sequence.labels, announced, check_measurements)
+    error_rate = run_check(labels, announced, check_measurements)
     if decide_and_reveal(public, transcript, "alice", error_rate, config.error_threshold, receipt):
         return turn.outcome(receipt, error_rate, None, transcript)
 
     # Alice measures the message photons in their preparation bases.
     message_measurements: dict[int, int] = {}
     for pos, orig in receipt.message_order:
-        basis = sequence.labels[orig].basis
+        basis = labels[orig].basis
         outcome = measure(receipt.photons[pos], basis, rng)
         measurement_event(transcript, "reveal", "alice", pos, basis, outcome)
         message_measurements[pos] = outcome
     decoded = reveal_order_and_decode(
-        sequence.labels, receipt.message_order, message_measurements, check_passed=True
+        labels, receipt.message_order, message_measurements, check_passed=True
     )
     return turn.outcome(receipt, error_rate, decoded, transcript)

@@ -1,14 +1,16 @@
 """Single-qubit physics kernel.
 
-Exact two-amplitude state vectors for polarized photons, the three protocol
-unitaries (identity, the bit-flip ``i*sigma_y``, and the Hadamard), Born-rule
-measurement in the two conjugate bases, and a symbolic Pauli-frame model
-that predicts the same measurement statistics without touching amplitudes.
+Photons are in one of the four conjugate-basis states, an alphabet closed
+under the three protocol unitaries (identity, the bit-flip ``i*sigma_y``,
+the Hadamard), Pauli-X noise, depolarization and measure-and-resend. So a
+photon is exactly its Pauli frame, a ``StateLabel`` (basis, bit): the
+unitaries act symbolically, and a measurement returns the bit in the
+photon's own basis and a fair coin in the conjugate one.
 
-The amplitude model and the symbolic model are deliberately independent:
-one is the implementation, the other its oracle. They must agree up to a
-global phase for every operation sequence, which the self-test sweeps
-exhaustively.
+The frame model is the implementation; exact two-amplitude state vectors
+(``PhotonState``, ``apply_op``) are its independent oracle. They must
+agree up to a global phase for every operation sequence, which the
+self-test sweeps exhaustively.
 """
 from __future__ import annotations
 
@@ -93,8 +95,6 @@ class FrameEffect:
         return StateLabel(basis, label.bit ^ self.flip)
 
 
-IDENTITY_EFFECT = FrameEffect(0, 0)
-
 OP_EFFECT: dict[OpLabel, FrameEffect] = {
     OpLabel.I: FrameEffect(0, 0),
     OpLabel.U: FrameEffect(1, 0),
@@ -164,20 +164,18 @@ def compose_effects(ops: Iterable[OpLabel]) -> FrameEffect:
     return FrameEffect(flip, swap)
 
 
-def measure(state: PhotonState, basis: Basis, rng: RandomSource) -> int:
-    """Projective measurement in the requested basis, Born rule.
+def measure(state: StateLabel, basis: Basis, rng: RandomSource) -> int:
+    """Projective measurement of a canonical state in the requested basis.
 
-    Returns the outcome bit (index of the basis eigenstate). Consumes
-    exactly one uniform draw from ``rng``, so a seeded generator yields a
+    In the photon's own basis the outcome is its bit; in the conjugate
+    basis it is a fair coin (Born probability 1/2). Consumes exactly one
+    uniform draw from ``rng`` either way, so a seeded generator yields a
     reproducible outcome stream.
     """
-    a, b = state
-    if basis is Basis.Z:
-        p0 = abs(a) ** 2
-    else:
-        amp0 = SQRT_HALF * (a + b)
-        p0 = abs(amp0) ** 2
-    return 0 if rng.random() < p0 else 1
+    r = rng.random()
+    if basis is state.basis:
+        return state.bit
+    return int(r >= 0.5)
 
 
 def norm_sq(state: PhotonState) -> float:

@@ -311,6 +311,8 @@ class TestCli:
             ("run", dict(HONEST_QSDC, noise={"kind": "bit_flip", "p": "x"})),
             ("sweep", dict(HONEST_QSDC, sweep={"loss": ["abc"]})),
             ("sweep", dict(HONEST_QSDC, sweep={"n_photons": [16, 1]})),
+            ("run", dict(HONEST_QSDC, seed=-1)),
+            ("sweep", dict(HONEST_QSDC, seed=-1, sweep={"n_photons": [8]})),
         ],
         ids=[
             "n_photons_1",
@@ -320,6 +322,8 @@ class TestCli:
             "noise_p_string",
             "sweep_value_string",
             "sweep_point_invalid",
+            "run_seed_negative",
+            "sweep_seed_negative",
         ],
     )
     def test_invalid_field_exit_two(self, tmp_path, command, config):
@@ -333,6 +337,12 @@ class TestCli:
         other = cli("run", "--seed", "99", config=HONEST_QSDC, tmp_path=tmp_path)
         assert json.loads(other.stdout)["seed"] == 99
         assert base.stdout != other.stdout
+
+    def test_negative_seed_flag_exit_two(self, tmp_path):
+        proc = cli("run", "--seed", "-2", config=HONEST_QSDC, tmp_path=tmp_path)
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_transcript_flag_writes_jsonl(self, tmp_path):
         out_path = tmp_path / "session.jsonl"

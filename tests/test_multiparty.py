@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from amplitude_oracle import label_of
 from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import ClassicalChannel, NoiseModel, Transcript
 from qsdcsim.multiparty import (
@@ -32,7 +33,6 @@ from qsdcsim.quantum import (
     StateLabel,
     apply_op,
     apply_op_symbolic,
-    is_canonical,
     overlap,
     state_from_label,
 )
@@ -48,37 +48,36 @@ def rng(seed=0):
 class TestControllerPass:
     def test_records_match_transformations(self):
         seq = prepare_p_sequence(64, rng(1))
-        out, record = controller_pass(seq.photons, rng(2))
-        for photon, op, transformed in zip(seq.photons, record.ops, out):
-            expected = apply_op(op, photon)
-            assert abs(overlap(transformed, expected) - 1.0) < ATOL
+        out, record = controller_pass(seq, rng(2))
+        for photon, op, transformed in zip(seq, record.ops, out):
+            assert transformed == label_of(apply_op(op, state_from_label(photon)))
 
     def test_hadamard_case(self):
-        photons = [state_from_label(Z0)] * 200
+        photons = [Z0] * 200
         out, record = controller_pass(photons, rng(3))
         idx = record.ops.index(OpLabel.H)
-        target = state_from_label(apply_op_symbolic(OpLabel.H, Z0))
-        assert abs(overlap(out[idx], target) - 1.0) < ATOL
+        assert out[idx] == apply_op_symbolic(OpLabel.H, Z0)
 
     def test_identity_case(self):
-        photons = [state_from_label(X1)] * 200
+        photons = [X1] * 200
         out, record = controller_pass(photons, rng(4))
         idx = record.ops.index(OpLabel.I)
         assert out[idx] == photons[idx]
 
     def test_op_frequencies(self):
-        photons = [state_from_label(Z0)] * 100_000
+        photons = [Z0] * 100_000
         _out, record = controller_pass(photons, rng(5))
         for op in (OpLabel.I, OpLabel.U, OpLabel.H):
             freq = sum(1 for o in record.ops if o is op) / len(record.ops)
             assert abs(freq - 1 / 3) < 0.01
 
     def test_closure_at_every_hop(self):
-        seq = prepare_p_sequence(32, rng(6))
-        photons = seq.photons
+        photons = prepare_p_sequence(32, rng(6))
         for hop in range(4):
-            photons, _record = controller_pass(photons, rng(7 + hop))
-            assert all(is_canonical(ph) for ph in photons)
+            before = photons
+            photons, record = controller_pass(photons, rng(7 + hop))
+            for photon, op, after in zip(before, record.ops, photons):
+                assert after == label_of(apply_op(op, state_from_label(photon)))
 
 
 class TestExpectedCheckOutcome:
@@ -155,7 +154,7 @@ class TestMcCheckRound:
         state = apply_op(bob_op, state)
         m = len(controller_ops)
         agents = [HonestController(c, {0: controller_ops[c]}) for c in range(m)]
-        reporter = HonestReporter([initial], {0: state}, rng(42))
+        reporter = HonestReporter([initial], {0: label_of(state)}, rng(42))
         schedule = AnnouncementSchedule.draw(1, m, rng(43))
         public = ClassicalChannel()
         return mc_check_round(
@@ -177,7 +176,7 @@ class TestMcCheckRound:
 
     def test_schedule_must_cover_photons(self):
         schedule = AnnouncementSchedule.draw(1, 2, rng(0))
-        reporter = HonestReporter([Z0], {0: state_from_label(Z0)}, rng(1))
+        reporter = HonestReporter([Z0], {0: Z0}, rng(1))
         with pytest.raises(ProtocolError):
             mc_check_round(
                 [(0, 0), (1, 0)],
@@ -221,7 +220,7 @@ class TestReconstruction:
         release = ControlRelease(records={0: {0: OpLabel.I}})
         with pytest.raises(ProtocolError, match="refused"):
             release_and_reconstruct(
-                [Z0], [(0, 0)], {0: state_from_label(Z0)}, release, 2, rng(0)
+                [Z0], [(0, 0)], {0: Z0}, release, 2, rng(0)
             )
 
     def test_zero_controllers_reduces_to_plain_decoding(self):
@@ -254,7 +253,7 @@ class TestReconstruction:
         """The best-effort decoder treats the withheld op as identity;
         when the true op was identity it decodes exactly."""
         labels = [Z0]
-        photon = apply_op(OpLabel.U, state_from_label(Z0))  # encoder sent 1
+        photon = label_of(apply_op(OpLabel.U, state_from_label(Z0)))  # encoder sent 1
         release = ControlRelease(records={0: {0: OpLabel.I}, 1: {0: OpLabel.I}})
         bits = reconstruct_with_missing(
             labels, [(0, 0)], {0: photon}, release, 2, withheld=1, rng=rng(3)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from amplitude_oracle import label_of
 from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import NoiseModel, Transcript
 from qsdcsim.protocol import (
@@ -23,13 +24,11 @@ from qsdcsim.protocol import (
     select_check_set,
 )
 from qsdcsim.quantum import (
-    ATOL,
     CANONICAL_LABELS,
     Basis,
     OpLabel,
     StateLabel,
-    is_canonical,
-    overlap,
+    apply_op,
     state_from_label,
 )
 
@@ -42,8 +41,8 @@ class TestPrepare:
     def test_reproducible_and_in_alphabet(self):
         seq = prepare_p_sequence(4, rng(11))
         again = prepare_p_sequence(4, rng(11))
-        assert seq.labels == again.labels
-        assert all(lbl in CANONICAL_LABELS for lbl in seq.labels)
+        assert seq == again
+        assert all(lbl in CANONICAL_LABELS for lbl in seq)
 
     def test_single_photon_sequence(self):
         seq = prepare_p_sequence(1, rng(1))
@@ -55,13 +54,12 @@ class TestPrepare:
 
     def test_states_match_labels(self):
         seq = prepare_p_sequence(64, rng(3))
-        for label, photon in zip(seq.labels, seq.photons):
-            assert abs(overlap(photon, state_from_label(label)) - 1.0) < ATOL
+        assert all(isinstance(photon, StateLabel) for photon in seq)
 
     def test_label_frequencies(self):
         seq = prepare_p_sequence(100_000, rng(8))
         for target in CANONICAL_LABELS:
-            freq = sum(1 for lbl in seq.labels if lbl == target) / len(seq)
+            freq = sum(1 for lbl in seq if lbl == target) / len(seq)
             assert abs(freq - 0.25) < 0.01
 
 
@@ -99,25 +97,25 @@ class TestCheckSet:
 
 class TestEncode:
     def test_bit_one_flips_plus_to_minus(self):
-        photons = [state_from_label(StateLabel(Basis.X, 0))]
+        photons = [StateLabel(Basis.X, 0)]
         out, ops, record = encode(photons, None, [1], rng(0))
         assert ops == [OpLabel.U] and record == {}
-        assert abs(overlap(out[0], state_from_label(StateLabel(Basis.X, 1))) - 1.0) < ATOL
+        assert out[0] == StateLabel(Basis.X, 1)
 
     def test_bit_zero_leaves_state(self):
         for label in CANONICAL_LABELS:
-            photons = [state_from_label(label)]
+            photons = [label]
             out, _ops, _rec = encode(photons, None, [0], rng(0))
             assert out[0] == photons[0]
 
     def test_all_zero_message_without_check_is_identity(self):
-        photons = [state_from_label(lbl) for lbl in CANONICAL_LABELS]
+        photons = list(CANONICAL_LABELS)
         out, ops, _rec = encode(photons, None, [0, 0, 0, 0], rng(0))
         assert out == photons
         assert ops == [OpLabel.I] * 4
 
     def test_check_positions_get_recorded_ops(self):
-        photons = [state_from_label(CANONICAL_LABELS[0])] * 6
+        photons = [CANONICAL_LABELS[0]] * 6
         check = CheckSet((1, 4))
         _out, ops, record = encode(photons, check, [0, 1, 0, 1], rng(2))
         assert set(record) == {1, 4}
@@ -131,7 +129,7 @@ class TestEncode:
         ]
 
     def test_length_mismatch_rejected(self):
-        photons = [state_from_label(CANONICAL_LABELS[0])] * 4
+        photons = [CANONICAL_LABELS[0]] * 4
         with pytest.raises(ProtocolError):
             encode(photons, CheckSet((0,)), [1, 0], rng(0))
 
@@ -139,13 +137,14 @@ class TestEncode:
         seq = prepare_p_sequence(40, rng(5))
         check = select_check_set(40, 0.25, rng(6))
         bits = [int(b) for b in rng(7).integers(0, 2, size=30)]
-        out, _ops, _rec = encode(seq.photons, check, bits, rng(8))
-        assert all(is_canonical(ph) for ph in out)
+        out, ops, _rec = encode(seq, check, bits, rng(8))
+        for photon, op, encoded in zip(seq, ops, out):
+            assert encoded == label_of(apply_op(op, state_from_label(photon)))
 
 
 class TestRearrange:
     def test_single_element_identity(self):
-        items = [state_from_label(CANONICAL_LABELS[0])]
+        items = [CANONICAL_LABELS[0]]
         out, perm = rearrange(items, rng(0))
         assert perm.mapping == (0,)
         assert out == items

@@ -1,11 +1,14 @@
-"""Kernel tests: canonical states, the three unitaries, Born-rule
-measurement, and the exhaustive amplitude-vs-symbolic equivalence."""
+"""Kernel tests: canonical states, the three unitaries, frame measurement
+against the Born rule, the exhaustive amplitude-vs-symbolic equivalence,
+and the boundary that keeps the amplitude oracle off the session path."""
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from amplitude_oracle import label_of
+from qsdcsim import attacks, fabric, multiparty, protocol
 from qsdcsim.quantum import (
     ATOL,
     CANONICAL_LABELS,
@@ -185,27 +188,56 @@ class TestExhaustiveEquivalence:
                 assert is_canonical(apply_op(op, state_from_label(label)))
 
 
+class GridSource:
+    """Stand-in generator whose uniform draws sweep a fixed grid, so the
+    outcome frequencies of a measurement are exact; it counts the draws."""
+
+    def __init__(self, size: int):
+        self._values = iter((k + 0.5) / size for k in range(size))
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return next(self._values)
+
+
 class TestMeasurement:
     def test_eigenstates_deterministic(self):
         rng = np.random.default_rng(123)
         for label in CANONICAL_LABELS:
-            st = state_from_label(label)
-            outcomes = {measure(st, label.basis, rng) for _ in range(64)}
+            outcomes = {measure(label, label.basis, rng) for _ in range(64)}
             assert outcomes == {label.bit}
 
     def test_conjugate_basis_balanced(self):
         rng = np.random.default_rng(20240)
         n = 100_000
-        plus = state_from_label(X0)
-        zeros = sum(1 for _ in range(n) if measure(plus, Basis.Z, rng) == 0)
+        zeros = sum(1 for _ in range(n) if measure(X0, Basis.Z, rng) == 0)
         assert abs(zeros / n - 0.5) < 0.01
 
     def test_flipped_plus_measures_minus(self):
         # U|+> = |->, so an X-basis measurement gives 1 with certainty.
         rng = np.random.default_rng(9)
-        st = apply_op(OpLabel.U, state_from_label(X0))
+        st = label_of(apply_op(OpLabel.U, state_from_label(X0)))
         for _ in range(64):
             assert measure(st, Basis.X, rng) == 1
+
+    def test_frame_rule_matches_born_rule(self):
+        """For every (label, basis) pair the Born probability of reading
+        the label's bit is 1, 0 or 1/2, and the frame measurement returns
+        that bit, the other bit, or a fair coin accordingly, with one
+        uniform draw per call."""
+        size = 1000
+        for label in CANONICAL_LABELS:
+            st = state_from_label(label)
+            for basis in Basis:
+                amp0 = st.alpha if basis is Basis.Z else SQRT_HALF * (st.alpha + st.beta)
+                born0 = abs(amp0) ** 2
+                born_bit = born0 if label.bit == 0 else 1.0 - born0
+                assert min(abs(born_bit - p) for p in (1.0, 0.0, 0.5)) < ATOL
+                source = GridSource(size)
+                outcomes = [measure(label, basis, source) for _ in range(size)]
+                assert source.draws == size
+                assert abs(outcomes.count(label.bit) / size - born_bit) < ATOL
 
     def test_each_basis_conjugate_of_other(self):
         assert Basis.Z.conjugate() is Basis.X
@@ -225,3 +257,17 @@ class TestUniformSampler:
         a = random_labels(32, np.random.default_rng(5))
         b = random_labels(32, np.random.default_rng(5))
         assert a == b
+
+
+class TestImportBoundary:
+    def test_session_modules_bind_no_amplitude_model(self):
+        """Sessions run on Pauli frames alone; the amplitude model is the
+        oracle and stays out of every module on the session path."""
+        amplitude = (PhotonState, state_from_label, apply_op)
+        for module in (fabric, protocol, multiparty, attacks):
+            bound = [
+                name
+                for name, value in vars(module).items()
+                if any(value is obj for obj in amplitude)
+            ]
+            assert bound == [], f"{module.__name__} binds {bound}"
