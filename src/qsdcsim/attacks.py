@@ -18,7 +18,7 @@ from functools import partial
 from typing import Any, Mapping, Sequence
 
 from .errors import ConfigError
-from .fabric import ClassicalChannel, QuantumChannel, Transcript
+from .fabric import ClassicalChannel, QuantumChannel
 from .multiparty import (
     AnnouncementSchedule,
     Chain,
@@ -128,7 +128,6 @@ class Attack:
         hops: Sequence[QuantumChannel],
         rng: RandomSource,
         public: ClassicalChannel,
-        transcript: Transcript | None,
     ) -> Chain | None:
         return None
 
@@ -192,6 +191,9 @@ class ReturnLegTap(Attack):
     def __init__(
         self, disclose_permutation: bool = False, disclose_initial_states: bool = False
     ) -> None:
+        for flag in (disclose_permutation, disclose_initial_states):
+            if not isinstance(flag, bool):
+                raise ConfigError(f"return_leg_tap flags must be true or false, got {flag!r}")
         if disclose_initial_states and not disclose_permutation:
             raise ConfigError(
                 "disclosing initial states is only meaningful together with the permutation"
@@ -302,7 +304,6 @@ def _decoy_chain(
     reporter: type[HonestReporter],
     rng: RandomSource,
     public: ClassicalChannel,
-    transcript: Transcript | None,
 ) -> Chain:
     """Corrupt-sender routing: a decoy sequence runs through the first
     ``n_decoy`` controllers, whose records are real but describe photons
@@ -315,7 +316,7 @@ def _decoy_chain(
         agents.append(HonestController(c, dict(enumerate(record.ops))))
     photons = labels
     for leg in legs:
-        photons, _arrived = transmit_sequence(leg, photons, rng, transcript, "chain")
+        photons, _arrived = transmit_sequence(leg, photons, rng, public, "chain")
     origins = list(range(len(labels)))
     public.announce("bob", "arrived_forward", origins, stage="chain")
     return Chain(photons, origins, agents, partial(reporter, labels, rng=rng))
@@ -338,16 +339,13 @@ class FakeSequenceBypass(Attack):
         hops: Sequence[QuantumChannel],
         rng: RandomSource,
         public: ClassicalChannel,
-        transcript: Transcript | None,
     ) -> Chain:
         if config.loss > 0.0:
             raise ConfigError("bypass attack does not support lossy channels")
         if config.controllers == 0:
-            return honest_chain(labels, hops, rng, public, transcript)
+            return honest_chain(labels, hops, rng, public)
         direct = QuantumChannel(name="alice=>bob", noise=config.noise)
-        return _decoy_chain(
-            labels, config.controllers, [direct], BypassReporter, rng, public, transcript
-        )
+        return _decoy_chain(labels, config.controllers, [direct], BypassReporter, rng, public)
 
     def report(self, outcome: SessionOutcome) -> AttackReport:
         return self._report(outcome, decode_accuracy(outcome))
@@ -413,7 +411,6 @@ class CollusionAttack(Attack):
         hops: Sequence[QuantumChannel],
         rng: RandomSource,
         public: ClassicalChannel,
-        transcript: Transcript | None,
     ) -> Chain:
         if config.loss > 0.0:
             raise ConfigError("collusion attack does not support lossy channels")
@@ -421,9 +418,7 @@ class CollusionAttack(Attack):
         if m < 2:
             raise ConfigError("collusion needs at least two controllers")
         direct = QuantumChannel(name="alice=>colluder", noise=config.noise)
-        chain = _decoy_chain(
-            labels, m - 1, [direct, hops[m]], CollusionReporter, rng, public, transcript
-        )
+        chain = _decoy_chain(labels, m - 1, [direct, hops[m]], CollusionReporter, rng, public)
         chain.agents.append(ColluderAgent(rng))
         if self.schedule_variant == "fixed_order":
             chain.schedule = lambda n_check, m, _rng: AnnouncementSchedule.chain_order(n_check, m)

@@ -13,6 +13,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
+from dataclasses import replace
+from typing import TextIO
 
 from .errors import ConfigError, ProtocolError
 from .fabric import Transcript
@@ -46,13 +49,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def open_output(path: str) -> TextIO:
+    """Open an output file for writing. Commands call this before the
+    first session runs, so a path that cannot be written is a
+    configuration error and no work is lost to it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    transcript = Transcript() if args.transcript else None
-    report = run_report(config, seed_override=args.seed, transcript=transcript)
-    print(json.dumps(report, sort_keys=True, indent=2))
-    if transcript is not None:
-        with open(args.transcript, "w", encoding="utf-8") as fh:
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    with open_output(args.transcript) if args.transcript else nullcontext() as fh:
+        transcript = None if fh is None else Transcript()
+        report = run_report(config, transcript=transcript)
+        print(json.dumps(report, sort_keys=True, indent=2))
+        if transcript is not None:
             fh.write(transcript.to_jsonl())
             fh.write("\n")
     return 0
@@ -60,15 +75,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    csv_text = sweep_csv(config)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(sweep_csv(config))
+        return 0
+    try:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "sweep.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        print(path)
-    else:
-        sys.stdout.write(csv_text)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {args.out}: {exc}") from exc
+    path = os.path.join(args.out, "sweep.csv")
+    with open_output(path) as fh:
+        fh.write(sweep_csv(config))
+    print(path)
     return 0
 
 

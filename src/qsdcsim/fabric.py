@@ -157,35 +157,37 @@ class Transcript:
         )
 
 
+def _no_record(kind: str, stage: str, **fields: Any) -> None:
+    """The event sink of a channel with no transcript attached."""
+
+
 class ClassicalChannel:
     """Authenticated broadcast channel: append-only, identical order for
-    every observer, readable by the adversary."""
+    every observer, readable by the adversary.
+
+    It is also the session's one event sink. ``record(kind, stage,
+    **fields)`` is bound once, to the attached transcript's ``record`` or
+    to a no-op, so stage code logs without asking whether anyone listens.
+    """
 
     def __init__(self, transcript: Transcript | None = None) -> None:
         self.log: list[Announcement] = []
         self._transcript = transcript
+        self.record = _no_record if transcript is None else transcript.record
 
     def announce(self, sender: str, label: str, payload: Any, stage: str = "") -> Announcement:
         entry = Announcement(seq=len(self.log), sender=sender, label=label, payload=payload)
         self.log.append(entry)
-        if self._transcript is not None:
-            self._transcript.record(
-                "announcement", stage, seq=entry.seq, sender=sender, label=label, payload=payload
-            )
+        self.record(
+            "announcement", stage, seq=entry.seq, sender=sender, label=label, payload=payload
+        )
         return entry
 
-
-def measurement_event(
-    transcript: Transcript | None,
-    stage: str,
-    party: str,
-    position: int,
-    basis: Basis,
-    outcome: int,
-) -> None:
-    """Log one measurement if a transcript is attached."""
-    if transcript is not None:
-        transcript.record(
+    def measured(self, stage: str, party: str, position: int, basis: Basis, outcome: int) -> None:
+        """Log one measurement; builds nothing when no transcript is attached."""
+        if self._transcript is None:
+            return
+        self._transcript.record(
             "measurement", stage, party=party, position=position, basis=basis.value, outcome=outcome
         )
 

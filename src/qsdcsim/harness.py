@@ -78,6 +78,15 @@ def _as_float(key: str, value: Any) -> float:
     return float(value)
 
 
+def _check_keys(key: str, value: Any, allowed: tuple[str, ...]) -> None:
+    """A nested config object may hold only the ``allowed`` keys."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{key} must be an object with keys {allowed}")
+    unknown = sorted(set(value) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {key} key {unknown[0]!r}; known: {allowed}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: protocol choice, session parameters, the attack,
@@ -128,14 +137,12 @@ class ExperimentConfig:
         noise = data.pop("noise", None)
         kwargs: dict[str, Any] = {}
         if noise is not None:
-            if not isinstance(noise, Mapping):
-                raise ConfigError("noise must be an object with 'kind' and 'p'")
+            _check_keys("noise", noise, ("kind", "p"))
             kwargs["noise_kind"] = noise.get("kind", "none")
             kwargs["noise_p"] = noise.get("p", 0.0)
         attack = data.pop("attack", None)
         if attack is not None:
-            if not isinstance(attack, Mapping):
-                raise ConfigError("attack must be an object with 'name' and optional 'params'")
+            _check_keys("attack", attack, ("name", "params"))
             kwargs["attack_name"] = attack.get("name", "none")
             kwargs["attack_params"] = attack.get("params", {})
         known = set(cls.__dataclass_fields__)

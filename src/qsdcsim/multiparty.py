@@ -26,13 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .fabric import (
-    ClassicalChannel,
-    QuantumChannel,
-    Transcript,
-    label_payload,
-    measurement_event,
-)
+from .fabric import ClassicalChannel, QuantumChannel, Transcript, label_payload
 from .protocol import (
     SessionConfig,
     SessionOutcome,
@@ -230,19 +224,19 @@ class HonestReporter:
         self,
         labels: Sequence[StateLabel],
         photons_by_position: Mapping[int, StateLabel],
+        public: ClassicalChannel,
         rng: RandomSource,
-        transcript: Transcript | None = None,
     ):
         self._labels = labels
         self._photons = photons_by_position
+        self._public = public
         self._rng = rng
-        self._transcript = transcript
 
     def report(self, position: int, origin: int, h_parity: int) -> int:
         initial = self._labels[origin]
         basis = initial.basis.conjugate() if h_parity else initial.basis
         outcome = measure(self._photons[position], basis, self._rng)
-        measurement_event(self._transcript, "check", "alice", position, basis, outcome)
+        self._public.measured("check", "alice", position, basis, outcome)
         return outcome
 
 
@@ -254,15 +248,15 @@ class Chain:
     ``photons`` are the survivors in arrival order and ``origins`` their
     indices in the prepared order. ``agents`` holds one announcing agent
     per controller, each able to ``release`` its record. ``reporter``
-    builds the receiver's check behavior from the returned photons, and
-    ``schedule`` draws the announcement orders as
+    builds the receiver's check behavior from the returned photons and the
+    public channel, and ``schedule`` draws the announcement orders as
     ``schedule(n_check, m, rng)``.
     """
 
     photons: list[StateLabel]
     origins: list[int]
     agents: list[Any]
-    reporter: Callable[[Mapping[int, StateLabel]], HonestReporter]
+    reporter: Callable[[Mapping[int, StateLabel], ClassicalChannel], HonestReporter]
     schedule: Callable[[int, int, RandomSource], AnnouncementSchedule] = AnnouncementSchedule.draw
 
 
@@ -274,7 +268,6 @@ def mc_check_round(
     reporter: Any,
     controllers: Sequence[Any],
     public: ClassicalChannel,
-    transcript: Transcript | None,
 ) -> tuple[float, list[bool]]:
     """Run the two-round announcement dance for every check photon and
     return the encoder's measured error rate plus per-photon mismatches.
@@ -290,10 +283,9 @@ def mc_check_round(
     for k, (pos, orig) in enumerate(check_items):
         h_order = schedule.h_orders[k]
         iu_order = schedule.iu_orders[k]
-        if transcript is not None:
-            transcript.record(
-                "schedule", "check", position=pos, h_order=list(h_order), iu_order=list(iu_order)
-            )
+        public.record(
+            "schedule", "check", position=pos, h_order=list(h_order), iu_order=list(iu_order)
+        )
         round_state = CheckPhotonRound(pos, orig, h_order, iu_order)
         for c in h_order:
             bit = controllers[c].announce_h(orig, tuple(round_state.h_bits))
@@ -324,7 +316,7 @@ def frame_decode(
     photons_by_position: Mapping[int, StateLabel],
     records: Sequence[Mapping[int, OpLabel]],
     rng: RandomSource,
-    transcript: Transcript | None = None,
+    public: ClassicalChannel,
 ) -> list[int]:
     """Frame-corrected decode over the given controller records, bits in
     ascending origin order. For each message photon the receiver composes
@@ -337,7 +329,7 @@ def frame_decode(
         initial = labels[orig]
         basis = initial.basis.conjugate() if effect.swap else initial.basis
         outcome = measure(photons_by_position[pos], basis, rng)
-        measurement_event(transcript, "reveal", "alice", pos, basis, outcome)
+        public.measured("reveal", "alice", pos, basis, outcome)
         bits.append(outcome ^ initial.bit ^ effect.flip)
     return bits
 
@@ -349,7 +341,7 @@ def release_and_reconstruct(
     release: ControlRelease,
     n_controllers: int,
     rng: RandomSource,
-    transcript: Transcript | None = None,
+    public: ClassicalChannel,
 ) -> list[int]:
     """Decode the message from the controllers' released records.
 
@@ -360,27 +352,7 @@ def release_and_reconstruct(
     if missing:
         raise ProtocolError(f"reconstruction refused: missing release from controllers {sorted(missing)}")
     records = [release.records[c] for c in range(n_controllers)]
-    return frame_decode(alice_labels, message_order, photons_by_position, records, rng, transcript)
-
-
-def reconstruct_with_missing(
-    alice_labels: Sequence[StateLabel],
-    message_order: Sequence[tuple[int, int]],
-    photons_by_position: Mapping[int, StateLabel],
-    release: ControlRelease,
-    n_controllers: int,
-    withheld: int,
-    rng: RandomSource,
-) -> list[int]:
-    """Best-effort decode with one controller's record withheld, treating
-    the unknown operation as identity (any fixed guess scores the same:
-    the withheld op is uniform over {I, U, H}).
-
-    This is the measurement side of the control property; the production
-    path is ``release_and_reconstruct``, which refuses instead.
-    """
-    records = [release.records[c] for c in range(n_controllers) if c != withheld]
-    return frame_decode(alice_labels, message_order, photons_by_position, records, rng)
+    return frame_decode(alice_labels, message_order, photons_by_position, records, rng, public)
 
 
 def _chain_hop_names(m: int) -> list[str]:
@@ -397,7 +369,6 @@ def honest_chain(
     hops: Sequence[QuantumChannel],
     rng: RandomSource,
     public: ClassicalChannel,
-    transcript: Transcript | None,
 ) -> Chain:
     """Walk the photons through the controller chain, hop by hop, with
     per-hop arrival announcements and private op records."""
@@ -405,15 +376,14 @@ def honest_chain(
     origins = list(range(len(photons)))
     agents: list[Any] = []
     for c, hop in enumerate(hops):
-        photons, alive = transmit_sequence(hop, photons, rng, transcript, "chain")
+        photons, alive = transmit_sequence(hop, photons, rng, public, "chain")
         origins = [origins[i] for i in alive]
         if c < len(hops) - 1:
             public.announce(f"controller_{c}", "arrived", origins, stage="chain")
             photons, record = controller_pass(photons, rng)
             agents.append(HonestController(c, dict(zip(origins, record.ops))))
     public.announce("bob", "arrived_forward", origins, stage="chain")
-    reporter = partial(HonestReporter, labels, rng=rng, transcript=transcript)
-    return Chain(photons, origins, agents, reporter)
+    return Chain(photons, origins, agents, partial(HonestReporter, labels, rng=rng))
 
 
 def run_mc_session(
@@ -447,15 +417,15 @@ def run_mc_session(
     labels = prepare_p_sequence(config.n_photons, rng)
     chain = None
     if attack is not None:
-        chain = attack.reroute(config, labels, hop_channels, rng, public, transcript)
+        chain = attack.reroute(config, labels, hop_channels, rng, public)
     rerouted = chain is not None
     if chain is None:
-        chain = honest_chain(labels, hop_channels, rng, public, transcript)
+        chain = honest_chain(labels, hop_channels, rng, public)
 
-    turn = encoder_turn(config, chain.photons, chain.origins, message, rng, transcript)
+    turn = encoder_turn(config, chain.photons, chain.origins, message, rng, public)
     if attack is not None:
         attack.receive_secrets(turn.perm, chain.origins, turn.check, labels)
-    receipt = turn.send_back(back, rng, public, transcript)
+    receipt = turn.send_back(back, rng, public)
     positions, check_origins, ops = zip(*receipt.check_items)
     check_items = list(zip(positions, check_origins))
     payload = {"positions": list(positions), "origins": list(check_origins)}
@@ -474,16 +444,13 @@ def run_mc_session(
         {orig: labels[orig] for orig in check_origins},
         dict(zip(positions, ops)),
         chain.schedule(len(check_items), m, rng),
-        chain.reporter(receipt.photons),
+        chain.reporter(receipt.photons, public),
         chain.agents,
         public,
-        transcript,
     )
     disclosed = {str(pos): op.value for pos, op in zip(positions, ops)}
-    if decide_and_reveal(
-        public, transcript, "bob", error_rate, config.error_threshold, receipt, ops=disclosed
-    ):
-        return turn.outcome(receipt, error_rate, None, transcript)
+    if decide_and_reveal(public, "bob", error_rate, config.error_threshold, receipt, ops=disclosed):
+        return turn.outcome(receipt, error_rate, None, public)
 
     # Controllers release their full records (fabricated ones included:
     # a colluder announces whatever it committed to during the check).
@@ -502,9 +469,13 @@ def run_mc_session(
     if rerouted:
         # The corrupt receiver ignores the releases: the photons she holds
         # never met the controllers, so the preparation basis decodes them.
-        decoded = frame_decode(*args, [], rng)
+        decoded = frame_decode(*args, [], rng, public)
     elif withheld_controller is not None:
-        decoded = reconstruct_with_missing(*args, release, m, withheld_controller, rng)
+        # Best-effort decode without the withheld record, which amounts to
+        # guessing identity for it: any fixed guess scores the same, since
+        # the withheld op is uniform over {I, U, H}.
+        kept = [records[c] for c in range(m) if c != withheld_controller]
+        decoded = frame_decode(*args, kept, rng, public)
     else:
-        decoded = release_and_reconstruct(*args, release, m, rng, transcript)
-    return turn.outcome(receipt, error_rate, decoded, transcript)
+        decoded = release_and_reconstruct(*args, release, m, rng, public)
+    return turn.outcome(receipt, error_rate, decoded, public)

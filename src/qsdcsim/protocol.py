@@ -38,7 +38,6 @@ from .fabric import (
     NoiseModel,
     QuantumChannel,
     Transcript,
-    measurement_event,
     transmit,
 )
 from .quantum import (
@@ -325,18 +324,16 @@ def transmit_sequence(
     channel: QuantumChannel,
     photons: Sequence[StateLabel],
     rng: RandomSource,
-    transcript: Transcript | None,
+    public: ClassicalChannel,
     stage: str,
 ) -> tuple[list[StateLabel], list[int]]:
     """Send a whole sequence down a channel, logging the send and the set
     of arrived positions. Returns the photons that arrived and their
     positions in the sent sequence."""
-    if transcript is not None:
-        transcript.record("quantum_send", stage, leg=channel.name, count=len(photons))
+    public.record("quantum_send", stage, leg=channel.name, count=len(photons))
     delivered = [transmit(channel, ph, rng) for ph in photons]
     arrived = [i for i, ph in enumerate(delivered) if not isinstance(ph, Lost)]
-    if transcript is not None:
-        transcript.record("quantum_deliver", stage, leg=channel.name, arrived=arrived)
+    public.record("quantum_deliver", stage, leg=channel.name, arrived=arrived)
     return [delivered[i] for i in arrived], arrived  # type: ignore[misc]
 
 
@@ -366,16 +363,12 @@ class EncoderTurn:
     shuffled: list[StateLabel]
 
     def send_back(
-        self,
-        back: QuantumChannel,
-        rng: RandomSource,
-        public: ClassicalChannel,
-        transcript: Transcript | None,
+        self, back: QuantumChannel, rng: RandomSource, public: ClassicalChannel
     ) -> Receipt:
         """Return leg and receipt: the receiver confirms which returned
         positions arrived, and the encoder splits them into check photons
         and message photons."""
-        returned, arrived = transmit_sequence(back, self.shuffled, rng, transcript, "return")
+        returned, arrived = transmit_sequence(back, self.shuffled, rng, public, "return")
         public.announce("alice", "receipt", arrived, stage="receipt")
         check_items: list[tuple[int, int, OpLabel]] = []
         message_order: list[tuple[int, int]] = []
@@ -394,10 +387,10 @@ class EncoderTurn:
         receipt: Receipt,
         error_rate: float,
         decoded: list[int] | None,
-        transcript: Transcript | None,
+        public: ClassicalChannel,
     ) -> SessionOutcome:
-        """Assemble the session result; ``decoded`` is None exactly when
-        the check aborted."""
+        """Assemble the session result, with the transcript attached to
+        ``public``; ``decoded`` is None exactly when the check aborted."""
         decoded_positions = None
         if decoded is not None:
             # Which sent-message indices did the decoded bits land on? Ranks
@@ -414,7 +407,7 @@ class EncoderTurn:
             decoded_bits=decoded,
             decoded_positions=decoded_positions,
             n_check=len(receipt.check_items),
-            transcript=transcript,
+            transcript=public._transcript,
         )
 
 
@@ -424,7 +417,7 @@ def encoder_turn(
     origins: list[int],
     message: Sequence[int] | None,
     rng: RandomSource,
-    transcript: Transcript | None,
+    public: ClassicalChannel,
 ) -> EncoderTurn:
     """The encoder's turn: carve the check set out of the surviving
     photons, encode the message on the rest, and shuffle. ``message``
@@ -448,14 +441,12 @@ def encoder_turn(
 
     # Shuffle: the permutation exists only in Bob's head at this point.
     shuffled, perm = rearrange(encoded, rng)
-    if transcript is not None:
-        transcript.record("event", "shuffle", party="bob", count=len(shuffled))
+    public.record("event", "shuffle", party="bob", count=len(shuffled))
     return EncoderTurn(origins, message_bits, check, check_record, perm, shuffled)
 
 
 def decide_and_reveal(
     public: ClassicalChannel,
-    transcript: Transcript | None,
     sender: str,
     error_rate: float,
     threshold: float,
@@ -472,10 +463,7 @@ def decide_and_reveal(
         {"error_rate": error_rate, "aborted": aborted, **payload},
         stage="check",
     )
-    if transcript is not None:
-        transcript.record(
-            "decision", "check", error_rate=error_rate, threshold=threshold, aborted=aborted
-        )
+    public.record("decision", "check", error_rate=error_rate, threshold=threshold, aborted=aborted)
     if not aborted:
         public.announce(
             "bob",
@@ -508,18 +496,18 @@ def run_session(
 
     # Preparation: Alice's labels are her private record and the photons sent.
     labels = prepare_p_sequence(config.n_photons, rng)
-    photons, origins = transmit_sequence(forward, labels, rng, transcript, "prepare")
+    photons, origins = transmit_sequence(forward, labels, rng, public, "prepare")
 
     # Receiver announces arrivals; both sides drop lost positions.
     public.announce("bob", "arrived_forward", origins, stage="prepare")
-    turn = encoder_turn(config, photons, origins, message, rng, transcript)
+    turn = encoder_turn(config, photons, origins, message, rng, public)
 
     # Experiment instrumentation: a strategy may ask for secrets that the
     # protocol itself never discloses, to isolate what each one protects.
     if attack is not None:
         attack.receive_secrets(turn.perm, origins, turn.check, labels)
 
-    receipt = turn.send_back(back, rng, public, transcript)
+    receipt = turn.send_back(back, rng, public)
 
     # Check disclosure: positions, their origins, and Bob's check ops --
     # but only for check photons, the message order stays secret.
@@ -540,20 +528,20 @@ def run_session(
     for pos, orig, _op in receipt.check_items:
         basis = labels[orig].basis
         outcome = measure(receipt.photons[pos], basis, rng)
-        measurement_event(transcript, "check", "alice", pos, basis, outcome)
+        public.measured("check", "alice", pos, basis, outcome)
         check_measurements[pos] = outcome
     error_rate = run_check(labels, announced, check_measurements)
-    if decide_and_reveal(public, transcript, "alice", error_rate, config.error_threshold, receipt):
-        return turn.outcome(receipt, error_rate, None, transcript)
+    if decide_and_reveal(public, "alice", error_rate, config.error_threshold, receipt):
+        return turn.outcome(receipt, error_rate, None, public)
 
     # Alice measures the message photons in their preparation bases.
     message_measurements: dict[int, int] = {}
     for pos, orig in receipt.message_order:
         basis = labels[orig].basis
         outcome = measure(receipt.photons[pos], basis, rng)
-        measurement_event(transcript, "reveal", "alice", pos, basis, outcome)
+        public.measured("reveal", "alice", pos, basis, outcome)
         message_measurements[pos] = outcome
     decoded = reveal_order_and_decode(
         labels, receipt.message_order, message_measurements, check_passed=True
     )
-    return turn.outcome(receipt, error_rate, decoded, transcript)
+    return turn.outcome(receipt, error_rate, decoded, public)

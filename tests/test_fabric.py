@@ -1,10 +1,13 @@
 """Channel, noise, loss, broadcast, and transcript behavior."""
+import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from amplitude_oracle import label_of
+from qsdcsim import attacks, multiparty, protocol
 from qsdcsim.errors import ConfigError
 from qsdcsim.fabric import (
     LOST,
@@ -153,3 +156,32 @@ class TestTranscript:
         chan.announce("bob", "check_positions", [1], stage="check")
         assert tr.events[0]["kind"] == "announcement"
         assert tr.events[0]["sender"] == "bob"
+
+    def test_only_sessions_take_a_transcript(self):
+        """Stages log through the public channel; a transcript enters a
+        session at ``run_session``/``run_mc_session`` and nowhere else.
+        ``SessionOutcome`` carries it as a result field, not a stage
+        parameter, so generated dataclass constructors are not stages."""
+        functions = {}
+        for module in (protocol, multiparty, attacks):
+            for name, obj in vars(module).items():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isfunction(obj):
+                    functions[f"{module.__name__}.{name}"] = obj
+                elif inspect.isclass(obj):
+                    for member, fn in vars(obj).items():
+                        generated = member == "__init__" and dataclasses.is_dataclass(obj)
+                        if inspect.isfunction(fn) and not generated:
+                            functions[f"{module.__name__}.{name}.{member}"] = fn
+        assert "qsdcsim.multiparty.HonestReporter.__init__" in functions
+        assert "qsdcsim.protocol.EncoderTurn.send_back" in functions
+        takers = [
+            name
+            for name, fn in functions.items()
+            if "transcript" in inspect.signature(fn).parameters
+        ]
+        assert sorted(takers) == [
+            "qsdcsim.multiparty.run_mc_session",
+            "qsdcsim.protocol.run_session",
+        ]

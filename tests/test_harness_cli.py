@@ -123,10 +123,17 @@ class TestRunReport:
             dict(HONEST_QSDC, protocol=protocol, controllers=controllers, attack={"name": attack})
         )
         first, second = Transcript(), Transcript()
-        a = json.dumps(run_report(config, transcript=first), sort_keys=True)
+        report = run_report(config, transcript=first)
+        a = json.dumps(report, sort_keys=True)
         b = json.dumps(run_report(config, transcript=second), sort_keys=True)
         assert a == b
         assert first.to_jsonl() == second.to_jsonl()
+        # One measurement by the receiver per check photon and per decoded
+        # bit, whoever routed the photons.
+        measured = [ev for ev in first.events if ev["kind"] == "measurement"]
+        assert all(ev["party"] == "alice" for ev in measured)
+        n_check = report["attack_report"]["metadata"]["n_check"]
+        assert len(measured) == n_check + len(report["message_decoded"] or "")
 
     def test_aggregate_accuracy_prefers_guesses(self):
         config = ExperimentConfig.from_dict(
@@ -313,6 +320,21 @@ class TestCli:
             ("sweep", dict(HONEST_QSDC, sweep={"n_photons": [16, 1]})),
             ("run", dict(HONEST_QSDC, seed=-1)),
             ("sweep", dict(HONEST_QSDC, seed=-1, sweep={"n_photons": [8]})),
+            (
+                "run",
+                dict(
+                    HONEST_QSDC,
+                    attack={"name": "return_leg_tap", "parms": {"disclose_permutation": True}},
+                ),
+            ),
+            ("run", dict(HONEST_QSDC, noise={"kind": "bit_flip", "p": 0.1, "probability": 0.5})),
+            (
+                "run",
+                dict(
+                    HONEST_QSDC,
+                    attack={"name": "return_leg_tap", "params": {"disclose_permutation": "no"}},
+                ),
+            ),
         ],
         ids=[
             "n_photons_1",
@@ -324,6 +346,9 @@ class TestCli:
             "sweep_point_invalid",
             "run_seed_negative",
             "sweep_seed_negative",
+            "unknown_attack_key",
+            "unknown_noise_key",
+            "return_leg_tap_flag_not_bool",
         ],
     )
     def test_invalid_field_exit_two(self, tmp_path, command, config):
@@ -343,6 +368,26 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_unwritable_transcript_path_exit_two(self, tmp_path):
+        out_path = tmp_path / "missing" / "session.jsonl"
+        proc = cli(
+            "run", "--transcript", str(out_path), config=HONEST_QSDC, tmp_path=tmp_path
+        )
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_unwritable_sweep_dir_exit_two(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        config = dict(HONEST_QSDC, trials=2, sweep={"n_photons": [8, 12]})
+        proc = cli("sweep", "--out", str(blocker / "results"), config=config, tmp_path=tmp_path)
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_transcript_flag_writes_jsonl(self, tmp_path):
         out_path = tmp_path / "session.jsonl"

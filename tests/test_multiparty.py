@@ -19,8 +19,8 @@ from qsdcsim.multiparty import (
     McSessionConfig,
     controller_pass,
     expected_check_outcome,
+    frame_decode,
     mc_check_round,
-    reconstruct_with_missing,
     release_and_reconstruct,
     run_mc_session,
 )
@@ -154,11 +154,11 @@ class TestMcCheckRound:
         state = apply_op(bob_op, state)
         m = len(controller_ops)
         agents = [HonestController(c, {0: controller_ops[c]}) for c in range(m)]
-        reporter = HonestReporter([initial], {0: label_of(state)}, rng(42))
-        schedule = AnnouncementSchedule.draw(1, m, rng(43))
         public = ClassicalChannel()
+        reporter = HonestReporter([initial], {0: label_of(state)}, public, rng(42))
+        schedule = AnnouncementSchedule.draw(1, m, rng(43))
         return mc_check_round(
-            [(0, 0)], {0: initial}, {0: bob_op}, schedule, reporter, agents, public, None
+            [(0, 0)], {0: initial}, {0: bob_op}, schedule, reporter, agents, public
         )
 
     def test_two_controller_example(self):
@@ -176,7 +176,8 @@ class TestMcCheckRound:
 
     def test_schedule_must_cover_photons(self):
         schedule = AnnouncementSchedule.draw(1, 2, rng(0))
-        reporter = HonestReporter([Z0], {0: Z0}, rng(1))
+        public = ClassicalChannel()
+        reporter = HonestReporter([Z0], {0: Z0}, public, rng(1))
         with pytest.raises(ProtocolError):
             mc_check_round(
                 [(0, 0), (1, 0)],
@@ -185,8 +186,7 @@ class TestMcCheckRound:
                 schedule,
                 reporter,
                 [],
-                ClassicalChannel(),
-                None,
+                public,
             )
 
 
@@ -220,7 +220,7 @@ class TestReconstruction:
         release = ControlRelease(records={0: {0: OpLabel.I}})
         with pytest.raises(ProtocolError, match="refused"):
             release_and_reconstruct(
-                [Z0], [(0, 0)], {0: Z0}, release, 2, rng(0)
+                [Z0], [(0, 0)], {0: Z0}, release, 2, rng(0), ClassicalChannel()
             )
 
     def test_zero_controllers_reduces_to_plain_decoding(self):
@@ -254,9 +254,8 @@ class TestReconstruction:
         when the true op was identity it decodes exactly."""
         labels = [Z0]
         photon = label_of(apply_op(OpLabel.U, state_from_label(Z0)))  # encoder sent 1
-        release = ControlRelease(records={0: {0: OpLabel.I}, 1: {0: OpLabel.I}})
-        bits = reconstruct_with_missing(
-            labels, [(0, 0)], {0: photon}, release, 2, withheld=1, rng=rng(3)
+        bits = frame_decode(
+            labels, [(0, 0)], {0: photon}, [{0: OpLabel.I}], rng(3), ClassicalChannel()
         )
         assert bits == [1]
 
@@ -318,6 +317,16 @@ class TestMcSession:
             ev.get("label") for ev in out.transcript.events if ev["kind"] == "announcement"
         }
         assert "release" in labels and "check_initial_states" in labels
+
+    def test_withheld_transcript_logs_every_measurement(self):
+        """The best-effort decode of a withheld-controller run measures
+        through the public channel like the production decode."""
+        config = McSessionConfig(n_photons=32, controllers=3, error_threshold=0.0, seed=5)
+        out = run_mc_session(config, transcript=Transcript(), withheld_controller=1)
+        measured = [ev for ev in out.transcript.events if ev["kind"] == "measurement"]
+        assert all(ev["party"] == "alice" for ev in measured)
+        assert sum(ev["stage"] == "check" for ev in measured) == out.n_check
+        assert sum(ev["stage"] == "reveal" for ev in measured) == len(out.decoded_bits)
 
     def test_deterministic(self):
         config = McSessionConfig(n_photons=48, controllers=3, seed=77)
