@@ -17,11 +17,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError
 from .fabric import ClassicalChannel, QuantumChannel
 from .multiparty import (
     AnnouncementSchedule,
     Chain,
+    ControllerRecord,
     HonestController,
     HonestReporter,
     McSessionConfig,
@@ -37,8 +40,8 @@ from .protocol import (
     transmit_sequence,
 )
 from .quantum import (
+    CANONICAL_LABELS,
     Basis,
-    OpLabel,
     RandomSource,
     StateLabel,
     measure,
@@ -65,7 +68,7 @@ def measure_and_resend(
     forward the matching eigenstate. Nondisturbing exactly when the basis
     matches the photon's preparation basis."""
     outcome = measure(photon, basis, rng)
-    return outcome, StateLabel(basis, outcome)
+    return outcome, CANONICAL_LABELS[2 * (basis is Basis.X) + outcome]
 
 
 class MeasureResendTap:
@@ -91,7 +94,7 @@ class Attack:
                        and return legs, keep a handle on the public log.
       receive_secrets  after the shuffle: secrets the protocol never
                        discloses (the permutation, the ascending origins,
-                       the check set and the labels).
+                       the check set and the preparation codes).
       reroute          controlled sessions, after preparation: return a
                        ``Chain`` that replaces the honest controller chain,
                        or None to leave it alone.
@@ -113,18 +116,14 @@ class Attack:
         pass
 
     def receive_secrets(
-        self,
-        perm: Permutation,
-        origins: Sequence[int],
-        check: CheckSet,
-        labels: Sequence[StateLabel],
+        self, perm: Permutation, origins: np.ndarray, check: CheckSet, labels: np.ndarray
     ) -> None:
         pass
 
     def reroute(
         self,
         config: McSessionConfig,
-        labels: list[StateLabel],
+        labels: np.ndarray,
         hops: Sequence[QuantumChannel],
         rng: RandomSource,
         public: ClassicalChannel,
@@ -204,7 +203,7 @@ class ReturnLegTap(Attack):
         self._public: ClassicalChannel | None = None
         self._true_positions: list[int] | None = None
         self._true_origins: list[int] | None = None
-        self._labels: Sequence[StateLabel] | None = None
+        self._labels: list[int] | None = None
 
     def install(
         self,
@@ -217,23 +216,17 @@ class ReturnLegTap(Attack):
         self._public = public
 
     def receive_secrets(
-        self,
-        perm: Permutation,
-        origins: Sequence[int],
-        check: CheckSet,
-        labels: Sequence[StateLabel],
+        self, perm: Permutation, origins: np.ndarray, check: CheckSet, labels: np.ndarray
     ) -> None:
         """Experiment instrumentation: hand Eve, per the flags, the
         returned position and the origin of each message bit (in ascending
         origin order), and the preparation record."""
         if self.disclose_permutation:
-            check_srcs = set(check.positions)
-            srcs = [i for i in range(len(origins)) if i not in check_srcs]
-            inverse = perm.inverse()
-            self._true_positions = [inverse.mapping[src] for src in srcs]
-            self._true_origins = [origins[src] for src in srcs]
+            srcs = np.flatnonzero(~check.mask(len(origins)))
+            self._true_positions = perm.inverse().mapping[srcs].tolist()
+            self._true_origins = origins[srcs].tolist()
         if self.disclose_initial_states:
-            self._labels = list(labels)
+            self._labels = labels.tolist()
 
     def message_guess(self, n_message: int) -> list[int]:
         """Best guess of the message bits from whatever Eve holds."""
@@ -256,7 +249,7 @@ class ReturnLegTap(Attack):
             _basis, outcome = self.tap.records[pos]
             guess = outcome
             if self._labels is not None and self._true_origins is not None:
-                guess ^= self._labels[self._true_origins[k]].bit
+                guess ^= self._labels[self._true_origins[k]] & 1
             guesses.append(guess)
         return guesses
 
@@ -298,7 +291,7 @@ class BypassReporter(CollusionReporter):
 
 
 def _decoy_chain(
-    labels: list[StateLabel],
+    labels: np.ndarray,
     n_decoy: int,
     legs: Sequence[QuantumChannel],
     reporter: type[HonestReporter],
@@ -310,15 +303,15 @@ def _decoy_chain(
     that never reach the encoder, while the true photons take ``legs``
     straight to the encoder untouched."""
     decoys = prepare_p_sequence(len(labels), rng)
+    origins = np.arange(len(labels))
     agents = []
     for c in range(n_decoy):
-        decoys, record = controller_pass(decoys, rng)
-        agents.append(HonestController(c, dict(enumerate(record.ops))))
+        decoys, ops = controller_pass(decoys, rng)
+        agents.append(HonestController(c, ControllerRecord(origins, ops)))
     photons = labels
     for leg in legs:
         photons, _arrived = transmit_sequence(leg, photons, rng, public, "chain")
-    origins = list(range(len(labels)))
-    public.announce("bob", "arrived_forward", origins, stage="chain")
+    public.announce("bob", "arrived_forward", origins.tolist(), stage="chain")
     return Chain(photons, origins, agents, partial(reporter, labels, rng=rng))
 
 
@@ -335,7 +328,7 @@ class FakeSequenceBypass(Attack):
     def reroute(
         self,
         config: McSessionConfig,
-        labels: list[StateLabel],
+        labels: np.ndarray,
         hops: Sequence[QuantumChannel],
         rng: RandomSource,
         public: ClassicalChannel,
@@ -377,11 +370,11 @@ class ColluderAgent:
         self.announced_flips[origin] = flip
         return flip
 
-    def release(self, origins: Sequence[int]) -> dict[int, OpLabel]:
+    def release(self, origins: np.ndarray) -> ControllerRecord:
         """A release consistent with whatever it announced during the
-        check; unannounced positions claim identity."""
-        flips = self.announced_flips
-        return {orig: (OpLabel.U if flips.get(orig, 0) else OpLabel.I) for orig in origins}
+        check: U where it announced a flip, identity everywhere else."""
+        flips = [self.announced_flips.get(orig, 0) for orig in origins.tolist()]
+        return ControllerRecord(origins, np.array(flips, dtype=np.uint8))
 
 
 class CollusionAttack(Attack):
@@ -407,7 +400,7 @@ class CollusionAttack(Attack):
     def reroute(
         self,
         config: McSessionConfig,
-        labels: list[StateLabel],
+        labels: np.ndarray,
         hops: Sequence[QuantumChannel],
         rng: RandomSource,
         public: ClassicalChannel,

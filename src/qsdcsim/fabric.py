@@ -11,10 +11,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Protocol, Union
+from typing import Any, Protocol, Sequence, Union
+
+import numpy as np
 
 from .errors import ConfigError
 from .quantum import (
+    BASES,
+    CANONICAL_LABELS,
     Basis,
     RandomSource,
     StateLabel,
@@ -115,11 +119,34 @@ def transmit(channel: QuantumChannel, photon: StateLabel, rng: RandomSource) -> 
     noise = channel.noise
     if noise.kind is NoiseKind.BIT_FLIP and noise.p > 0.0:
         if rng.random() < noise.p and photon.basis is Basis.Z:
-            photon = StateLabel(Basis.Z, photon.bit ^ 1)
+            photon = CANONICAL_LABELS[photon.code ^ 1]
     elif noise.kind is NoiseKind.DEPOLARIZING and noise.p > 0.0:
         if rng.random() < noise.p:
             photon = random_label(rng)
     return photon
+
+
+def transmit_codes(
+    channel: QuantumChannel, codes: np.ndarray, rng: RandomSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """``transmit`` over a code sequence: the codes that arrived and their
+    positions. Where the draws depend on the photons (taps, depolarization,
+    noise behind loss) it loops; otherwise it draws the loss coins, or the
+    bit-flip coins of a lossless leg, in one batch of the same numbers."""
+    noise = channel.noise
+    noisy = noise.kind is not NoiseKind.NONE and noise.p > 0.0
+    if channel.taps or (noisy and (noise.kind is NoiseKind.DEPOLARIZING or channel.loss > 0.0)):
+        delivered = [transmit(channel, CANONICAL_LABELS[c], rng) for c in codes.tolist()]
+        arrived = [i for i, photon in enumerate(delivered) if photon is not LOST]
+        out = [delivered[i].code for i in arrived]  # type: ignore[union-attr]
+        return np.array(out, dtype=np.uint8), np.array(arrived, dtype=np.intp)
+    arrived = np.arange(len(codes))
+    if channel.loss > 0.0:
+        arrived = np.flatnonzero(rng.random(len(codes)) >= channel.loss)
+        codes = codes[arrived]
+    elif noisy:
+        codes = codes ^ ((rng.random(len(codes)) < noise.p) & (codes < 2))
+    return codes, arrived
 
 
 @dataclass(frozen=True)
@@ -183,13 +210,23 @@ class ClassicalChannel:
         )
         return entry
 
-    def measured(self, stage: str, party: str, position: int, basis: Basis, outcome: int) -> None:
-        """Log one measurement; builds nothing when no transcript is attached."""
+    def measured(
+        self,
+        stage: str,
+        party: str,
+        positions: Sequence[int],
+        bases: Sequence[int],
+        outcomes: Sequence[int],
+    ) -> None:
+        """Log measurements, one event each, from aligned positions, basis
+        codes and outcomes; builds nothing when no transcript is attached."""
         if self._transcript is None:
             return
-        self._transcript.record(
-            "measurement", stage, party=party, position=position, basis=basis.value, outcome=outcome
-        )
+        for position, basis, outcome in zip(positions, bases, outcomes):
+            self._transcript.record(
+                "measurement", stage, party=party, position=int(position),
+                basis=BASES[basis].value, outcome=int(outcome),
+            )
 
 
 def label_payload(label: StateLabel) -> dict[str, Any]:

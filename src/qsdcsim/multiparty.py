@@ -30,26 +30,29 @@ from .fabric import ClassicalChannel, QuantumChannel, Transcript, label_payload
 from .protocol import (
     SessionConfig,
     SessionOutcome,
+    by_origin,
     decide_and_reveal,
     encoder_turn,
+    measure_at,
     prepare_p_sequence,
     transmit_sequence,
 )
 from .quantum import (
+    BASES,
+    CANONICAL_LABELS,
+    OP_MASK,
+    OP_NAMES,
+    OPS,
     FrameEffect,
     OpLabel,
     RandomSource,
     StateLabel,
     apply_op_symbolic,
-    compose_effects,
     measure,
 )
 
 if TYPE_CHECKING:
     from .attacks import Attack
-
-CONTROLLER_OPS = (OpLabel.I, OpLabel.U, OpLabel.H)
-
 
 @dataclass(frozen=True)
 class McSessionConfig(SessionConfig):
@@ -66,10 +69,11 @@ class McSessionConfig(SessionConfig):
 
 @dataclass(frozen=True)
 class ControllerRecord:
-    """One controller's private operations, aligned with the sequence as
-    it passed through that controller's hands."""
+    """One controller's private operations: ``ops[k]`` is the op mask it
+    applied to the photon of prepared-order index ``origins[k]``."""
 
-    ops: tuple[OpLabel, ...]
+    origins: np.ndarray
+    ops: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,21 +106,18 @@ class AnnouncementSchedule:
 
 @dataclass(frozen=True)
 class ControlRelease:
-    """Every controller's full per-origin operation record, delivered to
-    the receiver after a passing check."""
+    """Every controller's full operation record, delivered to the
+    receiver after a passing check."""
 
-    records: Mapping[int, Mapping[int, OpLabel]]
+    records: Mapping[int, ControllerRecord]
 
 
-def controller_pass(
-    photons: Sequence[StateLabel], rng: RandomSource
-) -> tuple[list[StateLabel], ControllerRecord]:
-    """Apply an independently uniform draw from {I, U, H} to each photon,
-    retaining the choices privately."""
-    picks = rng.integers(0, 3, size=len(photons))
-    ops = tuple(CONTROLLER_OPS[int(i)] for i in picks)
-    transformed = [apply_op_symbolic(op, ph) for op, ph in zip(ops, photons)]
-    return transformed, ControllerRecord(ops=ops)
+def controller_pass(photons: np.ndarray, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+    """Apply an independently uniform draw from {I, U, H} to each photon
+    of a code sequence; returns the new codes and the op masks drawn,
+    which the controller retains privately."""
+    ops = rng.integers(0, 3, size=len(photons)).astype(np.uint8)
+    return photons ^ ops, ops
 
 
 def expected_check_outcome(
@@ -198,22 +199,22 @@ class CheckPhotonRound:
 
 
 class HonestController:
-    """Answers announcement rounds truthfully from a private record keyed
-    by original position, and releases the whole record after a passing
-    check."""
+    """Answers announcement rounds truthfully from its private record,
+    and releases the whole record after a passing check."""
 
-    def __init__(self, index: int, ops_by_origin: Mapping[int, OpLabel]):
+    def __init__(self, index: int, record: ControllerRecord):
         self.index = index
-        self._ops = ops_by_origin
+        self._record = record
+        self._ops = dict(zip(record.origins.tolist(), record.ops.tolist()))
 
     def announce_h(self, origin: int, heard: Sequence[int]) -> bool:
-        return self._ops[origin] is OpLabel.H
+        return self._ops[origin] == OP_MASK[OpLabel.H]
 
     def announce_flip(self, origin: int, heard: Sequence[int], remaining: int) -> int:
-        return 1 if self._ops[origin] is OpLabel.U else 0
+        return 1 if self._ops[origin] == OP_MASK[OpLabel.U] else 0
 
-    def release(self, origins: Sequence[int]) -> dict[int, OpLabel]:
-        return dict(self._ops)
+    def release(self, origins: np.ndarray) -> ControllerRecord:
+        return self._record
 
 
 class HonestReporter:
@@ -222,8 +223,8 @@ class HonestReporter:
 
     def __init__(
         self,
-        labels: Sequence[StateLabel],
-        photons_by_position: Mapping[int, StateLabel],
+        labels: np.ndarray,
+        photons_by_position: np.ndarray,
         public: ClassicalChannel,
         rng: RandomSource,
     ):
@@ -233,10 +234,9 @@ class HonestReporter:
         self._rng = rng
 
     def report(self, position: int, origin: int, h_parity: int) -> int:
-        initial = self._labels[origin]
-        basis = initial.basis.conjugate() if h_parity else initial.basis
-        outcome = measure(self._photons[position], basis, self._rng)
-        self._public.measured("check", "alice", position, basis, outcome)
+        basis = (int(self._labels[origin]) >> 1) ^ h_parity
+        outcome = measure(CANONICAL_LABELS[self._photons[position]], BASES[basis], self._rng)
+        self._public.measured("check", "alice", [position], [basis], [outcome])
         return outcome
 
 
@@ -245,18 +245,18 @@ class Chain:
     """What the controller chain delivered to the encoder, and who speaks
     for it at the check.
 
-    ``photons`` are the survivors in arrival order and ``origins`` their
-    indices in the prepared order. ``agents`` holds one announcing agent
-    per controller, each able to ``release`` its record. ``reporter``
-    builds the receiver's check behavior from the returned photons and the
-    public channel, and ``schedule`` draws the announcement orders as
-    ``schedule(n_check, m, rng)``.
+    ``photons`` are the codes of the survivors in arrival order and
+    ``origins`` their indices in the prepared order. ``agents`` holds one
+    announcing agent per controller, each able to ``release`` its record.
+    ``reporter`` builds the receiver's check behavior from the returned
+    photons and the public channel, and ``schedule`` draws the announcement
+    orders as ``schedule(n_check, m, rng)``.
     """
 
-    photons: list[StateLabel]
-    origins: list[int]
+    photons: np.ndarray
+    origins: np.ndarray
     agents: list[Any]
-    reporter: Callable[[Mapping[int, StateLabel], ClassicalChannel], HonestReporter]
+    reporter: Callable[[np.ndarray, ClassicalChannel], HonestReporter]
     schedule: Callable[[int, int, RandomSource], AnnouncementSchedule] = AnnouncementSchedule.draw
 
 
@@ -311,33 +311,31 @@ def mc_check_round(
 
 
 def frame_decode(
-    labels: Sequence[StateLabel],
-    message_order: Sequence[tuple[int, int]],
-    photons_by_position: Mapping[int, StateLabel],
-    records: Sequence[Mapping[int, OpLabel]],
+    labels: np.ndarray,
+    message_order: np.ndarray,
+    photons_by_position: np.ndarray,
+    records: Sequence[ControllerRecord],
     rng: RandomSource,
     public: ClassicalChannel,
 ) -> list[int]:
     """Frame-corrected decode over the given controller records, bits in
-    ascending origin order. For each message photon the receiver composes
-    the records' frame effect, measures in the swap-adjusted basis, and
-    strips both the initial bit and the flip parity. With no records this
-    is the plain preparation-basis decode."""
-    bits: list[int] = []
-    for pos, orig in sorted(message_order, key=lambda pair: pair[1]):
-        effect = compose_effects(record[orig] for record in records)
-        initial = labels[orig]
-        basis = initial.basis.conjugate() if effect.swap else initial.basis
-        outcome = measure(photons_by_position[pos], basis, rng)
-        public.measured("reveal", "alice", pos, basis, outcome)
-        bits.append(outcome ^ initial.bit ^ effect.flip)
-    return bits
+    ascending origin order. The receiver XORs the records' op masks into
+    each message photon's preparation code, measures in the basis of the
+    result, and strips its bit. With no records this is the plain
+    preparation-basis decode."""
+    positions, origins = by_origin(message_order, len(labels))
+    frames = labels.copy()
+    for record in records:
+        frames[record.origins] ^= record.ops
+    frames = frames[origins]
+    measured = measure_at(photons_by_position, positions, frames >> 1, rng, public, "reveal")
+    return (measured[positions] ^ (frames & 1)).tolist()
 
 
 def release_and_reconstruct(
-    alice_labels: Sequence[StateLabel],
-    message_order: Sequence[tuple[int, int]],
-    photons_by_position: Mapping[int, StateLabel],
+    alice_labels: np.ndarray,
+    message_order: np.ndarray,
+    photons_by_position: np.ndarray,
     release: ControlRelease,
     n_controllers: int,
     rng: RandomSource,
@@ -365,24 +363,21 @@ def _chain_hop_names(m: int) -> list[str]:
 
 
 def honest_chain(
-    labels: list[StateLabel],
-    hops: Sequence[QuantumChannel],
-    rng: RandomSource,
-    public: ClassicalChannel,
+    labels: np.ndarray, hops: Sequence[QuantumChannel], rng: RandomSource, public: ClassicalChannel
 ) -> Chain:
     """Walk the photons through the controller chain, hop by hop, with
     per-hop arrival announcements and private op records."""
     photons = labels
-    origins = list(range(len(photons)))
+    origins = np.arange(len(photons))
     agents: list[Any] = []
     for c, hop in enumerate(hops):
         photons, alive = transmit_sequence(hop, photons, rng, public, "chain")
-        origins = [origins[i] for i in alive]
+        origins = origins[alive]
         if c < len(hops) - 1:
-            public.announce(f"controller_{c}", "arrived", origins, stage="chain")
-            photons, record = controller_pass(photons, rng)
-            agents.append(HonestController(c, dict(zip(origins, record.ops))))
-    public.announce("bob", "arrived_forward", origins, stage="chain")
+            public.announce(f"controller_{c}", "arrived", origins.tolist(), stage="chain")
+            photons, ops = controller_pass(photons, rng)
+            agents.append(HonestController(c, ControllerRecord(origins, ops)))
+    public.announce("bob", "arrived_forward", origins.tolist(), stage="chain")
     return Chain(photons, origins, agents, partial(HonestReporter, labels, rng=rng))
 
 
@@ -426,41 +421,43 @@ def run_mc_session(
     if attack is not None:
         attack.receive_secrets(turn.perm, chain.origins, turn.check, labels)
     receipt = turn.send_back(back, rng, public)
-    positions, check_origins, ops = zip(*receipt.check_items)
+    positions, check_origins, masks = receipt.check_items.T.tolist()
     check_items = list(zip(positions, check_origins))
-    payload = {"positions": list(positions), "origins": list(check_origins)}
+    payload = {"positions": positions, "origins": check_origins}
     public.announce("bob", "check_open", payload, stage="check")
 
     # The receiver publishes the initial states of the check photons so the
     # encoder can evaluate; the disclosure is logged like any announcement.
+    initial = {orig: CANONICAL_LABELS[labels[orig]] for orig in check_origins}
     public.announce(
         "alice",
         "check_initial_states",
-        {str(orig): label_payload(labels[orig]) for orig in check_origins},
+        {str(orig): label_payload(label) for orig, label in initial.items()},
         stage="check",
     )
     error_rate, _mismatches = mc_check_round(
         check_items,
-        {orig: labels[orig] for orig in check_origins},
-        dict(zip(positions, ops)),
+        initial,
+        dict(zip(positions, map(OPS.__getitem__, masks))),
         chain.schedule(len(check_items), m, rng),
         chain.reporter(receipt.photons, public),
         chain.agents,
         public,
     )
-    disclosed = {str(pos): op.value for pos, op in zip(positions, ops)}
+    disclosed = {str(pos): OP_NAMES[mask] for pos, mask in zip(positions, masks)}
     if decide_and_reveal(public, "bob", error_rate, config.error_threshold, receipt, ops=disclosed):
         return turn.outcome(receipt, error_rate, None, public)
 
     # Controllers release their full records (fabricated ones included:
     # a colluder announces whatever it committed to during the check).
-    records: dict[int, dict[int, OpLabel]] = {}
+    records: dict[int, ControllerRecord] = {}
     for c, agent in enumerate(chain.agents):
-        records[c] = agent.release(chain.origins)
+        records[c] = record = agent.release(chain.origins)
+        released = zip(record.origins.tolist(), record.ops.tolist())
         public.announce(
             f"controller_{c}",
             "release",
-            {str(orig): op.value for orig, op in sorted(records[c].items())},
+            {str(orig): OP_NAMES[mask] for orig, mask in sorted(released)},
             stage="reveal",
         )
     release = ControlRelease(records=records)

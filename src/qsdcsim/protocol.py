@@ -23,38 +23,40 @@ One session walks the stages in order:
 Lost photons are announced by the receiver after every transmission and
 dropped from both parties' bookkeeping, so indices stay aligned under a
 lossy channel.
+
+Every stage works on whole frame-code sequences (see ``quantum``) and
+draws its random numbers in the photon-by-photon order: check ops in
+ascending position, measurements in ascending returned position.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
 from .fabric import (
     ClassicalChannel,
-    Lost,
     NoiseModel,
     QuantumChannel,
     Transcript,
-    transmit,
+    transmit_codes,
 )
 from .quantum import (
+    OP_NAMES,
+    OPS,
     OpLabel,
     RandomSource,
-    StateLabel,
-    apply_op_symbolic,
-    measure,
-    random_labels,
+    measure_codes,
+    random_codes,
 )
 
 if TYPE_CHECKING:
     from .attacks import Attack
 
-#: Message-bit encoding: operation applied for bit 0 and bit 1.
-OP_FOR_BIT = (OpLabel.I, OpLabel.U)
-
+#: A measurement record's entry at a position Alice did not measure.
+UNMEASURED = 2
 
 @dataclass(frozen=True)
 class CheckSet:
@@ -73,32 +75,41 @@ class CheckSet:
     def __len__(self) -> int:
         return len(self.positions)
 
+    def mask(self, n: int) -> np.ndarray:
+        """The check positions as a boolean mask over n positions."""
+        mask = np.zeros(n, dtype=bool)
+        mask[list(self.positions)] = True
+        return mask
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Permutation:
-    """Bijection on sequence positions. ``mapping[j]`` is the source index
-    of the element placed at position j."""
+    """Bijection on sequence positions, an index array: ``mapping[j]`` is
+    the source index of the element placed at position j."""
 
-    mapping: tuple[int, ...]
+    mapping: np.ndarray
 
     def __post_init__(self) -> None:
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise ProtocolError(f"not a permutation of [0,{len(self.mapping)}): {self.mapping}")
+        mapping = np.asarray(self.mapping, dtype=np.intp)
+        hit = np.zeros(len(mapping), dtype=bool)
+        hit[mapping[(mapping >= 0) & (mapping < len(mapping))]] = True
+        if np.count_nonzero(hit) != len(hit):
+            raise ProtocolError(f"not a permutation of [0,{len(mapping)}): {self.mapping}")
+        object.__setattr__(self, "mapping", mapping)
 
     @classmethod
     def random(cls, n: int, rng: RandomSource) -> "Permutation":
-        return cls(tuple(int(i) for i in rng.permutation(n)))
+        return cls(rng.permutation(n))
 
-    def apply(self, items: Sequence[Any]) -> list[Any]:
+    def apply(self, items: Sequence[Any]) -> np.ndarray:
         if len(items) != len(self.mapping):
             raise ProtocolError("sequence length does not match permutation size")
-        return [items[src] for src in self.mapping]
+        return np.asarray(items)[self.mapping]
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for new_pos, src in enumerate(self.mapping):
-            inv[src] = new_pos
-        return Permutation(tuple(inv))
+        inv = np.empty_like(self.mapping)
+        inv[self.mapping] = np.arange(len(self.mapping))
+        return Permutation(inv)
 
 
 @dataclass(frozen=True)
@@ -194,13 +205,13 @@ def decode_accuracy(outcome: SessionOutcome) -> float | None:
     return hits / bits if bits else None
 
 
-def prepare_p_sequence(n: int, rng: RandomSource) -> list[StateLabel]:
-    """Draw n preparation labels independently and uniformly from the
-    four-state alphabet. The labels are Alice's private preparation record
-    and, as Pauli frames, the photons sent."""
+def prepare_p_sequence(n: int, rng: RandomSource) -> np.ndarray:
+    """Draw n preparation states independently and uniformly from the
+    four-state alphabet, as frame codes. The codes are Alice's private
+    preparation record and, as Pauli frames, the photons sent."""
     if n < 1:
         raise ConfigError(f"sequence length must be >= 1, got {n}")
-    return random_labels(n, rng)
+    return random_codes(n, rng)
 
 
 def select_check_set(n: int, fraction: float, rng: RandomSource) -> CheckSet:
@@ -218,149 +229,173 @@ def select_check_positions(n: int, size: int, rng: RandomSource) -> CheckSet:
     if size > n:
         raise ConfigError(f"check set size {size} exceeds sequence length {n}")
     positions = rng.choice(n, size=size, replace=False)
-    return CheckSet(tuple(int(p) for p in positions))
+    return CheckSet(tuple(positions.tolist()))
 
 
 def encode(
-    photons: Sequence[StateLabel],
-    check: CheckSet | None,
-    message: Sequence[int],
-    rng: RandomSource,
-) -> tuple[list[StateLabel], list[OpLabel], dict[int, OpLabel]]:
-    """Apply the encoder's operations position by position.
+    photons: np.ndarray, check: CheckSet | None, message: Sequence[int], rng: RandomSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the encoder's operations to a code sequence.
 
     Check positions receive an independently uniform draw from {I, U},
-    recorded privately. The remaining positions carry the message bits in
-    ascending position order (0 -> I, 1 -> U). Returns the transformed
-    photons, the full operation list, and the private check-op record.
+    drawn in ascending position order and recorded privately. The
+    remaining positions carry the message bits in ascending position
+    order (0 -> I, 1 -> U). Returns the transformed codes and the op mask
+    of every position (0 for I, 1 for U).
     """
     n = len(photons)
-    check_positions = set(check.positions) if check is not None else set()
-    if any(p >= n for p in check_positions):
+    check_positions = check.positions if check is not None else ()
+    if check_positions and check_positions[-1] >= n:
         raise ProtocolError("check set references a position beyond the sequence")
     if len(message) != n - len(check_positions):
         raise ProtocolError(
             f"message length {len(message)} != {n} - {len(check_positions)} free positions"
         )
-    ops: list[OpLabel] = []
-    check_record: dict[int, OpLabel] = {}
-    out: list[StateLabel] = []
-    next_bit = iter(message)
-    for pos in range(n):
-        if pos in check_positions:
-            op = OP_FOR_BIT[int(rng.integers(0, 2))]
-            check_record[pos] = op
-        else:
-            bit = next(next_bit)
-            if bit not in (0, 1):
-                raise ProtocolError(f"message bits must be 0/1, got {bit!r}")
-            op = OP_FOR_BIT[bit]
-        ops.append(op)
-        out.append(apply_op_symbolic(op, photons[pos]))
-    return out, ops, check_record
+    bad = set(message) - {0, 1}
+    if bad:
+        raise ProtocolError(f"message bits must be 0/1, got {bad.pop()!r}")
+    is_check = check.mask(n) if check is not None else np.zeros(n, dtype=bool)
+    ops = np.zeros(n, dtype=np.uint8)
+    ops[is_check] = rng.integers(0, 2, size=len(check_positions))
+    ops[~is_check] = message
+    return photons ^ ops, ops
 
 
-def rearrange(
-    photons: Sequence[StateLabel], rng: RandomSource
-) -> tuple[list[StateLabel], Permutation]:
+def rearrange(photons: np.ndarray, rng: RandomSource) -> tuple[np.ndarray, Permutation]:
     """Reorder the sequence by a uniformly random secret permutation."""
     perm = Permutation.random(len(photons), rng)
     return perm.apply(photons), perm
 
 
 def run_check(
-    alice_labels: Sequence[StateLabel],
-    announced: CheckAnnouncement,
-    alice_measurements: Mapping[int, int],
+    alice_labels: np.ndarray, announced: CheckAnnouncement, alice_measurements: np.ndarray
 ) -> float:
     """Evaluate the eavesdropping check from public data plus Alice's
-    preparation record and measurement outcomes.
+    preparation codes and her measurement record (outcome by returned
+    position, ``UNMEASURED`` where she did not measure).
 
     For each check photon the expected outcome is the initial bit XOR'd
     with the encoder's announced bit-flip. Returns the mismatch fraction.
     """
     if len(announced.positions) == 0:
         raise ProtocolError("check announcement is empty")
-    if set(alice_measurements) != set(announced.positions):
+    positions = np.array(announced.positions)
+    outcomes = _recorded(alice_measurements, positions)
+    measured = len(alice_measurements) - np.count_nonzero(alice_measurements == UNMEASURED)
+    if np.count_nonzero(outcomes == UNMEASURED) or measured != len(positions):
         raise ProtocolError("measurements must cover exactly the announced check positions")
-    errors = 0
-    for pos, orig, op in zip(announced.positions, announced.origins, announced.ops):
-        if not 0 <= orig < len(alice_labels):
-            raise ProtocolError(f"check announcement references unknown origin {orig}")
-        expected = alice_labels[orig].bit ^ (1 if op is OpLabel.U else 0)
-        if alice_measurements[pos] != expected:
-            errors += 1
-    return errors / len(announced.positions)
+    origins = np.array(announced.origins)
+    unknown = origins[(origins < 0) | (origins >= len(alice_labels))]
+    if len(unknown):
+        raise ProtocolError(f"check announcement references unknown origin {unknown[0]}")
+    flips = np.array([op is OpLabel.U for op in announced.ops])
+    expected = (alice_labels[origins] & 1) ^ flips
+    return int(np.count_nonzero(outcomes != expected)) / len(positions)
+
+
+def _recorded(alice_measurements: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The outcomes of a measurement record at ``positions``: ``UNMEASURED``
+    where nothing was measured, past the end of the record included."""
+    return np.append(alice_measurements, UNMEASURED)[np.minimum(positions, len(alice_measurements))]
+
+
+def by_origin(message_order: np.ndarray, n: int) -> np.ndarray:
+    """The (position, origin) rows of a message order as two arrays, in
+    ascending origin order (a counting sort over the n prepared origins)."""
+    order = np.asarray(message_order, dtype=np.intp).reshape(-1, 2)
+    unknown = order[(order[:, 1] < 0) | (order[:, 1] >= n), 1]
+    if len(unknown):
+        raise ProtocolError(f"message order references unknown origin {unknown[0]}")
+    row = np.full(n, -1, dtype=np.intp)
+    row[order[:, 1]] = np.arange(len(order))
+    if np.count_nonzero(row >= 0) != len(order):
+        raise ProtocolError("message order repeats an origin")
+    return order[row[row >= 0]].T
 
 
 def reveal_order_and_decode(
-    alice_labels: Sequence[StateLabel],
-    message_order: Sequence[tuple[int, int]],
-    alice_measurements: Mapping[int, int],
+    alice_labels: np.ndarray,
+    message_order: np.ndarray,
+    alice_measurements: np.ndarray,
     check_passed: bool,
 ) -> list[int]:
     """Decode the message once the secret order of the message positions
     is published.
 
-    ``message_order`` pairs each returned-sequence position with its
-    origin in the prepared order; measurements are keyed by the former.
-    Bits come out in ascending origin order: 0 when the outcome equals the
-    initial bit, 1 when it is flipped.
+    ``message_order`` rows pair each returned-sequence position with its
+    origin in the prepared order; the measurement record is indexed by
+    the former (``UNMEASURED`` where Alice did not measure). Bits come out in
+    ascending origin order: 0 when the outcome equals the initial bit, 1
+    when it is flipped.
     """
     if not check_passed:
         raise ProtocolError("message order must not be consumed before the check decision")
-    by_origin = sorted(message_order, key=lambda pair: pair[1])
-    bits: list[int] = []
-    for pos, orig in by_origin:
-        if not 0 <= orig < len(alice_labels):
-            raise ProtocolError(f"message order references unknown origin {orig}")
-        if pos not in alice_measurements:
-            raise ProtocolError(f"no measurement recorded for position {pos}")
-        bits.append(alice_measurements[pos] ^ alice_labels[orig].bit)
-    return bits
+    positions, origins = by_origin(message_order, len(alice_labels))
+    outcomes = _recorded(alice_measurements, positions)
+    missing = positions[outcomes == UNMEASURED]
+    if len(missing):
+        raise ProtocolError(f"no measurement recorded for position {missing[0]}")
+    return (outcomes ^ (alice_labels[origins] & 1)).tolist()
+
+
+def measure_at(
+    photons: np.ndarray,
+    positions: np.ndarray,
+    bases: np.ndarray,
+    rng: RandomSource,
+    public: ClassicalChannel,
+    stage: str,
+) -> np.ndarray:
+    """Alice measures the photons at ``positions``, in that order and in
+    basis codes ``bases``, and logs each measurement. Returns her record
+    by position: the outcome, or ``UNMEASURED`` where she did not measure."""
+    outcomes = measure_codes(photons[positions], bases, rng)
+    public.measured(stage, "alice", positions, bases, outcomes)
+    record = np.full(len(photons), UNMEASURED, dtype=np.uint8)
+    record[positions] = outcomes
+    return record
 
 
 def transmit_sequence(
     channel: QuantumChannel,
-    photons: Sequence[StateLabel],
+    photons: np.ndarray,
     rng: RandomSource,
     public: ClassicalChannel,
     stage: str,
-) -> tuple[list[StateLabel], list[int]]:
-    """Send a whole sequence down a channel, logging the send and the set
-    of arrived positions. Returns the photons that arrived and their
+) -> tuple[np.ndarray, np.ndarray]:
+    """Send a whole code sequence down a channel, logging the send and
+    the set of arrived positions. Returns the codes that arrived and their
     positions in the sent sequence."""
     public.record("quantum_send", stage, leg=channel.name, count=len(photons))
-    delivered = [transmit(channel, ph, rng) for ph in photons]
-    arrived = [i for i, ph in enumerate(delivered) if not isinstance(ph, Lost)]
-    public.record("quantum_deliver", stage, leg=channel.name, arrived=arrived)
-    return [delivered[i] for i in arrived], arrived  # type: ignore[misc]
+    arrived_photons, arrived = transmit_codes(channel, photons, rng)
+    public.record("quantum_deliver", stage, leg=channel.name, arrived=arrived.tolist())
+    return arrived_photons, arrived
 
 
 @dataclass(frozen=True)
 class Receipt:
-    """The returned sequence as the receiver holds it after the receipt:
-    arrived photons by returned position, and the encoder's private split
-    of those positions into check items (position, origin, check op) and
-    the message order (position, origin), both in ascending position."""
+    """The returned sequence after the receipt: the codes by returned
+    position (a lost one holds 0, never read), and the encoder's private
+    split of the arrived positions into check rows (position, origin, op
+    mask) and message-order rows (position, origin), by ascending position."""
 
-    photons: dict[int, StateLabel]
-    check_items: list[tuple[int, int, OpLabel]]
-    message_order: list[tuple[int, int]]
+    photons: np.ndarray
+    check_items: np.ndarray
+    message_order: np.ndarray
 
 
 @dataclass(frozen=True)
 class EncoderTurn:
     """The encoder's private state once it has encoded and shuffled the
-    photons it received; ``origins[i]`` is the prepared-order index of the
-    i-th of them."""
+    photons it received: ``origins[i]`` (ascending, as legs keep the order)
+    and ``ops[i]`` are the prepared-order index and op mask of the i-th."""
 
-    origins: list[int]
+    origins: np.ndarray
     message_bits: list[int]
     check: CheckSet
-    check_record: dict[int, OpLabel]
+    ops: np.ndarray
     perm: Permutation
-    shuffled: list[StateLabel]
+    shuffled: np.ndarray
 
     def send_back(
         self, back: QuantumChannel, rng: RandomSource, public: ClassicalChannel
@@ -369,18 +404,15 @@ class EncoderTurn:
         positions arrived, and the encoder splits them into check photons
         and message photons."""
         returned, arrived = transmit_sequence(back, self.shuffled, rng, public, "return")
-        public.announce("alice", "receipt", arrived, stage="receipt")
-        check_items: list[tuple[int, int, OpLabel]] = []
-        message_order: list[tuple[int, int]] = []
-        for j in arrived:
-            src = self.perm.mapping[j]
-            if src in self.check_record:
-                check_items.append((j, self.origins[src], self.check_record[src]))
-            else:
-                message_order.append((j, self.origins[src]))
-        if not check_items:
+        public.announce("alice", "receipt", arrived.tolist(), stage="receipt")
+        src = self.perm.mapping[arrived]
+        is_check = self.check.mask(len(self.shuffled))[src]
+        if not np.count_nonzero(is_check):
             raise ProtocolError("no check photons survived the return transmission")
-        return Receipt(dict(zip(arrived, returned)), check_items, message_order)
+        photons = np.zeros(len(self.shuffled), dtype=np.uint8)
+        photons[arrived] = returned
+        rows = np.column_stack((arrived, self.origins[src], self.ops[src]))
+        return Receipt(photons, rows[is_check], rows[~is_check, :2])
 
     def outcome(
         self,
@@ -393,13 +425,11 @@ class EncoderTurn:
         ``public``; ``decoded`` is None exactly when the check aborted."""
         decoded_positions = None
         if decoded is not None:
-            # Which sent-message indices did the decoded bits land on? Ranks
-            # of the surviving message origins within all message origins.
-            all_message_origins = sorted(
-                orig for i, orig in enumerate(self.origins) if i not in self.check_record
-            )
-            rank = {orig: k for k, orig in enumerate(all_message_origins)}
-            decoded_positions = sorted(rank[orig] for _pos, orig in receipt.message_order)
+            # Which sent-message indices did the decoded bits land on? Bit k
+            # rode on the k-th non-check photon: those that came back.
+            back = np.zeros(len(self.shuffled), dtype=bool)
+            back[self.perm.mapping[receipt.message_order[:, 0]]] = True
+            decoded_positions = np.flatnonzero(back[~self.check.mask(len(back))]).tolist()
         return SessionOutcome(
             aborted=decoded is None,
             measured_error_rate=error_rate,
@@ -413,8 +443,8 @@ class EncoderTurn:
 
 def encoder_turn(
     config: SessionConfig,
-    photons: list[StateLabel],
-    origins: list[int],
+    photons: np.ndarray,
+    origins: np.ndarray,
     message: Sequence[int] | None,
     rng: RandomSource,
     public: ClassicalChannel,
@@ -432,17 +462,17 @@ def encoder_turn(
     check = select_check_positions(n_alive, size, rng)
     n_message = n_alive - len(check)
     if message is None:
-        message_bits = [int(b) for b in rng.integers(0, 2, size=n_message)]
+        message_bits = rng.integers(0, 2, size=n_message).tolist()
     else:
         if len(message) != n_message:
             raise ConfigError(f"message length {len(message)} != {n_message} free positions")
         message_bits = [int(b) for b in message]
-    encoded, _ops, check_record = encode(photons, check, message_bits, rng)
+    encoded, ops = encode(photons, check, message_bits, rng)
 
     # Shuffle: the permutation exists only in Bob's head at this point.
     shuffled, perm = rearrange(encoded, rng)
     public.record("event", "shuffle", party="bob", count=len(shuffled))
-    return EncoderTurn(origins, message_bits, check, check_record, perm, shuffled)
+    return EncoderTurn(origins, message_bits, check, ops, perm, shuffled)
 
 
 def decide_and_reveal(
@@ -465,12 +495,7 @@ def decide_and_reveal(
     )
     public.record("decision", "check", error_rate=error_rate, threshold=threshold, aborted=aborted)
     if not aborted:
-        public.announce(
-            "bob",
-            "message_order",
-            [[pos, orig] for pos, orig in receipt.message_order],
-            stage="reveal",
-        )
+        public.announce("bob", "message_order", receipt.message_order.tolist(), stage="reveal")
     return aborted
 
 
@@ -494,12 +519,12 @@ def run_session(
     if attack is not None:
         attack.install(forward, back, public, rng)
 
-    # Preparation: Alice's labels are her private record and the photons sent.
+    # Preparation: Alice's codes are her private record and the photons sent.
     labels = prepare_p_sequence(config.n_photons, rng)
     photons, origins = transmit_sequence(forward, labels, rng, public, "prepare")
 
     # Receiver announces arrivals; both sides drop lost positions.
-    public.announce("bob", "arrived_forward", origins, stage="prepare")
+    public.announce("bob", "arrived_forward", origins.tolist(), stage="prepare")
     turn = encoder_turn(config, photons, origins, message, rng, public)
 
     # Experiment instrumentation: a strategy may ask for secrets that the
@@ -511,37 +536,26 @@ def run_session(
 
     # Check disclosure: positions, their origins, and Bob's check ops --
     # but only for check photons, the message order stays secret.
-    announced = CheckAnnouncement(*zip(*receipt.check_items))
+    positions, check_origins, ops = receipt.check_items.T.tolist()
+    announced = CheckAnnouncement(
+        tuple(positions), tuple(check_origins), tuple(map(OPS.__getitem__, ops))
+    )
     public.announce(
         "bob",
         "check_open",
-        {
-            "positions": list(announced.positions),
-            "origins": list(announced.origins),
-            "ops": [op.value for op in announced.ops],
-        },
+        {"positions": positions, "origins": check_origins, "ops": [OP_NAMES[op] for op in ops]},
         stage="check",
     )
 
-    # Alice measures every check photon in its preparation basis.
-    check_measurements: dict[int, int] = {}
-    for pos, orig, _op in receipt.check_items:
-        basis = labels[orig].basis
-        outcome = measure(receipt.photons[pos], basis, rng)
-        public.measured("check", "alice", pos, basis, outcome)
-        check_measurements[pos] = outcome
-    error_rate = run_check(labels, announced, check_measurements)
+    # Alice measures every check photon, then every message photon, in its
+    # preparation basis.
+    photons, rows = receipt.photons, receipt.check_items
+    measured = measure_at(photons, rows[:, 0], labels[rows[:, 1]] >> 1, rng, public, "check")
+    error_rate = run_check(labels, announced, measured)
     if decide_and_reveal(public, "alice", error_rate, config.error_threshold, receipt):
         return turn.outcome(receipt, error_rate, None, public)
 
-    # Alice measures the message photons in their preparation bases.
-    message_measurements: dict[int, int] = {}
-    for pos, orig in receipt.message_order:
-        basis = labels[orig].basis
-        outcome = measure(receipt.photons[pos], basis, rng)
-        public.measured("reveal", "alice", pos, basis, outcome)
-        message_measurements[pos] = outcome
-    decoded = reveal_order_and_decode(
-        labels, receipt.message_order, message_measurements, check_passed=True
-    )
+    rows = receipt.message_order
+    measured = measure_at(photons, rows[:, 0], labels[rows[:, 1]] >> 1, rng, public, "reveal")
+    decoded = reveal_order_and_decode(labels, rows, measured, check_passed=True)
     return turn.outcome(receipt, error_rate, decoded, public)

@@ -7,6 +7,12 @@ photon is exactly its Pauli frame, a ``StateLabel`` (basis, bit): the
 unitaries act symbolically, and a measurement returns the bit in the
 photon's own basis and a fair coin in the conjugate one.
 
+A sequence of photons is a ``uint8`` array of frame codes
+``2 * basis + bit`` (Z = 0, X = 1), so ``CANONICAL_LABELS[code]`` is the
+photon's label. U is ``code ^ 1`` and H is ``code ^ 2``: an operation is
+its 2-bit mask, a chain of them composes by XOR, and a whole sequence is
+encoded, passed through a controller or measured by array operations.
+
 The frame model is the implementation; exact two-amplitude state vectors
 (``PhotonState``, ``apply_op``) are its independent oracle. They must
 agree up to a global phase for every operation sequence, which the
@@ -73,6 +79,11 @@ class StateLabel:
         if self.bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
 
+    @property
+    def code(self) -> int:
+        """The frame code ``2 * basis + bit`` (Z = 0, X = 1)."""
+        return 2 * (self.basis is Basis.X) + self.bit
+
 
 @dataclass(frozen=True)
 class FrameEffect:
@@ -81,7 +92,8 @@ class FrameEffect:
     ``flip`` is the accumulated bit-flip parity, ``swap`` the accumulated
     basis-swap parity. Composition is component-wise XOR, so the composed
     effect of a sequence is order-independent even though the amplitude
-    product is not (it may differ by a global phase).
+    product is not (it may differ by a global phase). As a frame-code mask
+    it is ``2 * swap + flip``.
     """
 
     flip: int
@@ -90,18 +102,25 @@ class FrameEffect:
     def combine(self, other: "FrameEffect") -> "FrameEffect":
         return FrameEffect(self.flip ^ other.flip, self.swap ^ other.swap)
 
+    @property
+    def mask(self) -> int:
+        return 2 * self.swap + self.flip
+
     def apply(self, label: StateLabel) -> StateLabel:
-        basis = label.basis.conjugate() if self.swap else label.basis
-        return StateLabel(basis, label.bit ^ self.flip)
+        return CANONICAL_LABELS[label.code ^ self.mask]
 
 
-OP_EFFECT: dict[OpLabel, FrameEffect] = {
-    OpLabel.I: FrameEffect(0, 0),
-    OpLabel.U: FrameEffect(1, 0),
-    OpLabel.H: FrameEffect(0, 1),
-}
+#: The operations, and their names, by frame mask: U flips the bit, H
+#: swaps the basis.
+OPS: tuple[OpLabel, ...] = (OpLabel.I, OpLabel.U, OpLabel.H)
+OP_NAMES: tuple[str, ...] = tuple(op.value for op in OPS)
+OP_MASK: dict[OpLabel, int] = {op: mask for mask, op in enumerate(OPS)}
 
-#: All four canonical labels, in a fixed order used by uniform samplers.
+#: The bases by basis code, the high bit of a frame code.
+BASES: tuple[Basis, ...] = (Basis.Z, Basis.X)
+
+#: All four canonical labels, indexed by frame code. Frame operations
+#: return these instances rather than build new ones.
 CANONICAL_LABELS: tuple[StateLabel, ...] = (
     StateLabel(Basis.Z, 0),
     StateLabel(Basis.Z, 1),
@@ -145,23 +164,16 @@ def apply_op(op: OpLabel, state: PhotonState) -> PhotonState:
 def apply_op_symbolic(op: OpLabel, label: StateLabel) -> StateLabel:
     """Apply one unitary in the symbolic model: U flips the bit, H swaps
     the basis, I does nothing. Global phases are not represented."""
-    if op is OpLabel.I:
-        return label
-    if op is OpLabel.U:
-        return StateLabel(label.basis, label.bit ^ 1)
-    return StateLabel(label.basis.conjugate(), label.bit)
+    return CANONICAL_LABELS[label.code ^ OP_MASK[op]]
 
 
 def compose_effects(ops: Iterable[OpLabel]) -> FrameEffect:
     """XOR-fold the per-op frame effects. The empty sequence composes to
     the identity effect (0, 0)."""
-    flip = 0
-    swap = 0
+    mask = 0
     for op in ops:
-        eff = OP_EFFECT[op]
-        flip ^= eff.flip
-        swap ^= eff.swap
-    return FrameEffect(flip, swap)
+        mask ^= OP_MASK[op]
+    return FrameEffect(mask & 1, mask >> 1)
 
 
 def measure(state: StateLabel, basis: Basis, rng: RandomSource) -> int:
@@ -176,6 +188,14 @@ def measure(state: StateLabel, basis: Basis, rng: RandomSource) -> int:
     if basis is state.basis:
         return state.bit
     return int(r >= 0.5)
+
+
+def measure_codes(codes: np.ndarray, bases: np.ndarray, rng: RandomSource) -> np.ndarray:
+    """``measure`` over a code sequence, photon i in basis code
+    ``bases[i]``: one uniform draw per photon in sequence order, drawn in
+    one batch, so the outcomes and the generator state equal the loop's."""
+    r = rng.random(len(codes))
+    return np.where((codes >> 1) == bases, codes & 1, r >= 0.5)
 
 
 def norm_sq(state: PhotonState) -> float:
@@ -200,7 +220,6 @@ def random_label(rng: RandomSource) -> StateLabel:
     return CANONICAL_LABELS[int(rng.integers(0, 4))]
 
 
-def random_labels(n: int, rng: RandomSource) -> list[StateLabel]:
-    """n labels drawn independently and uniformly, one vectorized draw."""
-    idx = rng.integers(0, 4, size=n)
-    return [CANONICAL_LABELS[int(i)] for i in idx]
+def random_codes(n: int, rng: RandomSource) -> np.ndarray:
+    """n frame codes drawn independently and uniformly, one vectorized draw."""
+    return rng.integers(0, 4, size=n).astype(np.uint8)

@@ -1,0 +1,110 @@
+"""Golden digests: the exact outputs of fixed seeded runs.
+
+Each digest is the SHA-256 of a run report (canonical JSON) followed by
+its transcript JSON Lines, of a withheld-controller session, or of a
+sweep CSV. They pin the random stream end to end: an engine change that
+draws one number more, fewer or in another order moves them. When a
+change to the outputs is intended, recompute them with
+``python tests/test_golden.py`` and say why in CHANGES.md.
+"""
+import hashlib
+import json
+
+import pytest
+
+from qsdcsim.fabric import Transcript
+from qsdcsim.harness import ExperimentConfig, run_report, sweep_csv
+from qsdcsim.multiparty import McSessionConfig, run_mc_session
+
+QSDC = {"protocol": "qsdc", "n_photons": 48, "check_count": 12, "error_threshold": 0.2}
+MC = {"protocol": "mcqsdc", "n_photons": 40, "check_count": 10, "error_threshold": 0.2}
+
+RUNS = {
+    "qsdc_none": dict(QSDC, seed=3),
+    "qsdc_intercept_resend": dict(QSDC, seed=4, attack={"name": "intercept_resend"}),
+    "qsdc_return_leg_tap_disclosed": dict(
+        QSDC,
+        seed=5,
+        attack={
+            "name": "return_leg_tap",
+            "params": {"disclose_permutation": True, "disclose_initial_states": True},
+        },
+    ),
+    "qsdc_loss": dict(QSDC, seed=6, loss=0.1),
+    "qsdc_bit_flip": dict(QSDC, seed=7, noise={"kind": "bit_flip", "p": 0.05}),
+    "qsdc_loss_bit_flip": dict(QSDC, seed=8, loss=0.1, noise={"kind": "bit_flip", "p": 0.05}),
+    "qsdc_depolarizing": dict(QSDC, seed=9, noise={"kind": "depolarizing", "p": 0.1}),
+    "mcqsdc_m3_loss": dict(MC, seed=10, controllers=3, loss=0.05),
+    "mcqsdc_collusion_random": dict(
+        MC, seed=11, controllers=3, attack={"name": "collusion"}
+    ),
+    "mcqsdc_collusion_fixed": dict(
+        MC,
+        seed=12,
+        controllers=3,
+        attack={"name": "collusion", "params": {"schedule_variant": "fixed_order"}},
+    ),
+    "mcqsdc_bypass": dict(MC, seed=13, controllers=2, attack={"name": "fake_sequence_bypass"}),
+    "mcqsdc_return_leg_tap_m1": dict(
+        MC,
+        seed=14,
+        controllers=1,
+        attack={"name": "return_leg_tap", "params": {"disclose_permutation": True}},
+    ),
+}
+
+SWEEP = {
+    "protocol": "qsdc",
+    "n_photons": 24,
+    "error_threshold": 0.0,
+    "attack": {"name": "intercept_resend"},
+    "trials": 6,
+    "seed": 15,
+    "sweep": {"check_count": [2, 6], "loss": [0.0, 0.1]},
+}
+
+DIGESTS = {
+    "qsdc_none": "4761777603f87db61588436fa599a22dfeb75d772010a2cd7a97afa9be9d0ce9",
+    "qsdc_intercept_resend": "07a804c8847e407a70ab33d391e94e75f59bc3ee26aff4d67405733d0d143adb",
+    "qsdc_return_leg_tap_disclosed": "1a20480614971e5b1faa7277cd59136ad8cd919a0b568949dc59a98742a5d7d9",
+    "qsdc_loss": "9d0e88146c35e2c5ff87461c88cdd6c94def6d9087dd33776281f6ec168d9772",
+    "qsdc_bit_flip": "8f3bac932bd6093cced08300d6f3f82a63b626b91ded8f40a45b43376e6df146",
+    "qsdc_loss_bit_flip": "8ee8b931a18f9ded97c140d5bf5d023361e0a262124b394663335ed5a2783834",
+    "qsdc_depolarizing": "5ec3a8bb4d26ab415b9099949126d2255966b33170e6e594e3f83b02ac367a3d",
+    "mcqsdc_m3_loss": "e3ccc21bb1c4141107461293790a60e348f6a38db00ba43da697a4ee3334ed6b",
+    "mcqsdc_collusion_random": "40dc92ca7825c01c4cf688d39598002309bdcaecc0bb4d50e40daccfa1d69b6d",
+    "mcqsdc_collusion_fixed": "a55af412020000364ddfebeef3a0261986189b9393c724a2f7ef3d46ed3be929",
+    "mcqsdc_bypass": "58e6c1461f217838d14759de2d650d0ac72e485f10b6316a880bd0ec715f0b13",
+    "mcqsdc_return_leg_tap_m1": "cc4cdea56c280ed42a90da310db6ef3bf4db42885244a5102bee6e2f6f3890e0",
+    "mcqsdc_withheld": "1a615313c2d9c9c5e4e9561b6966aec7629c797aebd37f8d90380a27f2563752",
+    "sweep_csv": "ce69fc5debf8277c49120fe13b6ffb2a37dc29f41eeaea25f102b4303fd9b46c",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def output_text(name: str) -> str:
+    """The bytes a golden digest is taken over."""
+    if name == "sweep_csv":
+        return sweep_csv(ExperimentConfig.from_dict(SWEEP))
+    if name == "mcqsdc_withheld":
+        config = McSessionConfig(n_photons=40, controllers=3, error_threshold=0.0, seed=16)
+        out = run_mc_session(config, transcript=Transcript(), withheld_controller=1)
+        fields = [out.aborted, out.measured_error_rate, out.message_sent,
+                  out.decoded_bits, out.decoded_positions, out.n_check]
+        return json.dumps(fields) + "\n" + out.transcript.to_jsonl()
+    transcript = Transcript()
+    report = run_report(ExperimentConfig.from_dict(RUNS[name]), transcript=transcript)
+    return json.dumps(report, sort_keys=True) + "\n" + transcript.to_jsonl()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_golden_digest(name):
+    assert _sha(output_text(name)) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    for case in DIGESTS:
+        print(f'    "{case}": "{_sha(output_text(case))}",')

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from amplitude_oracle import label_of
+from frame_codes import as_labels, codes
 from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import ClassicalChannel, NoiseModel, Transcript
 from qsdcsim.multiparty import (
     AnnouncementSchedule,
     CheckPhotonRound,
     ControlRelease,
+    ControllerRecord,
     HonestController,
     HonestReporter,
     McSessionConfig,
@@ -28,6 +30,8 @@ from qsdcsim.protocol import prepare_p_sequence
 from qsdcsim.quantum import (
     ATOL,
     CANONICAL_LABELS,
+    OP_MASK,
+    OPS,
     Basis,
     OpLabel,
     StateLabel,
@@ -48,36 +52,37 @@ def rng(seed=0):
 class TestControllerPass:
     def test_records_match_transformations(self):
         seq = prepare_p_sequence(64, rng(1))
-        out, record = controller_pass(seq, rng(2))
-        for photon, op, transformed in zip(seq, record.ops, out):
-            assert transformed == label_of(apply_op(op, state_from_label(photon)))
+        out, ops = controller_pass(seq, rng(2))
+        for photon, op, transformed in zip(as_labels(seq), ops, as_labels(out)):
+            assert transformed == label_of(apply_op(OPS[op], state_from_label(photon)))
 
     def test_hadamard_case(self):
         photons = [Z0] * 200
-        out, record = controller_pass(photons, rng(3))
-        idx = record.ops.index(OpLabel.H)
-        assert out[idx] == apply_op_symbolic(OpLabel.H, Z0)
+        out, ops = controller_pass(codes(photons), rng(3))
+        idx = [OPS[op] for op in ops].index(OpLabel.H)
+        assert as_labels(out)[idx] == apply_op_symbolic(OpLabel.H, Z0)
 
     def test_identity_case(self):
         photons = [X1] * 200
-        out, record = controller_pass(photons, rng(4))
-        idx = record.ops.index(OpLabel.I)
-        assert out[idx] == photons[idx]
+        out, ops = controller_pass(codes(photons), rng(4))
+        idx = [OPS[op] for op in ops].index(OpLabel.I)
+        assert as_labels(out)[idx] == photons[idx]
 
     def test_op_frequencies(self):
         photons = [Z0] * 100_000
-        _out, record = controller_pass(photons, rng(5))
+        _out, masks = controller_pass(codes(photons), rng(5))
+        ops = [OPS[mask] for mask in masks]
         for op in (OpLabel.I, OpLabel.U, OpLabel.H):
-            freq = sum(1 for o in record.ops if o is op) / len(record.ops)
+            freq = sum(1 for o in ops if o is op) / len(ops)
             assert abs(freq - 1 / 3) < 0.01
 
     def test_closure_at_every_hop(self):
         photons = prepare_p_sequence(32, rng(6))
         for hop in range(4):
             before = photons
-            photons, record = controller_pass(photons, rng(7 + hop))
-            for photon, op, after in zip(before, record.ops, photons):
-                assert after == label_of(apply_op(op, state_from_label(photon)))
+            photons, ops = controller_pass(photons, rng(7 + hop))
+            for photon, op, after in zip(as_labels(before), ops, as_labels(photons)):
+                assert after == label_of(apply_op(OPS[op], state_from_label(photon)))
 
 
 class TestExpectedCheckOutcome:
@@ -153,9 +158,12 @@ class TestMcCheckRound:
             state = apply_op(op, state)
         state = apply_op(bob_op, state)
         m = len(controller_ops)
-        agents = [HonestController(c, {0: controller_ops[c]}) for c in range(m)]
+        agents = [
+            HonestController(c, ControllerRecord(np.array([0]), np.array([OP_MASK[op]])))
+            for c, op in enumerate(controller_ops)
+        ]
         public = ClassicalChannel()
-        reporter = HonestReporter([initial], {0: label_of(state)}, public, rng(42))
+        reporter = HonestReporter(codes([initial]), codes([label_of(state)]), public, rng(42))
         schedule = AnnouncementSchedule.draw(1, m, rng(43))
         return mc_check_round(
             [(0, 0)], {0: initial}, {0: bob_op}, schedule, reporter, agents, public
@@ -177,7 +185,7 @@ class TestMcCheckRound:
     def test_schedule_must_cover_photons(self):
         schedule = AnnouncementSchedule.draw(1, 2, rng(0))
         public = ClassicalChannel()
-        reporter = HonestReporter([Z0], {0: Z0}, public, rng(1))
+        reporter = HonestReporter(codes([Z0]), codes([Z0]), public, rng(1))
         with pytest.raises(ProtocolError):
             mc_check_round(
                 [(0, 0), (1, 0)],
@@ -217,10 +225,10 @@ class TestSchedule:
 
 class TestReconstruction:
     def test_missing_release_refused(self):
-        release = ControlRelease(records={0: {0: OpLabel.I}})
+        release = ControlRelease(records={0: ControllerRecord(np.array([0]), np.array([0]))})
         with pytest.raises(ProtocolError, match="refused"):
             release_and_reconstruct(
-                [Z0], [(0, 0)], {0: Z0}, release, 2, rng(0), ClassicalChannel()
+                codes([Z0]), [(0, 0)], codes([Z0]), release, 2, rng(0), ClassicalChannel()
             )
 
     def test_zero_controllers_reduces_to_plain_decoding(self):
@@ -252,10 +260,11 @@ class TestReconstruction:
     def test_reconstruct_with_missing_guess_is_identity_equivalent(self):
         """The best-effort decoder treats the withheld op as identity;
         when the true op was identity it decodes exactly."""
-        labels = [Z0]
+        labels = codes([Z0])
         photon = label_of(apply_op(OpLabel.U, state_from_label(Z0)))  # encoder sent 1
+        identity = ControllerRecord(np.array([0]), np.array([OP_MASK[OpLabel.I]], dtype=np.uint8))
         bits = frame_decode(
-            labels, [(0, 0)], {0: photon}, [{0: OpLabel.I}], rng(3), ClassicalChannel()
+            labels, [(0, 0)], codes([photon]), [identity], rng(3), ClassicalChannel()
         )
         assert bits == [1]
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from amplitude_oracle import label_of
+from frame_codes import as_labels, codes, record
 from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import NoiseModel, Transcript
 from qsdcsim.protocol import (
@@ -25,6 +26,7 @@ from qsdcsim.protocol import (
 )
 from qsdcsim.quantum import (
     CANONICAL_LABELS,
+    OPS,
     Basis,
     OpLabel,
     StateLabel,
@@ -39,8 +41,8 @@ def rng(seed=0):
 
 class TestPrepare:
     def test_reproducible_and_in_alphabet(self):
-        seq = prepare_p_sequence(4, rng(11))
-        again = prepare_p_sequence(4, rng(11))
+        seq = as_labels(prepare_p_sequence(4, rng(11)))
+        again = as_labels(prepare_p_sequence(4, rng(11)))
         assert seq == again
         assert all(lbl in CANONICAL_LABELS for lbl in seq)
 
@@ -53,11 +55,11 @@ class TestPrepare:
             prepare_p_sequence(0, rng(1))
 
     def test_states_match_labels(self):
-        seq = prepare_p_sequence(64, rng(3))
+        seq = as_labels(prepare_p_sequence(64, rng(3)))
         assert all(isinstance(photon, StateLabel) for photon in seq)
 
     def test_label_frequencies(self):
-        seq = prepare_p_sequence(100_000, rng(8))
+        seq = as_labels(prepare_p_sequence(100_000, rng(8)))
         for target in CANONICAL_LABELS:
             freq = sum(1 for lbl in seq if lbl == target) / len(seq)
             assert abs(freq - 0.25) < 0.01
@@ -98,28 +100,28 @@ class TestCheckSet:
 class TestEncode:
     def test_bit_one_flips_plus_to_minus(self):
         photons = [StateLabel(Basis.X, 0)]
-        out, ops, record = encode(photons, None, [1], rng(0))
-        assert ops == [OpLabel.U] and record == {}
-        assert out[0] == StateLabel(Basis.X, 1)
+        out, ops = encode(codes(photons), None, [1], rng(0))
+        assert [OPS[op] for op in ops] == [OpLabel.U]
+        assert as_labels(out)[0] == StateLabel(Basis.X, 1)
 
     def test_bit_zero_leaves_state(self):
         for label in CANONICAL_LABELS:
             photons = [label]
-            out, _ops, _rec = encode(photons, None, [0], rng(0))
-            assert out[0] == photons[0]
+            out, _ops = encode(codes(photons), None, [0], rng(0))
+            assert as_labels(out)[0] == photons[0]
 
     def test_all_zero_message_without_check_is_identity(self):
         photons = list(CANONICAL_LABELS)
-        out, ops, _rec = encode(photons, None, [0, 0, 0, 0], rng(0))
-        assert out == photons
-        assert ops == [OpLabel.I] * 4
+        out, ops = encode(codes(photons), None, [0, 0, 0, 0], rng(0))
+        assert as_labels(out) == photons
+        assert [OPS[op] for op in ops] == [OpLabel.I] * 4
 
     def test_check_positions_get_recorded_ops(self):
         photons = [CANONICAL_LABELS[0]] * 6
         check = CheckSet((1, 4))
-        _out, ops, record = encode(photons, check, [0, 1, 0, 1], rng(2))
-        assert set(record) == {1, 4}
-        assert all(op in (OpLabel.I, OpLabel.U) for op in record.values())
+        _out, masks = encode(codes(photons), check, [0, 1, 0, 1], rng(2))
+        ops = [OPS[op] for op in masks]
+        assert all(ops[p] in (OpLabel.I, OpLabel.U) for p in check.positions)
         # message ops follow the bits in ascending free-position order
         assert [ops[i] for i in (0, 2, 3, 5)] == [
             OpLabel.I,
@@ -131,36 +133,37 @@ class TestEncode:
     def test_length_mismatch_rejected(self):
         photons = [CANONICAL_LABELS[0]] * 4
         with pytest.raises(ProtocolError):
-            encode(photons, CheckSet((0,)), [1, 0], rng(0))
+            encode(codes(photons), CheckSet((0,)), [1, 0], rng(0))
 
     def test_closure_under_encoding(self):
         seq = prepare_p_sequence(40, rng(5))
         check = select_check_set(40, 0.25, rng(6))
         bits = [int(b) for b in rng(7).integers(0, 2, size=30)]
-        out, ops, _rec = encode(seq, check, bits, rng(8))
-        for photon, op, encoded in zip(seq, ops, out):
-            assert encoded == label_of(apply_op(op, state_from_label(photon)))
+        out, ops = encode(seq, check, bits, rng(8))
+        for photon, op, encoded in zip(as_labels(seq), ops, as_labels(out)):
+            assert encoded == label_of(apply_op(OPS[op], state_from_label(photon)))
 
 
 class TestRearrange:
     def test_single_element_identity(self):
         items = [CANONICAL_LABELS[0]]
-        out, perm = rearrange(items, rng(0))
-        assert perm.mapping == (0,)
-        assert out == items
+        out, perm = rearrange(codes(items), rng(0))
+        assert perm.mapping.tolist() == [0]
+        assert as_labels(out) == items
 
     def test_inverse_restores_order(self):
         items = list(range(12))
-        shuffled, perm = rearrange(items, rng(4))
-        assert perm.inverse().apply(shuffled) == items
+        shuffled, perm = rearrange(np.array(items), rng(4))
+        assert perm.inverse().apply(shuffled).tolist() == items
 
     def test_permutations_uniform_for_n3(self):
         counts: dict[tuple, int] = {}
         draws = 30_000
         r = rng(21)
         for _ in range(draws):
-            _out, perm = rearrange([0, 1, 2], r)
-            counts[perm.mapping] = counts.get(perm.mapping, 0) + 1
+            _out, perm = rearrange(np.array([0, 1, 2]), r)
+            mapping = tuple(perm.mapping.tolist())
+            counts[mapping] = counts.get(mapping, 0) + 1
         assert len(counts) == 6
         for c in counts.values():
             assert abs(c / draws - 1 / 6) < 0.02
@@ -174,47 +177,51 @@ class TestRunCheck:
     def test_flip_announced_and_observed_matches(self):
         labels = [StateLabel(Basis.Z, 0)]
         announced = CheckAnnouncement(positions=(0,), origins=(0,), ops=(OpLabel.U,))
-        assert run_check(labels, announced, {0: 1}) == 0.0
+        assert run_check(codes(labels), announced, record({0: 1})) == 0.0
 
     def test_identity_announced_matches(self):
         labels = [StateLabel(Basis.X, 1)]
         announced = CheckAnnouncement(positions=(0,), origins=(0,), ops=(OpLabel.I,))
-        assert run_check(labels, announced, {0: 1}) == 0.0
+        assert run_check(codes(labels), announced, record({0: 1})) == 0.0
 
     def test_mismatch_counts(self):
         labels = [StateLabel(Basis.Z, 0), StateLabel(Basis.X, 0)]
         announced = CheckAnnouncement(
             positions=(0, 1), origins=(0, 1), ops=(OpLabel.I, OpLabel.I)
         )
-        assert run_check(labels, announced, {0: 1, 1: 0}) == 0.5
+        assert run_check(codes(labels), announced, record({0: 1, 1: 0})) == 0.5
 
     def test_unknown_origin_rejected(self):
         labels = [StateLabel(Basis.Z, 0)]
         announced = CheckAnnouncement(positions=(0,), origins=(5,), ops=(OpLabel.I,))
         with pytest.raises(ProtocolError):
-            run_check(labels, announced, {0: 0})
+            run_check(codes(labels), announced, record({0: 0}))
 
     def test_measurements_must_cover_positions(self):
         labels = [StateLabel(Basis.Z, 0)]
         announced = CheckAnnouncement(positions=(0,), origins=(0,), ops=(OpLabel.I,))
         with pytest.raises(ProtocolError):
-            run_check(labels, announced, {3: 0})
+            run_check(codes(labels), announced, record({3: 0}))
 
 
 class TestDecode:
     def test_flip_on_x0_decodes_one(self):
-        labels = [StateLabel(Basis.X, 0)]
-        bits = reveal_order_and_decode(labels, [(0, 0)], {0: 1}, check_passed=True)
+        prepared = codes([StateLabel(Basis.X, 0)])
+        bits = reveal_order_and_decode(prepared, [(0, 0)], record({0: 1}), check_passed=True)
         assert bits == [1]
 
     def test_refuses_before_check_decision(self):
         with pytest.raises(ProtocolError):
-            reveal_order_and_decode([StateLabel(Basis.Z, 0)], [(0, 0)], {0: 0}, check_passed=False)
+            reveal_order_and_decode(
+                codes([StateLabel(Basis.Z, 0)]), [(0, 0)], record({0: 0}), check_passed=False
+            )
 
     def test_bits_ordered_by_origin(self):
-        labels = [StateLabel(Basis.Z, 0), StateLabel(Basis.Z, 1)]
+        prepared = codes([StateLabel(Basis.Z, 0), StateLabel(Basis.Z, 1)])
         # position 5 holds origin 1, position 2 holds origin 0
-        bits = reveal_order_and_decode(labels, [(5, 1), (2, 0)], {5: 1, 2: 1}, check_passed=True)
+        bits = reveal_order_and_decode(
+            prepared, [(5, 1), (2, 0)], record({5: 1, 2: 1}), check_passed=True
+        )
         assert bits == [1, 0]
 
 

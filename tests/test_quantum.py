@@ -24,7 +24,7 @@ from qsdcsim.quantum import (
     measure,
     norm_sq,
     overlap,
-    random_labels,
+    random_codes,
     state_from_label,
     unitary_matrix,
 )
@@ -146,6 +146,29 @@ class TestSymbolicModel:
     def test_effect_combine_is_xor(self):
         assert FrameEffect(1, 0).combine(FrameEffect(1, 1)) == FrameEffect(0, 1)
 
+    def test_frame_operations_return_interned_labels(self):
+        """Every label a frame operation returns is one of the four
+        ``CANONICAL_LABELS`` instances, even for a freshly built input."""
+        rng = np.random.default_rng(0)
+        flip_all = fabric.QuantumChannel(noise=fabric.NoiseModel.bit_flip(1.0))
+
+        def interned(label):
+            return any(label is canonical for canonical in CANONICAL_LABELS)
+
+        for basis in Basis:
+            for bit in (0, 1):
+                fresh = StateLabel(basis, bit)
+                assert not interned(fresh)
+                assert fresh.code == CANONICAL_LABELS.index(fresh)
+                for op in OpLabel:
+                    assert interned(apply_op_symbolic(op, fresh))
+                assert interned(compose_effects([OpLabel.U, OpLabel.H]).apply(fresh))
+                for measured_basis in Basis:
+                    _outcome, resent = attacks.measure_and_resend(fresh, measured_basis, rng)
+                    assert interned(resent)
+                if basis is Basis.Z:
+                    assert interned(fabric.transmit(flip_all, fresh, rng))
+
 
 class TestExhaustiveEquivalence:
     """Amplitude and symbolic models agree for every operation sequence of
@@ -248,15 +271,15 @@ class TestUniformSampler:
     def test_labels_uniform(self):
         rng = np.random.default_rng(77)
         n = 100_000
-        labels = random_labels(n, rng)
+        labels = [CANONICAL_LABELS[code] for code in random_codes(n, rng)]
         for target in CANONICAL_LABELS:
             freq = sum(1 for lbl in labels if lbl == target) / n
             assert abs(freq - 0.25) < 0.01
 
     def test_reproducible(self):
-        a = random_labels(32, np.random.default_rng(5))
-        b = random_labels(32, np.random.default_rng(5))
-        assert a == b
+        a = random_codes(32, np.random.default_rng(5))
+        b = random_codes(32, np.random.default_rng(5))
+        assert a.tolist() == b.tolist()
 
 
 class TestImportBoundary:
