@@ -14,7 +14,6 @@ from .attacks import (
 from .errors import ConfigError, ProtocolError
 from .fabric import (
     LOST,
-    Announcement,
     ClassicalChannel,
     Lost,
     NoiseKind,
@@ -33,17 +32,14 @@ from .harness import (
 )
 from .multiparty import (
     AnnouncementSchedule,
-    ControlRelease,
     ControllerRecord,
     McSessionConfig,
     controller_pass,
-    expected_check_outcome,
     mc_check_round,
     release_and_reconstruct,
     run_mc_session,
 )
 from .protocol import (
-    CheckAnnouncement,
     CheckSet,
     Permutation,
     SessionConfig,

@@ -34,6 +34,7 @@ from .multiparty import (
 from .protocol import (
     CheckSet,
     Permutation,
+    SessionConfig,
     SessionOutcome,
     decode_accuracy,
     prepare_p_sequence,
@@ -95,6 +96,8 @@ class Attack:
       receive_secrets  after the shuffle: secrets the protocol never
                        discloses (the permutation, the ascending origins,
                        the check set and the preparation codes).
+      check_config     when a config loads and when a session starts: raise
+                       ``ConfigError`` for a session the strategy cannot run.
       reroute          controlled sessions, after preparation: return a
                        ``Chain`` that replaces the honest controller chain,
                        or None to leave it alone.
@@ -118,6 +121,9 @@ class Attack:
     def receive_secrets(
         self, perm: Permutation, origins: np.ndarray, check: CheckSet, labels: np.ndarray
     ) -> None:
+        pass
+
+    def check_config(self, config: SessionConfig) -> None:
         pass
 
     def reroute(
@@ -235,12 +241,8 @@ class ReturnLegTap(Attack):
         else:
             # Without the permutation she assumes the returned order is the
             # message order: k-th non-check position carries bit k.
-            check_positions: set[int] = set()
-            if self._public is not None:
-                for entry in self._public.log:
-                    if entry.label == "check_open":
-                        check_positions = set(entry.payload["positions"])
-                        break
+            check_open = self._public.latest.get("check_open") if self._public else None
+            check_positions = set(check_open["positions"] if check_open else ())
             positions = [
                 p for p in range(len(self.tap.records)) if p not in check_positions
             ][:n_message]
@@ -269,12 +271,14 @@ class ReturnLegTap(Attack):
 
 class CollusionReporter(HonestReporter):
     """Check behavior of the corrupt sender when the final controller
-    colludes: she reports the plain preparation-basis outcome, whatever H
+    colludes: she reports the plain preparation-basis outcomes, whatever H
     parity was announced, and leaves the parity bookkeeping to her
     partner's announcements."""
 
-    def report(self, position: int, origin: int, h_parity: int) -> int:
-        return super().report(position, origin, 0)
+    def report(
+        self, positions: np.ndarray, origins: np.ndarray, h_parity: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return super().report(positions, origins, np.zeros_like(h_parity))
 
 
 class BypassReporter(CollusionReporter):
@@ -283,11 +287,15 @@ class BypassReporter(CollusionReporter):
     She holds photons the controllers never touched, so measuring in the
     preparation basis reveals the encoder's flip exactly. What she cannot
     know before the flip round is the controllers' net flip parity over
-    the decoys, so she adds a coin-flip guess of it to her report.
+    the decoys, so she adds a coin-flip guess of it to each report: one
+    batch of coins, drawn right after her measurements.
     """
 
-    def report(self, position: int, origin: int, h_parity: int) -> int:
-        return super().report(position, origin, h_parity) ^ int(self._rng.integers(0, 2))
+    def report(
+        self, positions: np.ndarray, origins: np.ndarray, h_parity: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        bases, outcomes, reports = super().report(positions, origins, h_parity)
+        return bases, outcomes, reports ^ self._rng.integers(0, 2, size=len(reports))
 
 
 def _decoy_chain(
@@ -307,7 +315,7 @@ def _decoy_chain(
     agents = []
     for c in range(n_decoy):
         decoys, ops = controller_pass(decoys, rng)
-        agents.append(HonestController(c, ControllerRecord(origins, ops)))
+        agents.append(HonestController(ControllerRecord(origins, ops)))
     photons = labels
     for leg in legs:
         photons, _arrived = transmit_sequence(leg, photons, rng, public, "chain")
@@ -325,6 +333,10 @@ class FakeSequenceBypass(Attack):
     name = "fake_sequence_bypass"
     protocols = ("mcqsdc",)
 
+    def check_config(self, config: SessionConfig) -> None:
+        if config.loss > 0.0:
+            raise ConfigError("bypass attack does not support lossy channels")
+
     def reroute(
         self,
         config: McSessionConfig,
@@ -333,8 +345,6 @@ class FakeSequenceBypass(Attack):
         rng: RandomSource,
         public: ClassicalChannel,
     ) -> Chain:
-        if config.loss > 0.0:
-            raise ConfigError("bypass attack does not support lossy channels")
         if config.controllers == 0:
             return honest_chain(labels, hops, rng, public)
         direct = QuantumChannel(name="alice=>bob", noise=config.noise)
@@ -351,24 +361,22 @@ class ColluderAgent:
     no H in the first round, and in the flip round it tries to cancel the
     honest controllers' total flip parity. Speaking last it cancels
     exactly; speaking earlier it must guess the parity of the voices still
-    to come.
+    to come, with one batch of coins per turn.
     """
 
     def __init__(self, rng: RandomSource) -> None:
         self._rng = rng
         self.announced_flips: dict[int, int] = {}
 
-    def announce_h(self, origin: int, heard: Sequence[int]) -> bool:
-        return False
+    def announce_h(self, origins: np.ndarray) -> np.ndarray:
+        return np.zeros(len(origins), dtype=np.uint8)
 
-    def announce_flip(self, origin: int, heard: Sequence[int], remaining: int) -> int:
-        heard_parity = sum(heard) % 2
-        if remaining == 0:
-            flip = heard_parity
-        else:
-            flip = heard_parity ^ int(self._rng.integers(0, 2))
-        self.announced_flips[origin] = flip
-        return flip
+    def announce_flip(self, origins: np.ndarray, heard: np.ndarray, remaining: int) -> np.ndarray:
+        flips = heard
+        if remaining:
+            flips = heard ^ self._rng.integers(0, 2, size=len(heard)).astype(np.uint8)
+        self.announced_flips.update(zip(origins.tolist(), flips.tolist()))
+        return flips
 
     def release(self, origins: np.ndarray) -> ControllerRecord:
         """A release consistent with whatever it announced during the
@@ -397,6 +405,12 @@ class CollusionAttack(Attack):
             raise ConfigError(f"unknown schedule variant {schedule_variant!r}")
         self.schedule_variant = schedule_variant
 
+    def check_config(self, config: McSessionConfig) -> None:
+        if config.loss > 0.0:
+            raise ConfigError("collusion attack does not support lossy channels")
+        if config.controllers < 2:
+            raise ConfigError("collusion needs at least two controllers")
+
     def reroute(
         self,
         config: McSessionConfig,
@@ -405,11 +419,7 @@ class CollusionAttack(Attack):
         rng: RandomSource,
         public: ClassicalChannel,
     ) -> Chain:
-        if config.loss > 0.0:
-            raise ConfigError("collusion attack does not support lossy channels")
         m = config.controllers
-        if m < 2:
-            raise ConfigError("collusion needs at least two controllers")
         direct = QuantumChannel(name="alice=>colluder", noise=config.noise)
         chain = _decoy_chain(labels, m - 1, [direct, hops[m]], CollusionReporter, rng, public)
         chain.agents.append(ColluderAgent(rng))

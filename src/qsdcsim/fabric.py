@@ -149,17 +149,6 @@ def transmit_codes(
     return codes, arrived
 
 
-@dataclass(frozen=True)
-class Announcement:
-    """One classical broadcast: sender, a label naming what is being
-    announced, and a JSON-serializable payload."""
-
-    seq: int
-    sender: str
-    label: str
-    payload: Any
-
-
 class Transcript:
     """Append-only event log of a session.
 
@@ -190,25 +179,31 @@ def _no_record(kind: str, stage: str, **fields: Any) -> None:
 
 class ClassicalChannel:
     """Authenticated broadcast channel: append-only, identical order for
-    every observer, readable by the adversary.
+    every observer, readable by the adversary. It keeps the sequence
+    number of the next announcement and the latest payload under each
+    label, which is all any observer reads back.
 
     It is also the session's one event sink. ``record(kind, stage,
     **fields)`` is bound once, to the attached transcript's ``record`` or
     to a no-op, so stage code logs without asking whether anyone listens.
+    Announcements that only a transcript reads back (one per photon and
+    turn of the check, the controllers' releases) are made only when
+    ``listening``.
     """
 
     def __init__(self, transcript: Transcript | None = None) -> None:
-        self.log: list[Announcement] = []
-        self._transcript = transcript
+        self.transcript = transcript
+        self.listening = transcript is not None
         self.record = _no_record if transcript is None else transcript.record
+        self.seq = 0
+        self.latest: dict[str, Any] = {}
 
-    def announce(self, sender: str, label: str, payload: Any, stage: str = "") -> Announcement:
-        entry = Announcement(seq=len(self.log), sender=sender, label=label, payload=payload)
-        self.log.append(entry)
+    def announce(self, sender: str, label: str, payload: Any, stage: str = "") -> None:
+        self.latest[label] = payload
         self.record(
-            "announcement", stage, seq=entry.seq, sender=sender, label=label, payload=payload
+            "announcement", stage, seq=self.seq, sender=sender, label=label, payload=payload
         )
-        return entry
+        self.seq += 1
 
     def measured(
         self,
@@ -220,10 +215,10 @@ class ClassicalChannel:
     ) -> None:
         """Log measurements, one event each, from aligned positions, basis
         codes and outcomes; builds nothing when no transcript is attached."""
-        if self._transcript is None:
+        if not self.listening:
             return
         for position, basis, outcome in zip(positions, bases, outcomes):
-            self._transcript.record(
+            self.record(
                 "measurement", stage, party=party, position=int(position),
                 basis=BASES[basis].value, outcome=int(outcome),
             )

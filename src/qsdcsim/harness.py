@@ -112,10 +112,10 @@ class ExperimentConfig:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        protocols = build_attack(self.attack_name, self.attack_params).protocols
-        if self.protocol not in protocols:
+        attack = build_attack(self.attack_name, self.attack_params)
+        if self.protocol not in attack.protocols:
             raise ConfigError(
-                f"attack {self.attack_name!r} requires the {' or '.join(protocols)} protocol"
+                f"attack {self.attack_name!r} requires the {' or '.join(attack.protocols)} protocol"
             )
         if self.protocol == "qsdc" and self.controllers:
             raise ConfigError("controllers are only meaningful for mcqsdc")
@@ -128,8 +128,12 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep axis {axis!r} must be a list of values")
             if not values:
                 raise ConfigError(f"sweep axis {axis!r} has no values")
-        # Validate the session parameters eagerly so bad configs fail fast.
-        self.session_config(self.seed)
+        # Validate the session parameters eagerly so bad configs fail fast,
+        # and the attack against them. A sweep runs its points instead, and
+        # each point is checked as it is built, before the first trial.
+        session = self.session_config(self.seed)
+        if not self.sweep:
+            attack.check_config(session)
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ExperimentConfig":

@@ -3,7 +3,7 @@ preparer and the encoder.
 
 Each controller applies an independently uniform operation from {I, U, H}
 to every photon and keeps the choices private. The eavesdropping check
-runs a two-round announcement dance per check photon:
+runs a two-round announcement dance for every check photon:
 
   1. In a per-photon random controller order, each controller announces
      one bit only: whether it applied H at that position.
@@ -11,7 +11,14 @@ runs a two-round announcement dance per check photon:
      announced H parity), measures and reports her outcome.
   3. In an independent per-photon random order, each controller announces
      its remaining bit: flip (U) or no flip (I or H).
-  4. Bob compares the report with the symbolically expected outcome.
+  4. Bob compares the report with the expected outcome: the initial code
+     XOR the announced effect ``2 * H parity + flip parity`` XOR his own
+     op, read in its bit.
+
+Every quantity of the dance is an XOR of 2-bit frames, so all check
+photons dance at once as array operations: each agent answers a round for
+an array of origins, and the flip round steps through the m turns so that
+a voice hears the parity of the voices before it.
 
 Decoding requires every controller's full operation record; withholding
 any single record provably reduces the receiver to coin-flip accuracy,
@@ -38,17 +45,12 @@ from .protocol import (
     transmit_sequence,
 )
 from .quantum import (
-    BASES,
     CANONICAL_LABELS,
     OP_MASK,
     OP_NAMES,
-    OPS,
-    FrameEffect,
     OpLabel,
     RandomSource,
-    StateLabel,
-    apply_op_symbolic,
-    measure,
+    measure_codes,
 )
 
 if TYPE_CHECKING:
@@ -76,40 +78,34 @@ class ControllerRecord:
     ops: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnouncementSchedule:
-    """Per check photon: one controller ordering for the H round and an
-    independent ordering for the flip round."""
+    """The controller orders of the check, one row per check photon:
+    ``h_orders[i]`` for its H round and an independent ``iu_orders[i]``
+    for its flip round, each a (photons, m) array of controller indices."""
 
-    h_orders: tuple[tuple[int, ...], ...]
-    iu_orders: tuple[tuple[int, ...], ...]
+    h_orders: np.ndarray
+    iu_orders: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.h_orders) != len(self.iu_orders):
+        if self.h_orders.shape != self.iu_orders.shape:
             raise ProtocolError("schedule rounds must cover the same photons")
 
     @classmethod
     def draw(cls, n_check: int, m: int, rng: RandomSource) -> "AnnouncementSchedule":
         """Fresh uniform orderings, independent across photons and rounds."""
-        h_orders = tuple(tuple(int(i) for i in rng.permutation(m)) for _ in range(n_check))
-        iu_orders = tuple(tuple(int(i) for i in rng.permutation(m)) for _ in range(n_check))
-        return cls(h_orders, iu_orders)
+        h_orders = [rng.permutation(m) for _ in range(n_check)]
+        iu_orders = [rng.permutation(m) for _ in range(n_check)]
+        shape = (n_check, m)
+        return cls(np.reshape(h_orders, shape), np.reshape(iu_orders, shape))
 
     @classmethod
     def chain_order(cls, n_check: int, m: int) -> "AnnouncementSchedule":
         """Degenerate schedule announcing in fixed chain order for every
         photon (the flawed variant: the last controller always speaks
         last). Kept as a negative control."""
-        order = tuple(range(m))
-        return cls((order,) * n_check, (order,) * n_check)
-
-
-@dataclass(frozen=True)
-class ControlRelease:
-    """Every controller's full operation record, delivered to the
-    receiver after a passing check."""
-
-    records: Mapping[int, ControllerRecord]
+        orders = np.tile(np.arange(m), (n_check, 1))
+        return cls(orders, orders)
 
 
 def controller_pass(photons: np.ndarray, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
@@ -120,124 +116,44 @@ def controller_pass(photons: np.ndarray, rng: RandomSource) -> tuple[np.ndarray,
     return photons ^ ops, ops
 
 
-def expected_check_outcome(
-    initial: StateLabel, controller_ops: Sequence[OpLabel], bob_op: OpLabel
-) -> StateLabel:
-    """Fold the chain's operations and the encoder's over the initial
-    label: the measurement the encoder expects the receiver to report."""
-    label = initial
-    for op in controller_ops:
-        label = apply_op_symbolic(op, label)
-    return apply_op_symbolic(bob_op, label)
-
-
-class CheckPhotonRound:
-    """Turn-enforced announcement state for a single check photon.
-
-    Out-of-schedule announcements and premature outcome reports raise
-    ``ProtocolError``; the staging is the security mechanism, so the data
-    model refuses to shortcut it.
-    """
-
-    def __init__(self, position: int, origin: int, h_order: Sequence[int], iu_order: Sequence[int]):
-        self.position = position
-        self.origin = origin
-        self._h_order = tuple(h_order)
-        self._iu_order = tuple(iu_order)
-        self.h_bits: list[int] = []
-        self.outcome_report: int | None = None
-        self.flip_bits: list[int] = []
-
-    @property
-    def h_complete(self) -> bool:
-        return len(self.h_bits) == len(self._h_order)
-
-    @property
-    def flips_complete(self) -> bool:
-        return len(self.flip_bits) == len(self._iu_order)
-
-    @property
-    def h_parity(self) -> int:
-        if not self.h_complete:
-            raise ProtocolError("H parity read before the H round completed")
-        return sum(self.h_bits) % 2
-
-    @property
-    def flip_parity(self) -> int:
-        if not self.flips_complete:
-            raise ProtocolError("flip parity read before the flip round completed")
-        return sum(self.flip_bits) % 2
-
-    def announce_h(self, controller: int, applied_h: bool) -> None:
-        if self.h_complete:
-            raise ProtocolError("H round already complete")
-        expected = self._h_order[len(self.h_bits)]
-        if controller != expected:
-            raise ProtocolError(
-                f"controller {controller} announced out of turn (expected {expected})"
-            )
-        self.h_bits.append(1 if applied_h else 0)
-
-    def report_outcome(self, bit: int) -> None:
-        if not self.h_complete:
-            raise ProtocolError("outcome reported before the H round completed")
-        if self.outcome_report is not None:
-            raise ProtocolError("outcome already reported")
-        self.outcome_report = bit
-
-    def announce_flip(self, controller: int, flip: int) -> None:
-        if self.outcome_report is None:
-            raise ProtocolError("flip round started before the outcome report")
-        if self.flips_complete:
-            raise ProtocolError("flip round already complete")
-        expected = self._iu_order[len(self.flip_bits)]
-        if controller != expected:
-            raise ProtocolError(
-                f"controller {controller} announced out of turn (expected {expected})"
-            )
-        self.flip_bits.append(flip & 1)
-
-
 class HonestController:
     """Answers announcement rounds truthfully from its private record,
-    and releases the whole record after a passing check."""
+    and releases the whole record after a passing check. Each round asks
+    about an array of origins at once."""
 
-    def __init__(self, index: int, record: ControllerRecord):
-        self.index = index
+    def __init__(self, record: ControllerRecord):
         self._record = record
-        self._ops = dict(zip(record.origins.tolist(), record.ops.tolist()))
 
-    def announce_h(self, origin: int, heard: Sequence[int]) -> bool:
-        return self._ops[origin] == OP_MASK[OpLabel.H]
+    def _ops(self, origins: np.ndarray) -> np.ndarray:
+        return self._record.ops[np.searchsorted(self._record.origins, origins)]
 
-    def announce_flip(self, origin: int, heard: Sequence[int], remaining: int) -> int:
-        return 1 if self._ops[origin] == OP_MASK[OpLabel.U] else 0
+    def announce_h(self, origins: np.ndarray) -> np.ndarray:
+        return (self._ops(origins) == OP_MASK[OpLabel.H]).astype(np.uint8)
+
+    def announce_flip(self, origins: np.ndarray, heard: np.ndarray, remaining: int) -> np.ndarray:
+        return (self._ops(origins) == OP_MASK[OpLabel.U]).astype(np.uint8)
 
     def release(self, origins: np.ndarray) -> ControllerRecord:
         return self._record
 
 
 class HonestReporter:
-    """The receiver's honest check behavior: measure in the basis implied
-    by the announced H parity and report the outcome."""
+    """The receiver's honest check behavior: measure every check photon
+    in the basis implied by its announced H parity, and report the
+    outcomes. ``report`` returns the bases, the outcomes measured and the
+    bits reported."""
 
-    def __init__(
-        self,
-        labels: np.ndarray,
-        photons_by_position: np.ndarray,
-        public: ClassicalChannel,
-        rng: RandomSource,
-    ):
+    def __init__(self, labels: np.ndarray, photons_by_position: np.ndarray, rng: RandomSource):
         self._labels = labels
         self._photons = photons_by_position
-        self._public = public
         self._rng = rng
 
-    def report(self, position: int, origin: int, h_parity: int) -> int:
-        basis = (int(self._labels[origin]) >> 1) ^ h_parity
-        outcome = measure(CANONICAL_LABELS[self._photons[position]], BASES[basis], self._rng)
-        self._public.measured("check", "alice", [position], [basis], [outcome])
-        return outcome
+    def report(
+        self, positions: np.ndarray, origins: np.ndarray, h_parity: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        bases = (self._labels[origins] >> 1) ^ h_parity
+        outcomes = measure_codes(self._photons[positions], bases, self._rng)
+        return bases, outcomes, outcomes
 
 
 @dataclass
@@ -248,66 +164,71 @@ class Chain:
     ``photons`` are the codes of the survivors in arrival order and
     ``origins`` their indices in the prepared order. ``agents`` holds one
     announcing agent per controller, each able to ``release`` its record.
-    ``reporter`` builds the receiver's check behavior from the returned
-    photons and the public channel, and ``schedule`` draws the announcement
+    ``reporter(photons_by_position)`` builds the receiver's check behavior
+    from the returned photons, and ``schedule`` draws the announcement
     orders as ``schedule(n_check, m, rng)``.
     """
 
     photons: np.ndarray
     origins: np.ndarray
     agents: list[Any]
-    reporter: Callable[[np.ndarray, ClassicalChannel], HonestReporter]
+    reporter: Callable[[np.ndarray], HonestReporter]
     schedule: Callable[[int, int, RandomSource], AnnouncementSchedule] = AnnouncementSchedule.draw
 
 
 def mc_check_round(
-    check_items: Sequence[tuple[int, int]],
-    initial_labels: Mapping[int, StateLabel],
-    bob_ops: Mapping[int, OpLabel],
+    labels: np.ndarray,
+    rows: np.ndarray,
     schedule: AnnouncementSchedule,
     reporter: Any,
-    controllers: Sequence[Any],
+    agents: Sequence[Any],
     public: ClassicalChannel,
-) -> tuple[float, list[bool]]:
-    """Run the two-round announcement dance for every check photon and
-    return the encoder's measured error rate plus per-photon mismatches.
+) -> tuple[float, np.ndarray]:
+    """Run the two-round announcement dance over every check photon at
+    once and return the encoder's measured error rate plus the mismatch
+    of each photon.
 
-    ``check_items`` pairs each returned-sequence position with its origin;
-    ``initial_labels`` is the receiver's published preparation record for
-    those origins; ``bob_ops`` the encoder's private check operations
-    keyed by position.
+    ``rows`` are the check photons' (position, origin, op mask) rows, the
+    op being the encoder's private check operation; ``labels`` is the
+    receiver's preparation record, published for those origins. Every
+    agent answers a round for all the photons it speaks for: the H round
+    in one call, since no H announcement depends on another, the flip
+    round turn by turn, each voice hearing the parity of those before it.
     """
-    if len(schedule.h_orders) != len(check_items):
-        raise ProtocolError("schedule does not cover the check photons")
-    mismatches: list[bool] = []
-    for k, (pos, orig) in enumerate(check_items):
-        h_order = schedule.h_orders[k]
-        iu_order = schedule.iu_orders[k]
-        public.record(
-            "schedule", "check", position=pos, h_order=list(h_order), iu_order=list(iu_order)
-        )
-        round_state = CheckPhotonRound(pos, orig, h_order, iu_order)
-        for c in h_order:
-            bit = controllers[c].announce_h(orig, tuple(round_state.h_bits))
-            round_state.announce_h(c, bit)
-            public.announce(
-                f"controller_{c}", "h_announce", {"position": pos, "h": int(bit)}, stage="check"
-            )
-        report = reporter.report(pos, orig, round_state.h_parity)
-        round_state.report_outcome(report)
-        public.announce("alice", "check_report", {"position": pos, "outcome": report}, stage="check")
-        for c in iu_order:
-            remaining = len(iu_order) - len(round_state.flip_bits) - 1
-            flip = controllers[c].announce_flip(orig, tuple(round_state.flip_bits), remaining)
-            round_state.announce_flip(c, flip)
-            public.announce(
-                f"controller_{c}", "flip_announce", {"position": pos, "flip": int(flip)}, stage="check"
-            )
-        announced_effect = FrameEffect(round_state.flip_parity, round_state.h_parity)
-        expected = apply_op_symbolic(bob_ops[pos], announced_effect.apply(initial_labels[orig]))
-        mismatches.append(report != expected.bit)
-    error_rate = sum(mismatches) / len(check_items) if check_items else 0.0
-    return error_rate, mismatches
+    k, m = len(rows), len(agents)
+    if schedule.h_orders.shape != (k, m):
+        raise ProtocolError("schedule does not cover the check photons and the controllers")
+    positions, origins, ops = rows.T
+    h_bits = np.zeros((k, m), dtype=np.uint8)
+    for c, agent in enumerate(agents):
+        h_bits[:, c] = agent.announce_h(origins)
+    h_parity = np.bitwise_xor.reduce(h_bits, axis=1)
+    bases, outcomes, reports = reporter.report(positions, origins, h_parity)
+    flips = np.zeros((k, m), dtype=np.uint8)
+    heard = np.zeros(k, dtype=np.uint8)
+    for turn in range(m):
+        for c, agent in enumerate(agents):
+            sel = np.flatnonzero(schedule.iu_orders[:, turn] == c)
+            flips[sel, turn] = agent.announce_flip(origins[sel], heard[sel], m - turn - 1)
+        heard ^= flips[:, turn]
+    expected = (labels[origins] ^ (2 * h_parity + heard) ^ ops) & 1
+    mismatches = reports != expected
+    if public.listening:
+        # The dance as it sounds on the channel, photon after photon.
+        arrays = (positions, schedule.h_orders, schedule.iu_orders, h_bits, bases, outcomes)
+        columns = zip(*(a.tolist() for a in (*arrays, reports, flips)))
+        for pos, h_order, iu_order, h, basis, outcome, report, flip in columns:
+            public.record("schedule", "check", position=pos, h_order=h_order, iu_order=iu_order)
+            for c in h_order:
+                payload = {"position": pos, "h": h[c]}
+                public.announce(f"controller_{c}", "h_announce", payload, stage="check")
+            public.measured("check", "alice", [pos], [basis], [outcome])
+            payload = {"position": pos, "outcome": report}
+            public.announce("alice", "check_report", payload, stage="check")
+            for c, bit in zip(iu_order, flip):
+                payload = {"position": pos, "flip": bit}
+                public.announce(f"controller_{c}", "flip_announce", payload, stage="check")
+    return int(np.count_nonzero(mismatches)) / k if k else 0.0, mismatches
 
 
 def frame_decode(
@@ -336,21 +257,22 @@ def release_and_reconstruct(
     alice_labels: np.ndarray,
     message_order: np.ndarray,
     photons_by_position: np.ndarray,
-    release: ControlRelease,
+    records: Mapping[int, ControllerRecord],
     n_controllers: int,
     rng: RandomSource,
     public: ClassicalChannel,
 ) -> list[int]:
-    """Decode the message from the controllers' released records.
+    """Decode the message from the controllers' released records, keyed
+    by controller index.
 
     Refuses outright when any controller's release is missing: the whole
     point of the control structure.
     """
-    missing = set(range(n_controllers)) - set(release.records)
+    missing = set(range(n_controllers)) - set(records)
     if missing:
         raise ProtocolError(f"reconstruction refused: missing release from controllers {sorted(missing)}")
-    records = [release.records[c] for c in range(n_controllers)]
-    return frame_decode(alice_labels, message_order, photons_by_position, records, rng, public)
+    chain = [records[c] for c in range(n_controllers)]
+    return frame_decode(alice_labels, message_order, photons_by_position, chain, rng, public)
 
 
 def _chain_hop_names(m: int) -> list[str]:
@@ -376,7 +298,7 @@ def honest_chain(
         if c < len(hops) - 1:
             public.announce(f"controller_{c}", "arrived", origins.tolist(), stage="chain")
             photons, ops = controller_pass(photons, rng)
-            agents.append(HonestController(c, ControllerRecord(origins, ops)))
+            agents.append(HonestController(ControllerRecord(origins, ops)))
     public.announce("bob", "arrived_forward", origins.tolist(), stage="chain")
     return Chain(photons, origins, agents, partial(HonestReporter, labels, rng=rng))
 
@@ -400,6 +322,8 @@ def run_mc_session(
     public = ClassicalChannel(transcript)
     if withheld_controller is not None and not 0 <= withheld_controller < m:
         raise ConfigError(f"withheld controller {withheld_controller} out of range for m={m}")
+    if attack is not None:
+        attack.check_config(config)
 
     hop_channels = [
         QuantumChannel(name=name, noise=config.noise, loss=config.loss)
@@ -421,26 +345,24 @@ def run_mc_session(
     if attack is not None:
         attack.receive_secrets(turn.perm, chain.origins, turn.check, labels)
     receipt = turn.send_back(back, rng, public)
-    positions, check_origins, masks = receipt.check_items.T.tolist()
-    check_items = list(zip(positions, check_origins))
+    rows = receipt.check_items
+    positions, check_origins, masks = rows.T.tolist()
     payload = {"positions": positions, "origins": check_origins}
     public.announce("bob", "check_open", payload, stage="check")
 
     # The receiver publishes the initial states of the check photons so the
     # encoder can evaluate; the disclosure is logged like any announcement.
-    initial = {orig: CANONICAL_LABELS[labels[orig]] for orig in check_origins}
     public.announce(
         "alice",
         "check_initial_states",
-        {str(orig): label_payload(label) for orig, label in initial.items()},
+        {str(orig): label_payload(CANONICAL_LABELS[labels[orig]]) for orig in check_origins},
         stage="check",
     )
     error_rate, _mismatches = mc_check_round(
-        check_items,
-        initial,
-        dict(zip(positions, map(OPS.__getitem__, masks))),
-        chain.schedule(len(check_items), m, rng),
-        chain.reporter(receipt.photons, public),
+        labels,
+        rows,
+        chain.schedule(len(rows), m, rng),
+        chain.reporter(receipt.photons),
         chain.agents,
         public,
     )
@@ -450,17 +372,12 @@ def run_mc_session(
 
     # Controllers release their full records (fabricated ones included:
     # a colluder announces whatever it committed to during the check).
-    records: dict[int, ControllerRecord] = {}
-    for c, agent in enumerate(chain.agents):
-        records[c] = record = agent.release(chain.origins)
-        released = zip(record.origins.tolist(), record.ops.tolist())
-        public.announce(
-            f"controller_{c}",
-            "release",
-            {str(orig): OP_NAMES[mask] for orig, mask in sorted(released)},
-            stage="reveal",
-        )
-    release = ControlRelease(records=records)
+    records = {c: agent.release(chain.origins) for c, agent in enumerate(chain.agents)}
+    if public.listening:
+        for c, record in records.items():
+            released = sorted(zip(record.origins.tolist(), record.ops.tolist()))
+            payload = {str(orig): OP_NAMES[mask] for orig, mask in released}
+            public.announce(f"controller_{c}", "release", payload, stage="reveal")
 
     args = (labels, receipt.message_order, receipt.photons)
     if rerouted:
@@ -474,5 +391,5 @@ def run_mc_session(
         kept = [records[c] for c in range(m) if c != withheld_controller]
         decoded = frame_decode(*args, kept, rng, public)
     else:
-        decoded = release_and_reconstruct(*args, release, m, rng, public)
+        decoded = release_and_reconstruct(*args, records, m, rng, public)
     return turn.outcome(receipt, error_rate, decoded, public)

@@ -45,8 +45,6 @@ from .fabric import (
 )
 from .quantum import (
     OP_NAMES,
-    OPS,
-    OpLabel,
     RandomSource,
     measure_codes,
     random_codes,
@@ -110,23 +108,6 @@ class Permutation:
         inv = np.empty_like(self.mapping)
         inv[self.mapping] = np.arange(len(self.mapping))
         return Permutation(inv)
-
-
-@dataclass(frozen=True)
-class CheckAnnouncement:
-    """Public disclosure opening the check: for every check photon its
-    position in the returned sequence, its origin in the prepared order,
-    and the encoder's operation on it."""
-
-    positions: tuple[int, ...]
-    origins: tuple[int, ...]
-    ops: tuple[OpLabel, ...]
-
-    def __post_init__(self) -> None:
-        if not len(self.positions) == len(self.origins) == len(self.ops):
-            raise ProtocolError("check announcement fields must align")
-        if len(set(self.positions)) != len(self.positions):
-            raise ProtocolError("check announcement repeats a position")
 
 
 @dataclass(frozen=True)
@@ -267,29 +248,26 @@ def rearrange(photons: np.ndarray, rng: RandomSource) -> tuple[np.ndarray, Permu
     return perm.apply(photons), perm
 
 
-def run_check(
-    alice_labels: np.ndarray, announced: CheckAnnouncement, alice_measurements: np.ndarray
-) -> float:
-    """Evaluate the eavesdropping check from public data plus Alice's
-    preparation codes and her measurement record (outcome by returned
-    position, ``UNMEASURED`` where she did not measure).
+def run_check(alice_labels: np.ndarray, rows: np.ndarray, alice_measurements: np.ndarray) -> float:
+    """Evaluate the eavesdropping check from the encoder's disclosed check
+    rows (position, origin, op mask) plus Alice's preparation codes and
+    her measurement record (outcome by returned position, ``UNMEASURED``
+    where she did not measure).
 
     For each check photon the expected outcome is the initial bit XOR'd
     with the encoder's announced bit-flip. Returns the mismatch fraction.
     """
-    if len(announced.positions) == 0:
+    if len(rows) == 0:
         raise ProtocolError("check announcement is empty")
-    positions = np.array(announced.positions)
+    positions, origins, ops = np.asarray(rows).T
     outcomes = _recorded(alice_measurements, positions)
     measured = len(alice_measurements) - np.count_nonzero(alice_measurements == UNMEASURED)
     if np.count_nonzero(outcomes == UNMEASURED) or measured != len(positions):
         raise ProtocolError("measurements must cover exactly the announced check positions")
-    origins = np.array(announced.origins)
     unknown = origins[(origins < 0) | (origins >= len(alice_labels))]
     if len(unknown):
         raise ProtocolError(f"check announcement references unknown origin {unknown[0]}")
-    flips = np.array([op is OpLabel.U for op in announced.ops])
-    expected = (alice_labels[origins] & 1) ^ flips
+    expected = (alice_labels[origins] ^ ops) & 1
     return int(np.count_nonzero(outcomes != expected)) / len(positions)
 
 
@@ -437,7 +415,7 @@ class EncoderTurn:
             decoded_bits=decoded,
             decoded_positions=decoded_positions,
             n_check=len(receipt.check_items),
-            transcript=public._transcript,
+            transcript=public.transcript,
         )
 
 
@@ -536,10 +514,8 @@ def run_session(
 
     # Check disclosure: positions, their origins, and Bob's check ops --
     # but only for check photons, the message order stays secret.
-    positions, check_origins, ops = receipt.check_items.T.tolist()
-    announced = CheckAnnouncement(
-        tuple(positions), tuple(check_origins), tuple(map(OPS.__getitem__, ops))
-    )
+    photons, rows = receipt.photons, receipt.check_items
+    positions, check_origins, ops = rows.T.tolist()
     public.announce(
         "bob",
         "check_open",
@@ -549,9 +525,8 @@ def run_session(
 
     # Alice measures every check photon, then every message photon, in its
     # preparation basis.
-    photons, rows = receipt.photons, receipt.check_items
     measured = measure_at(photons, rows[:, 0], labels[rows[:, 1]] >> 1, rng, public, "check")
-    error_rate = run_check(labels, announced, measured)
+    error_rate = run_check(labels, rows, measured)
     if decide_and_reveal(public, "alice", error_rate, config.error_threshold, receipt):
         return turn.outcome(receipt, error_rate, None, public)
 

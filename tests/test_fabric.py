@@ -120,18 +120,19 @@ class TestTransmit:
 
 class TestClassicalChannel:
     def test_broadcast_appends_in_order(self):
-        chan = ClassicalChannel()
+        tr = Transcript()
+        chan = ClassicalChannel(tr)
         chan.announce("bob", "check_positions", [2, 5, 7])
         chan.announce("alice", "receipt", [0, 1])
-        assert [a.sender for a in chan.log] == ["bob", "alice"]
-        assert [a.seq for a in chan.log] == [0, 1]
+        assert [ev["sender"] for ev in tr.events] == ["bob", "alice"]
+        assert [ev["seq"] for ev in tr.events] == [0, 1]
+        assert chan.seq == 2
 
     def test_adversary_sees_identical_payload(self):
         chan = ClassicalChannel()
         payload = {"positions": [2, 5, 7]}
-        entry = chan.announce("bob", "check_positions", payload)
-        eavesdropped = chan.log[entry.seq]
-        assert eavesdropped.payload == payload
+        chan.announce("bob", "check_positions", payload)
+        assert chan.latest["check_positions"] == payload
 
 
 class TestTranscript:

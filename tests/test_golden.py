@@ -72,9 +72,9 @@ DIGESTS = {
     "qsdc_loss_bit_flip": "8ee8b931a18f9ded97c140d5bf5d023361e0a262124b394663335ed5a2783834",
     "qsdc_depolarizing": "5ec3a8bb4d26ab415b9099949126d2255966b33170e6e594e3f83b02ac367a3d",
     "mcqsdc_m3_loss": "e3ccc21bb1c4141107461293790a60e348f6a38db00ba43da697a4ee3334ed6b",
-    "mcqsdc_collusion_random": "40dc92ca7825c01c4cf688d39598002309bdcaecc0bb4d50e40daccfa1d69b6d",
+    "mcqsdc_collusion_random": "ce267776fec6cadc56e4d7d42632e077a2498a8a25f8356afe4124e1bd5928c7",
     "mcqsdc_collusion_fixed": "a55af412020000364ddfebeef3a0261986189b9393c724a2f7ef3d46ed3be929",
-    "mcqsdc_bypass": "58e6c1461f217838d14759de2d650d0ac72e485f10b6316a880bd0ec715f0b13",
+    "mcqsdc_bypass": "1fb2a75dbdbaf4c4cbfb4dd005ca4db88067fe9efb968c206401f7712b26feb9",
     "mcqsdc_return_leg_tap_m1": "cc4cdea56c280ed42a90da310db6ef3bf4db42885244a5102bee6e2f6f3890e0",
     "mcqsdc_withheld": "1a615313c2d9c9c5e4e9561b6966aec7629c797aebd37f8d90380a27f2563752",
     "sweep_csv": "ce69fc5debf8277c49120fe13b6ffb2a37dc29f41eeaea25f102b4303fd9b46c",

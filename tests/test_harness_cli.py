@@ -7,7 +7,9 @@ import time
 
 import pytest
 
-from qsdcsim.attacks import ATTACK_REGISTRY
+from qsdcsim import cli as qsdcsim_cli
+from qsdcsim import harness
+from qsdcsim.attacks import ATTACK_REGISTRY, build_attack
 from qsdcsim.errors import ConfigError
 from qsdcsim.fabric import Transcript
 from qsdcsim.harness import (
@@ -22,6 +24,7 @@ from qsdcsim.harness import (
     sweep_csv,
     three_sigma_band,
 )
+from qsdcsim.multiparty import McSessionConfig, run_mc_session
 from qsdcsim.quantum import OpLabel, unitary_matrix
 
 
@@ -82,6 +85,53 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"protocol": "qsdc", "n_photons": 24.5})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"protocol": "qsdc", "n_photons": True})
+
+
+CORRUPT = {"protocol": "mcqsdc", "n_photons": 64, "controllers": 3}
+CORRUPT_LIMITS = [
+    pytest.param(
+        {"name": "collusion"}, {"loss": 0.1}, "collusion attack does not support lossy channels",
+        id="collusion-lossy",
+    ),
+    pytest.param(
+        {"name": "collusion"}, {"controllers": 1}, "collusion needs at least two controllers",
+        id="collusion-one-controller",
+    ),
+    pytest.param(
+        {"name": "fake_sequence_bypass"}, {"loss": 0.1},
+        "bypass attack does not support lossy channels", id="bypass-lossy",
+    ),
+]
+
+
+class TestCorruptAttackLimits:
+    """What a corrupt-party attack cannot run is refused when the config
+    loads, at every sweep point before the first trial, and when a
+    library call starts a session, with the same message each time."""
+
+    @pytest.mark.parametrize("attack,fields,message", CORRUPT_LIMITS)
+    def test_from_dict_raises(self, attack, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(dict(CORRUPT, attack=attack, **fields))
+
+    def test_sweep_exits_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        config = dict(CORRUPT, trials=50, attack={"name": "collusion"}, sweep={"loss": [0.0, 0.1]})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kwargs: trials.append(args))
+        assert qsdcsim_cli.main(["sweep", "--config", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "collusion attack does not support lossy channels" in out.err
+        assert trials == []
+
+    @pytest.mark.parametrize("attack,fields,message", CORRUPT_LIMITS)
+    def test_library_session_raises(self, attack, fields, message):
+        session = dict(n_photons=64, controllers=3, seed=0)
+        session.update(fields)
+        with pytest.raises(ConfigError, match=message):
+            run_mc_session(McSessionConfig(**session), attack=build_attack(attack["name"]))
 
 
 class TestDerivedSeeds:

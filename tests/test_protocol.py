@@ -12,7 +12,6 @@ from frame_codes import as_labels, codes, record
 from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import NoiseModel, Transcript
 from qsdcsim.protocol import (
-    CheckAnnouncement,
     CheckSet,
     Permutation,
     SessionConfig,
@@ -26,6 +25,7 @@ from qsdcsim.protocol import (
 )
 from qsdcsim.quantum import (
     CANONICAL_LABELS,
+    OP_MASK,
     OPS,
     Basis,
     OpLabel,
@@ -176,32 +176,30 @@ class TestRearrange:
 class TestRunCheck:
     def test_flip_announced_and_observed_matches(self):
         labels = [StateLabel(Basis.Z, 0)]
-        announced = CheckAnnouncement(positions=(0,), origins=(0,), ops=(OpLabel.U,))
-        assert run_check(codes(labels), announced, record({0: 1})) == 0.0
+        rows = np.array([[0, 0, OP_MASK[OpLabel.U]]])
+        assert run_check(codes(labels), rows, record({0: 1})) == 0.0
 
     def test_identity_announced_matches(self):
         labels = [StateLabel(Basis.X, 1)]
-        announced = CheckAnnouncement(positions=(0,), origins=(0,), ops=(OpLabel.I,))
-        assert run_check(codes(labels), announced, record({0: 1})) == 0.0
+        rows = np.array([[0, 0, OP_MASK[OpLabel.I]]])
+        assert run_check(codes(labels), rows, record({0: 1})) == 0.0
 
     def test_mismatch_counts(self):
         labels = [StateLabel(Basis.Z, 0), StateLabel(Basis.X, 0)]
-        announced = CheckAnnouncement(
-            positions=(0, 1), origins=(0, 1), ops=(OpLabel.I, OpLabel.I)
-        )
-        assert run_check(codes(labels), announced, record({0: 1, 1: 0})) == 0.5
+        rows = np.array([[0, 0, OP_MASK[OpLabel.I]], [1, 1, OP_MASK[OpLabel.I]]])
+        assert run_check(codes(labels), rows, record({0: 1, 1: 0})) == 0.5
 
     def test_unknown_origin_rejected(self):
         labels = [StateLabel(Basis.Z, 0)]
-        announced = CheckAnnouncement(positions=(0,), origins=(5,), ops=(OpLabel.I,))
+        rows = np.array([[0, 5, OP_MASK[OpLabel.I]]])
         with pytest.raises(ProtocolError):
-            run_check(codes(labels), announced, record({0: 0}))
+            run_check(codes(labels), rows, record({0: 0}))
 
     def test_measurements_must_cover_positions(self):
         labels = [StateLabel(Basis.Z, 0)]
-        announced = CheckAnnouncement(positions=(0,), origins=(0,), ops=(OpLabel.I,))
+        rows = np.array([[0, 0, OP_MASK[OpLabel.I]]])
         with pytest.raises(ProtocolError):
-            run_check(codes(labels), announced, record({3: 0}))
+            run_check(codes(labels), rows, record({3: 0}))
 
 
 class TestDecode:

@@ -1,0 +1,130 @@
+"""The transcript audit: every transcript the simulator writes keeps the
+check's staging rules, and tampered copies are refused. The audit shares
+no code with the modules that run the check, so it is an independent
+check of the turn order that the dance no longer enforces as it runs."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_golden import RUNS
+from transcript_audit import audit
+from qsdcsim.attacks import ATTACK_REGISTRY
+from qsdcsim.fabric import Transcript
+from qsdcsim.harness import ExperimentConfig, run_report
+from qsdcsim.multiparty import McSessionConfig, run_mc_session
+
+FIXED = {"schedule_variant": "fixed_order"}
+ATTACKS = [
+    pytest.param(protocol, {"name": name}, id=f"{protocol}-{name}")
+    for name, cls in sorted(ATTACK_REGISTRY.items())
+    for protocol in cls.protocols
+] + [pytest.param("mcqsdc", {"name": "collusion", "params": FIXED}, id="mcqsdc-collusion-fixed")]
+
+
+def report_transcript(raw: dict) -> str:
+    transcript = Transcript()
+    run_report(ExperimentConfig.from_dict(raw), transcript=transcript)
+    return transcript.to_jsonl()
+
+
+def controlled_transcript() -> list[dict]:
+    """The events of a passing controlled session with three controllers."""
+    config = McSessionConfig(n_photons=24, check_count=4, controllers=3, seed=2)
+    out = run_mc_session(config, transcript=Transcript())
+    assert not out.aborted
+    return [dict(ev) for ev in out.transcript.events]
+
+
+def to_jsonl(events: list[dict]) -> str:
+    return "\n".join(json.dumps(ev, sort_keys=True) for ev in events)
+
+
+def find(events: list[dict], label: str, nth: int = 0) -> int:
+    """Index of the nth announcement under ``label``."""
+    hits = [i for i, ev in enumerate(events) if ev.get("label") == label]
+    return hits[nth]
+
+
+def move(events: list[dict], src: int, dst: int) -> list[dict]:
+    """A copy of ``events`` with the event at ``src`` moved to ``dst``."""
+    out = list(events)
+    out.insert(dst, out.pop(src))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_transcripts_pass(name):
+    assert audit(report_transcript(RUNS[name])) == []
+
+
+@pytest.mark.parametrize("protocol,attack", ATTACKS)
+def test_every_attack_passes(protocol, attack):
+    raw = {"protocol": protocol, "n_photons": 40, "check_count": 10, "attack": attack}
+    if protocol == "mcqsdc":
+        raw["controllers"] = 3
+    for threshold in (0.0, 1.0):  # an aborted session and a decoded one
+        assert audit(report_transcript(dict(raw, error_threshold=threshold))) == []
+
+
+def test_withheld_controller_run_passes():
+    config = McSessionConfig(n_photons=40, controllers=3, error_threshold=0.0, seed=16)
+    out = run_mc_session(config, transcript=Transcript(), withheld_controller=1)
+    assert not out.aborted
+    assert audit(out.transcript.to_jsonl()) == []
+
+
+def test_untampered_copy_passes():
+    assert audit(to_jsonl(controlled_transcript())) == []
+
+
+def test_swapped_h_announce_rejected():
+    events = controlled_transcript()
+    first = find(events, "h_announce")
+    assert "expected" in audit(to_jsonl(move(events, first, first + 1)))[0]
+
+
+def test_swapped_flip_announce_rejected():
+    events = controlled_transcript()
+    first = find(events, "flip_announce")
+    assert "expected" in audit(to_jsonl(move(events, first, first + 1)))[0]
+
+
+def test_report_before_h_round_completes_rejected():
+    events = controlled_transcript()
+    report = find(events, "check_report")
+    last_h = report - 2  # the H round's last voice, before Alice's measurement
+    assert events[last_h]["label"] == "h_announce"
+    assert "expected" in audit(to_jsonl(move(events, report, last_h)))[0]
+
+
+def test_flip_before_report_rejected():
+    events = controlled_transcript()
+    tampered = move(events, find(events, "flip_announce"), find(events, "check_report"))
+    assert "expected" in audit(to_jsonl(tampered))[0]
+
+
+def test_message_order_before_decision_rejected():
+    events = controlled_transcript()
+    tampered = move(events, find(events, "message_order"), find(events, "check_decision"))
+    problems = audit(to_jsonl(tampered))
+    assert any("message_order before a passing check decision" in p for p in problems)
+
+
+def test_ops_disclosed_for_message_position_rejected():
+    events = controlled_transcript()
+    decision = events[find(events, "check_decision")]
+    message_position = events[find(events, "message_order")]["payload"][0][0]
+    decision["payload"]["ops"][str(message_position)] = "I"
+    assert "non-check positions" in audit(to_jsonl(events))[0]
+
+
+def test_audit_imports_no_protocol_code():
+    tests = Path(__file__).resolve().parent
+    code = (
+        "import sys, transcript_audit; "
+        "sys.exit(any(m.startswith('qsdcsim') for m in sys.modules))"
+    )
+    assert subprocess.run([sys.executable, "-c", code], cwd=tests).returncode == 0
