@@ -82,6 +82,97 @@ class TestControllerPass:
                 assert after == label_of(apply_op(OPS[op], state_from_label(photon)))
 
 
+def dance_one_photon(initial, agents, schedule, bob_op):
+    """Run the check dance for one photon prepared as ``initial`` (and
+    still in that state when measured) with a listening channel; returns
+    the dance's transcript events and the photon's mismatch flag."""
+    reporter = HonestReporter(codes([initial]), codes([initial]), rng(42))
+    rows = np.array([[0, 0, OP_MASK[bob_op]]])
+    transcript = Transcript()
+    _, mismatches = mc_check_round(
+        codes([initial]), rows, schedule, reporter, agents, ClassicalChannel(transcript)
+    )
+    return transcript.events, bool(mismatches[0])
+
+
+def expected_label(events, mismatch):
+    """The label the encoder expected, read off the dance: the basis the
+    receiver measured in and the reported bit corrected by the verdict."""
+    (measured,) = [ev for ev in events if ev["kind"] == "measurement"]
+    (report,) = [ev["payload"]["outcome"] for ev in events if ev.get("label") == "check_report"]
+    return StateLabel(Basis(measured["basis"]), report ^ mismatch)
+
+
+def expected_check_outcome(initial, controller_ops, bob_op):
+    """The encoder's expected outcome for a check photon through the
+    honest chain ``controller_ops`` and its own ``bob_op``."""
+    agents = [
+        HonestController(ControllerRecord(np.array([0]), np.array([OP_MASK[op]])))
+        for op in controller_ops
+    ]
+    schedule = AnnouncementSchedule.draw(1, len(agents), rng(43))
+    return expected_label(*dance_one_photon(initial, agents, schedule, bob_op))
+
+
+class TestExpectedCheckOutcome:
+    def test_hadamard_then_flip(self):
+        assert expected_check_outcome(Z0, [OpLabel.H], OpLabel.U) == StateLabel(Basis.X, 1)
+
+    def test_identity_chain(self):
+        assert expected_check_outcome(X1, [OpLabel.I, OpLabel.I], OpLabel.I) == X1
+
+    def test_agrees_with_amplitudes_for_short_chains(self):
+        """The dance's expectation matches amplitude-level evolution up to
+        a global phase for every chain of length <= 3 and both encoder ops."""
+        ops = list(OpLabel)
+        for length in range(4):
+            for chain in itertools.product(ops, repeat=length):
+                for bob_op in (OpLabel.I, OpLabel.U):
+                    for start in CANONICAL_LABELS:
+                        state = state_from_label(start)
+                        for op in chain:
+                            state = apply_op(op, state)
+                        state = apply_op(bob_op, state)
+                        predicted = expected_check_outcome(start, chain, bob_op)
+                        target = state_from_label(predicted)
+                        assert abs(overlap(state, target) - 1.0) < ATOL
+
+
+class ScriptedController:
+    """Announces fixed bits in both rounds, whatever it heard."""
+
+    def __init__(self, h, flip):
+        self.h, self.flip = h, flip
+
+    def announce_h(self, origins):
+        return np.full(len(origins), self.h, dtype=np.uint8)
+
+    def announce_flip(self, origins, heard, remaining):
+        return np.full(len(origins), self.flip, dtype=np.uint8)
+
+
+class TestCheckPhotonRound:
+    def test_full_round_parities(self):
+        # Controller 1 then 0 announce H bits 1 and 0; controller 0 then 1
+        # announce flips 1 and 1. H parity 1 turns the receiver's Z basis
+        # into X, flip parity 0 leaves the expected bit at 0.
+        agents = [ScriptedController(h=0, flip=1), ScriptedController(h=1, flip=1)]
+        schedule = AnnouncementSchedule(np.array([[1, 0]]), np.array([[0, 1]]))
+        events, mismatch = dance_one_photon(Z0, agents, schedule, OpLabel.I)
+        spoken = [
+            (ev["sender"], ev["label"], ev["payload"].get("h", ev["payload"].get("flip")))
+            for ev in events
+            if ev.get("label") in ("h_announce", "flip_announce")
+        ]
+        assert spoken == [
+            ("controller_1", "h_announce", 1),
+            ("controller_0", "h_announce", 0),
+            ("controller_0", "flip_announce", 1),
+            ("controller_1", "flip_announce", 1),
+        ]
+        assert expected_label(events, mismatch) == StateLabel(Basis.X, 0)
+
+
 class TestMcCheckRound:
     def run_worked_example(self, controller_ops, bob_op, initial):
         """One check photon, chain-transformed photon in hand."""
