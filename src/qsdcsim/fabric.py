@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Protocol, Sequence, Union
+from itertools import count
+from typing import Any, NamedTuple, Protocol, Union
 
 import numpy as np
 
@@ -149,28 +150,100 @@ def transmit_codes(
     return codes, arrived
 
 
+#: ``json.dumps`` with sorted keys and no spaces, skipping the cycle check.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
+class MeasurementBatch(NamedTuple):
+    """One party's measurements in one stage, as aligned columns."""
+
+    stage: str
+    party: str
+    positions: list[int]
+    bases: list[int]
+    outcomes: list[int]
+
+    def lines(self) -> list[str]:
+        party, stage = json.dumps(self.party), json.dumps(self.stage)
+        head = '{"basis":"%s","kind":"measurement","outcome":%d,"party":%s,"position":'
+        heads = [head % (b.value, bit, party) for b in BASES for bit in (0, 1)]
+        rows = zip(self.positions, self.bases, self.outcomes)
+        return [f'{heads[2 * basis + bit]}{pos},"stage":{stage}}}' for pos, basis, bit in rows]
+
+
+#: The dance's line templates; an announcement takes (bit, position, controller, seq).
+H_ANNOUNCE = ('{"kind":"announcement","label":"h_announce","payload":{"h":%d,"position":%d},'
+              '"sender":"controller_%d","seq":%d,"stage":"check"}')
+FLIP_ANNOUNCE = ('{"kind":"announcement","label":"flip_announce","payload":'
+                 '{"flip":%d,"position":%d},"sender":"controller_%d","seq":%d,"stage":"check"}')
+CHECK_REPORT = ('{"kind":"announcement","label":"check_report","payload":'
+                '{"outcome":%d,"position":%d},"sender":"alice","seq":%d,"stage":"check"}')
+SCHEDULE = '{"h_order":%s,"iu_order":%s,"kind":"schedule","position":%d,"stage":"check"}'
+
+
+class DanceBatch(NamedTuple):
+    """A controlled check's announcement dance as columns, one row per
+    check photon (H bits by controller, flips by turn). A photon's lines:
+    its schedule, its H round, Alice's measurement and report, its flip
+    round; 2m + 1 announcements, numbered on from ``seq``."""
+
+    seq: int
+    positions: list[int]
+    h_orders: list[list[int]]
+    iu_orders: list[list[int]]
+    h_bits: list[list[int]]
+    bases: list[int]
+    outcomes: list[int]
+    reports: list[int]
+    flips: list[list[int]]
+
+    def lines(self) -> list[str]:
+        measured = MeasurementBatch("check", "alice", self.positions, self.bases, self.outcomes)
+        rows = zip(self.positions, self.h_orders, self.iu_orders, self.h_bits, measured.lines(),
+                   self.reports, self.flips)
+        seq, out = count(self.seq), []
+        for pos, h_order, iu_order, h, measurement, report, flips in rows:
+            out.append((SCHEDULE % (h_order, iu_order, pos)).replace(" ", ""))
+            out += [H_ANNOUNCE % (h[c], pos, c, next(seq)) for c in h_order]
+            out += [measurement, CHECK_REPORT % (report, pos, next(seq))]
+            out += [FLIP_ANNOUNCE % (flip, pos, c, next(seq)) for c, flip in zip(iu_order, flips)]
+        return out
+
+
 class Transcript:
     """Append-only event log of a session.
 
-    Events are plain dicts with a ``kind`` key (quantum_send,
-    quantum_deliver, announcement, measurement, decision, plus scheduling
-    events) and a ``stage`` key naming the protocol step. Serialization is
-    canonical JSON Lines, so two identically seeded sessions produce
-    byte-identical transcripts.
+    Events have a ``kind`` (quantum_send, quantum_deliver, announcement,
+    measurement, decision, plus scheduling events) and a ``stage``.
+    ``record`` appends a one-off event dict; ``add`` appends a batch, a run
+    of similar events as columns of plain values whose ``lines()`` fill
+    fixed templates. ``to_jsonl`` writes canonical JSON Lines, each
+    template line equal to ``_canonical`` of its event, so identically
+    seeded sessions give byte-identical transcripts. ``events`` is a
+    read-only view: a fresh list of every event dict, parsed back.
     """
 
     def __init__(self) -> None:
-        self.events: list[dict[str, Any]] = []
+        self._entries: list[Any] = []  # event dicts and batches, in order
 
     def record(self, kind: str, stage: str, **fields: Any) -> None:
-        event: dict[str, Any] = {"kind": kind, "stage": stage}
-        event.update(fields)
-        self.events.append(event)
+        self._entries.append({"kind": kind, "stage": stage, **fields})
+
+    def add(self, batch: Any) -> None:
+        self._entries.append(batch)
 
     def to_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps(ev, sort_keys=True, separators=(",", ":")) for ev in self.events
-        )
+        lines: list[str] = []
+        for entry in self._entries:
+            if isinstance(entry, dict):
+                lines.append(_canonical(entry))
+            else:
+                lines += entry.lines()
+        return "\n".join(lines)
+
+    @property
+    def events(self) -> list[dict[str, Any]]:
+        return [json.loads(line) for line in self.to_jsonl().splitlines()]
 
 
 def _no_record(kind: str, stage: str, **fields: Any) -> None:
@@ -186,9 +259,9 @@ class ClassicalChannel:
     It is also the session's one event sink. ``record(kind, stage,
     **fields)`` is bound once, to the attached transcript's ``record`` or
     to a no-op, so stage code logs without asking whether anyone listens.
-    Announcements that only a transcript reads back (one per photon and
-    turn of the check, the controllers' releases) are made only when
-    ``listening``.
+    What only a transcript reads back (the check's dance, one batch with
+    an announcement per photon and turn, and the controllers' releases)
+    is built only when ``listening``.
     """
 
     def __init__(self, transcript: Transcript | None = None) -> None:
@@ -206,24 +279,10 @@ class ClassicalChannel:
         self.seq += 1
 
     def measured(
-        self,
-        stage: str,
-        party: str,
-        positions: Sequence[int],
-        bases: Sequence[int],
-        outcomes: Sequence[int],
+        self, stage: str, party: str, positions: np.ndarray, bases: np.ndarray, outcomes: np.ndarray
     ) -> None:
-        """Log measurements, one event each, from aligned positions, basis
-        codes and outcomes; builds nothing when no transcript is attached."""
-        if not self.listening:
-            return
-        for position, basis, outcome in zip(positions, bases, outcomes):
-            self.record(
-                "measurement", stage, party=party, position=int(position),
-                basis=BASES[basis].value, outcome=int(outcome),
-            )
-
-
-def label_payload(label: StateLabel) -> dict[str, Any]:
-    """JSON form of a state label, used in public initial-state disclosures."""
-    return {"basis": label.basis.value, "bit": label.bit}
+        """Log measurements, one batch per call, from aligned positions,
+        basis codes and outcomes; builds nothing when no transcript listens."""
+        if self.listening:
+            columns = (positions.tolist(), bases.tolist(), outcomes.tolist())
+            self.transcript.add(MeasurementBatch(stage, party, *columns))

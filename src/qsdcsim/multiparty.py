@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .fabric import ClassicalChannel, QuantumChannel, Transcript, label_payload
+from .fabric import ClassicalChannel, DanceBatch, QuantumChannel, Transcript
 from .protocol import (
     SessionConfig,
     SessionOutcome,
@@ -214,20 +214,10 @@ def mc_check_round(
     expected = (labels[origins] ^ (2 * h_parity + heard) ^ ops) & 1
     mismatches = reports != expected
     if public.listening:
-        # The dance as it sounds on the channel, photon after photon.
         arrays = (positions, schedule.h_orders, schedule.iu_orders, h_bits, bases, outcomes)
-        columns = zip(*(a.tolist() for a in (*arrays, reports, flips)))
-        for pos, h_order, iu_order, h, basis, outcome, report, flip in columns:
-            public.record("schedule", "check", position=pos, h_order=h_order, iu_order=iu_order)
-            for c in h_order:
-                payload = {"position": pos, "h": h[c]}
-                public.announce(f"controller_{c}", "h_announce", payload, stage="check")
-            public.measured("check", "alice", [pos], [basis], [outcome])
-            payload = {"position": pos, "outcome": report}
-            public.announce("alice", "check_report", payload, stage="check")
-            for c, bit in zip(iu_order, flip):
-                payload = {"position": pos, "flip": bit}
-                public.announce(f"controller_{c}", "flip_announce", payload, stage="check")
+        columns = (a.tolist() for a in (*arrays, reports, flips))
+        public.transcript.add(DanceBatch(public.seq, *columns))
+    public.seq += k * (2 * m + 1)
     return int(np.count_nonzero(mismatches)) / k if k else 0.0, mismatches
 
 
@@ -352,12 +342,9 @@ def run_mc_session(
 
     # The receiver publishes the initial states of the check photons so the
     # encoder can evaluate; the disclosure is logged like any announcement.
-    public.announce(
-        "alice",
-        "check_initial_states",
-        {str(orig): label_payload(CANONICAL_LABELS[labels[orig]]) for orig in check_origins},
-        stage="check",
-    )
+    states = {str(orig): CANONICAL_LABELS[labels[orig]] for orig in check_origins}
+    payload = {o: {"basis": label.basis.value, "bit": label.bit} for o, label in states.items()}
+    public.announce("alice", "check_initial_states", payload, stage="check")
     error_rate, _mismatches = mc_check_round(
         labels,
         rows,

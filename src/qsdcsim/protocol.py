@@ -435,6 +435,8 @@ def encoder_turn(
     if n_alive < 2:
         raise ProtocolError("too few photons survived to form a check set and a message")
     size = config.check_size(n_alive)
+    if size < 1:
+        raise ProtocolError("too few photons survived to form a nonempty check set")
     if size >= n_alive:
         raise ProtocolError("check set would leave no message positions after loss")
     check = select_check_positions(n_alive, size, rng)

@@ -51,6 +51,12 @@ RUNS = {
         controllers=1,
         attack={"name": "return_leg_tap", "params": {"disclose_permutation": True}},
     ),
+    "mcqsdc_m0": dict(MC, seed=17, controllers=0),
+    "mcqsdc_m1_loss": dict(MC, seed=18, controllers=1, loss=0.3),
+    "mcqsdc_intercept_resend_aborted": dict(
+        MC, seed=22, controllers=3, attack={"name": "intercept_resend"}
+    ),
+    "qsdc_heavy_loss": dict(QSDC, seed=20, loss=0.6),
 }
 
 SWEEP = {
@@ -77,6 +83,10 @@ DIGESTS = {
     "mcqsdc_bypass": "1fb2a75dbdbaf4c4cbfb4dd005ca4db88067fe9efb968c206401f7712b26feb9",
     "mcqsdc_return_leg_tap_m1": "cc4cdea56c280ed42a90da310db6ef3bf4db42885244a5102bee6e2f6f3890e0",
     "mcqsdc_withheld": "1a615313c2d9c9c5e4e9561b6966aec7629c797aebd37f8d90380a27f2563752",
+    "mcqsdc_m0": "fd18f176a192bded61655409021f9839b1aff62ef0df55fffceba21552c80271",
+    "mcqsdc_m1_loss": "8078644da24df53767f534f57b24af68ab27a5cd7d43a53a72a02d12d0c647db",
+    "mcqsdc_intercept_resend_aborted": "10a091b2005b34ee61f82db2e2f71b15e48539097c9e57263a71703150ea6316",
+    "qsdc_heavy_loss": "f46ae1b58527bd1226c5a8e4e559dd5ff9c3fa35e3175dfc32511ecfbdbcee5a",
     "sweep_csv": "ce69fc5debf8277c49120fe13b6ffb2a37dc29f41eeaea25f102b4303fd9b46c",
 }
 

@@ -26,6 +26,7 @@ from qsdcsim.harness import (
 )
 from qsdcsim.multiparty import McSessionConfig, run_mc_session
 from qsdcsim.quantum import OpLabel, unitary_matrix
+from transcript_audit import audit
 
 
 def cli(*args, config=None, tmp_path=None):
@@ -447,6 +448,26 @@ class TestCli:
         assert proc.returncode == 0
         lines = out_path.read_text().strip().splitlines()
         assert all(json.loads(line)["kind"] for line in lines)
+
+    def test_transcript_file_is_the_library_transcript(self, tmp_path):
+        config = {"protocol": "mcqsdc", "n_photons": 40, "check_count": 10, "controllers": 3,
+                  "loss": 0.05, "seed": 7}
+        out_path = tmp_path / "session.jsonl"
+        proc = cli("run", "--transcript", str(out_path), config=config, tmp_path=tmp_path)
+        assert proc.returncode == 0
+        transcript = Transcript()
+        run_report(ExperimentConfig.from_dict(config), transcript=transcript)
+        written = out_path.read_text()
+        assert written == transcript.to_jsonl() + "\n"
+        assert "flip_announce" in written
+        assert audit(written) == []
+
+    def test_starved_encoder_turn_exit_one(self, tmp_path):
+        config = {"protocol": "mcqsdc", "n_photons": 8, "controllers": 2, "loss": 0.5, "seed": 2}
+        proc = cli("run", config=config, tmp_path=tmp_path)
+        assert proc.returncode == 1
+        assert "protocol error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_sweep_to_stdout_and_dir(self, tmp_path):
         config = dict(HONEST_QSDC, trials=2, sweep={"n_photons": [8, 12]})

@@ -121,6 +121,15 @@ def test_ops_disclosed_for_message_position_rejected():
     assert "non-check positions" in audit(to_jsonl(events))[0]
 
 
+def test_swapped_seq_rejected():
+    events = controlled_transcript()
+    first, second = find(events, "h_announce"), find(events, "flip_announce")
+    events[first]["seq"], events[second]["seq"] = events[second]["seq"], events[first]["seq"]
+    problems = audit(to_jsonl(events))
+    assert [p.split(":")[0] for p in problems] == [f"event {first}", f"event {second}"]
+    assert all("is due" in p for p in problems)
+
+
 def test_audit_imports_no_protocol_code():
     tests = Path(__file__).resolve().parent
     code = (

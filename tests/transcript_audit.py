@@ -20,6 +20,7 @@ The rules:
   staging     ``message_order`` and ``release`` come only after a
               ``check_decision`` with ``aborted: false``.
   disclosure  The check ops disclosed cover only check positions.
+  sequence    Announcements carry ``seq`` 0, 1, 2, ... in event order.
 """
 from __future__ import annotations
 
@@ -62,17 +63,17 @@ def audit(jsonl: str) -> list[str]:
     scheduled: list[int] = []
     check_measured: list[int] = []
     reveal_measured: list[int] = []
+    announced = 0
     for i, ev in enumerate(events):
         kind, label, payload = ev["kind"], ev.get("label"), ev.get("payload")
-        if pending:
-            if _turn(ev) == pending[0]:
-                pending.pop(0)
-                if kind == "measurement":
-                    check_measured.append(ev["position"])
-                continue
+        if pending and _turn(ev) != pending[0]:
             problems.append(f"event {i}: expected {pending[0]}, got {_turn(ev) or kind}")
             pending = []
-        if kind == "schedule":
+        if pending:
+            pending.pop(0)
+            if kind == "measurement":
+                check_measured.append(ev["position"])
+        elif kind == "schedule":
             scheduled.append(ev["position"])
             pending = _turns(ev)
         elif label in DANCE_LABELS:
@@ -99,6 +100,10 @@ def audit(jsonl: str) -> list[str]:
                 problems.append(f"event {i}: {label} before a passing check decision")
             if label == "message_order":
                 message_positions = [row[0] for row in payload]
+        if kind == "announcement":
+            if ev["seq"] != announced:
+                problems.append(f"event {i}: seq {ev['seq']} where {announced} is due")
+            announced += 1
     if pending:
         problems.append(f"transcript ends with turns still due: {pending[0]}")
     if check_positions is not None:
