@@ -13,9 +13,7 @@ from .attacks import (
 )
 from .errors import ConfigError, ProtocolError
 from .fabric import (
-    LOST,
     ClassicalChannel,
-    Lost,
     NoiseKind,
     NoiseModel,
     QuantumChannel,

@@ -2,9 +2,9 @@
 
 Every strategy subclasses ``Attack`` and overrides the hooks it needs.
 They come in two shapes: passive taps installed on a quantum leg (the
-line hands each photon over and carries whatever the tap returns), and
-corrupt-party behaviors that reroute the photon flow of a controlled
-session. Every strategy can turn a finished session into an
+line hands the whole sequence over and carries whatever the tap
+returns), and corrupt-party behaviors that reroute the photon flow of a
+controlled session. Every strategy can turn a finished session into an
 ``AttackReport`` with the detection flag, the check error rate, and the
 adversary's message-guess accuracy where one exists.
 
@@ -40,13 +40,7 @@ from .protocol import (
     prepare_p_sequence,
     transmit_sequence,
 )
-from .quantum import (
-    CANONICAL_LABELS,
-    Basis,
-    RandomSource,
-    StateLabel,
-    measure,
-)
+from .quantum import RandomSource, measure
 
 
 @dataclass(frozen=True)
@@ -62,29 +56,23 @@ class AttackReport:
     metadata: dict[str, Any] = field(default_factory=dict)
 
 
-def measure_and_resend(
-    photon: StateLabel, basis: Basis, rng: RandomSource
-) -> tuple[int, StateLabel]:
-    """The intercept-resend primitive: measure in the chosen basis and
-    forward the matching eigenstate. Nondisturbing exactly when the basis
-    matches the photon's preparation basis."""
-    outcome = measure(photon, basis, rng)
-    return outcome, CANONICAL_LABELS[2 * (basis is Basis.X) + outcome]
-
-
 class MeasureResendTap:
     """Channel tap measuring every photon in a freshly drawn uniform basis
-    and forwarding the eigenstate. Keeps classical records only; the
-    original state is surrendered to the measurement."""
+    and forwarding the eigenstate it read: nondisturbing exactly where the
+    basis matches the photon's. Keeps the classical records only, the
+    basis codes and outcomes of every photon relayed, in order; the
+    original states are surrendered to the measurement."""
 
     def __init__(self) -> None:
-        self.records: list[tuple[Basis, int]] = []
+        self.bases = np.zeros(0, dtype=np.uint8)
+        self.outcomes = np.zeros(0, dtype=np.uint8)
 
-    def relay(self, photon: StateLabel, rng: RandomSource) -> StateLabel:
-        basis = Basis.Z if rng.integers(0, 2) == 0 else Basis.X
-        outcome, resent = measure_and_resend(photon, basis, rng)
-        self.records.append((basis, outcome))
-        return resent
+    def relay(self, codes: np.ndarray, rng: RandomSource) -> np.ndarray:
+        bases = rng.integers(0, 2, size=len(codes)).astype(np.uint8)
+        outcomes = measure(codes, bases, rng)
+        self.bases = np.append(self.bases, bases)
+        self.outcomes = np.append(self.outcomes, outcomes)
+        return 2 * bases + outcomes
 
 
 class Attack:
@@ -177,7 +165,7 @@ class InterceptResend(Attack):
         forward.taps.append(self.tap)
 
     def report(self, outcome: SessionOutcome) -> AttackReport:
-        return self._report(outcome, None, n_tapped=len(self.tap.records))
+        return self._report(outcome, None, n_tapped=len(self.tap.outcomes))
 
 
 class ReturnLegTap(Attack):
@@ -207,9 +195,9 @@ class ReturnLegTap(Attack):
         self.disclose_initial_states = disclose_initial_states
         self.tap = MeasureResendTap()
         self._public: ClassicalChannel | None = None
-        self._true_positions: list[int] | None = None
-        self._true_origins: list[int] | None = None
-        self._labels: list[int] | None = None
+        self._true_positions: np.ndarray | None = None
+        self._true_origins: np.ndarray | None = None
+        self._labels: np.ndarray | None = None
 
     def install(
         self,
@@ -229,10 +217,10 @@ class ReturnLegTap(Attack):
         origin order), and the preparation record."""
         if self.disclose_permutation:
             srcs = np.flatnonzero(~check.mask(len(origins)))
-            self._true_positions = perm.inverse().mapping[srcs].tolist()
-            self._true_origins = origins[srcs].tolist()
+            self._true_positions = perm.inverse().mapping[srcs]
+            self._true_origins = origins[srcs]
         if self.disclose_initial_states:
-            self._labels = labels.tolist()
+            self._labels = labels.copy()
 
     def message_guess(self, n_message: int) -> list[int]:
         """Best guess of the message bits from whatever Eve holds."""
@@ -242,24 +230,19 @@ class ReturnLegTap(Attack):
             # Without the permutation she assumes the returned order is the
             # message order: k-th non-check position carries bit k.
             check_open = self._public.latest.get("check_open") if self._public else None
-            check_positions = set(check_open["positions"] if check_open else ())
-            positions = [
-                p for p in range(len(self.tap.records)) if p not in check_positions
-            ][:n_message]
-        guesses = []
-        for k, pos in enumerate(positions):
-            _basis, outcome = self.tap.records[pos]
-            guess = outcome
-            if self._labels is not None and self._true_origins is not None:
-                guess ^= self._labels[self._true_origins[k]] & 1
-            guesses.append(guess)
-        return guesses
+            free = np.ones(len(self.tap.outcomes), dtype=bool)
+            free[check_open["positions"] if check_open else []] = False
+            positions = np.flatnonzero(free)[:n_message]
+        guesses = self.tap.outcomes[positions]
+        if self._labels is not None and self._true_origins is not None:
+            guesses = guesses ^ (self._labels[self._true_origins] & 1)
+        return guesses.tolist()
 
     def report(self, outcome: SessionOutcome) -> AttackReport:
         sent = outcome.message_sent
         guesses = self.message_guess(len(sent))
-        hits = sum(1 for g, s in zip(guesses, sent) if g == s)
         compared = min(len(guesses), len(sent))
+        hits = int(np.count_nonzero(np.equal(guesses[:compared], sent[:compared])))
         return self._report(
             outcome,
             hits / compared if compared else 0.0,
@@ -366,7 +349,8 @@ class ColluderAgent:
 
     def __init__(self, rng: RandomSource) -> None:
         self._rng = rng
-        self.announced_flips: dict[int, int] = {}
+        self._origins = np.zeros(0, dtype=np.intp)
+        self._flips = np.zeros(0, dtype=np.uint8)
 
     def announce_h(self, origins: np.ndarray) -> np.ndarray:
         return np.zeros(len(origins), dtype=np.uint8)
@@ -375,14 +359,17 @@ class ColluderAgent:
         flips = heard
         if remaining:
             flips = heard ^ self._rng.integers(0, 2, size=len(heard)).astype(np.uint8)
-        self.announced_flips.update(zip(origins.tolist(), flips.tolist()))
+        self._origins = np.append(self._origins, origins)
+        self._flips = np.append(self._flips, flips)
         return flips
 
     def release(self, origins: np.ndarray) -> ControllerRecord:
         """A release consistent with whatever it announced during the
-        check: U where it announced a flip, identity everywhere else."""
-        flips = [self.announced_flips.get(orig, 0) for orig in origins.tolist()]
-        return ControllerRecord(origins, np.array(flips, dtype=np.uint8))
+        check: U where it announced a flip, identity everywhere else.
+        ``origins`` ascend and hold every origin it spoke for."""
+        flips = np.zeros(len(origins), dtype=np.uint8)
+        flips[np.searchsorted(origins, self._origins)] = self._flips
+        return ControllerRecord(origins, flips)
 
 
 class CollusionAttack(Attack):

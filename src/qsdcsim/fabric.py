@@ -1,10 +1,13 @@
 """Simulated transmission fabric: quantum channels with taps, loss and
 noise, a broadcast classical channel, and the session transcript.
 
-A quantum channel hands each photon to its taps in registration order,
-then rolls loss, then noise. Taps receive the state and must return a
-replacement; the original is never delivered alongside the copy, which is
-how the no-cloning rule is enforced structurally.
+A quantum channel carries a whole frame-code sequence (see ``quantum``)
+at once: ``transmit`` hands it to each tap in registration order, then
+rolls loss, then noise over the photons that survived. Taps receive the
+codes and must return replacements; the original is never delivered
+alongside the copy, which is how the no-cloning rule is enforced
+structurally. Loss is reported as the positions that arrived, never as a
+silent drop.
 """
 from __future__ import annotations
 
@@ -12,19 +15,12 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
-from typing import Any, NamedTuple, Protocol, Union
+from typing import Any, NamedTuple, Protocol
 
 import numpy as np
 
 from .errors import ConfigError
-from .quantum import (
-    BASES,
-    CANONICAL_LABELS,
-    Basis,
-    RandomSource,
-    StateLabel,
-    random_label,
-)
+from .quantum import BASES, RandomSource, random_codes
 
 
 class NoiseKind(Enum):
@@ -63,7 +59,10 @@ class NoiseModel:
 
 
 class Lost:
-    """Marker delivered in place of a photon absorbed in transit."""
+    """The loss marker of single-photon delivery. No channel delivers it
+    any more (``transmit`` reports the positions that arrived); it stays
+    because ``perfbench/tracing.py`` compares ``transmit`` results with
+    ``LOST``."""
 
     _instance: "Lost | None" = None
 
@@ -78,18 +77,16 @@ class Lost:
 
 LOST = Lost()
 
-Delivered = Union[StateLabel, Lost]
-
 
 class Tap(Protocol):
     """An adversary hook sitting on a quantum channel.
 
-    ``relay`` takes ownership of the photon and returns the state that
-    continues down the line. There is no copy operation: whatever the tap
-    keeps, the line does not carry.
+    ``relay`` takes ownership of the whole code sequence and returns the
+    codes that continue down the line, leaving its input unwritten. There
+    is no copy operation: whatever the tap keeps, the line does not carry.
     """
 
-    def relay(self, photon: StateLabel, rng: RandomSource) -> StateLabel: ...
+    def relay(self, codes: np.ndarray, rng: RandomSource) -> np.ndarray: ...
 
 
 @dataclass
@@ -106,47 +103,34 @@ class QuantumChannel:
             raise ConfigError(f"loss must be in [0,1], got {self.loss}")
 
 
-def transmit(channel: QuantumChannel, photon: StateLabel, rng: RandomSource) -> Delivered:
-    """Send one photon down a channel: taps, then loss, then noise.
-
-    Loss yields the explicit ``LOST`` marker, never a silent drop. Draws
-    from ``rng`` only for effects that are actually configured, so an
-    identity channel consumes no randomness.
-    """
-    for tap in channel.taps:
-        photon = tap.relay(photon, rng)
-    if channel.loss > 0.0 and rng.random() < channel.loss:
-        return LOST
-    noise = channel.noise
-    if noise.kind is NoiseKind.BIT_FLIP and noise.p > 0.0:
-        if rng.random() < noise.p and photon.basis is Basis.Z:
-            photon = CANONICAL_LABELS[photon.code ^ 1]
-    elif noise.kind is NoiseKind.DEPOLARIZING and noise.p > 0.0:
-        if rng.random() < noise.p:
-            photon = random_label(rng)
-    return photon
-
-
-def transmit_codes(
+def transmit(
     channel: QuantumChannel, codes: np.ndarray, rng: RandomSource
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``transmit`` over a code sequence: the codes that arrived and their
-    positions. Where the draws depend on the photons (taps, depolarization,
-    noise behind loss) it loops; otherwise it draws the loss coins, or the
-    bit-flip coins of a lossless leg, in one batch of the same numbers."""
-    noise = channel.noise
-    noisy = noise.kind is not NoiseKind.NONE and noise.p > 0.0
-    if channel.taps or (noisy and (noise.kind is NoiseKind.DEPOLARIZING or channel.loss > 0.0)):
-        delivered = [transmit(channel, CANONICAL_LABELS[c], rng) for c in codes.tolist()]
-        arrived = [i for i, photon in enumerate(delivered) if photon is not LOST]
-        out = [delivered[i].code for i in arrived]  # type: ignore[union-attr]
-        return np.array(out, dtype=np.uint8), np.array(arrived, dtype=np.intp)
+    """Send a code sequence down a channel: taps, then loss, then noise.
+    Returns the codes that arrived and their positions in ``codes``, which
+    is never written into.
+
+    The draws follow the channel's action, each kind as one batch: every
+    tap's draws in registration order, one loss coin per photon, one noise
+    coin per survivor, and a uniform code for each photon depolarized. An
+    effect that is not configured draws nothing, so an identity channel
+    consumes no randomness.
+    """
+    for tap in channel.taps:
+        codes = tap.relay(codes, rng)
     arrived = np.arange(len(codes))
     if channel.loss > 0.0:
         arrived = np.flatnonzero(rng.random(len(codes)) >= channel.loss)
         codes = codes[arrived]
-    elif noisy:
-        codes = codes ^ ((rng.random(len(codes)) < noise.p) & (codes < 2))
+    noise = channel.noise
+    if noise.kind is NoiseKind.NONE or noise.p == 0.0:
+        return codes, arrived
+    hit = rng.random(len(codes)) < noise.p
+    if noise.kind is NoiseKind.BIT_FLIP:
+        # Pauli X flips a Z-basis bit and only rephases an X eigenstate.
+        return codes ^ (hit & (codes < 2)), arrived
+    codes = codes.copy()
+    codes[hit] = random_codes(np.count_nonzero(hit), rng)
     return codes, arrived
 
 

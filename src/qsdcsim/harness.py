@@ -267,12 +267,11 @@ def run_report(
 @dataclass(frozen=True)
 class AggregateStats:
     """Statistics of one sweep point over its trials. Confidence numbers
-    are binomial standard errors; abort and detection coincide because
-    detection is the abort decision."""
+    are binomial standard errors; ``detection_freq`` is also the abort
+    rate, since detection is the abort decision."""
 
     trials: int
     detection_freq: float
-    abort_rate: float
     mean_error_rate: float
     stderr: float
     accuracy: float | None
@@ -298,7 +297,6 @@ def aggregate_trials(results: list[tuple[SessionOutcome, AttackReport]]) -> Aggr
     return AggregateStats(
         trials=n,
         detection_freq=detected / n,
-        abort_rate=detected / n,
         mean_error_rate=mean_err,
         stderr=stderr,
         accuracy=accuracy,
@@ -496,13 +494,12 @@ def run_selftest(
     rng = np.random.default_rng(seed)
     det_ok = True
     for label in CANONICAL_LABELS:
-        for _ in range(32):
-            if measure(label, label.basis, rng) != label.bit:
-                det_ok = False
+        codes = np.full(32, label.code, dtype=np.uint8)
+        if np.any(measure(codes, codes >> 1, rng) != label.bit):
+            det_ok = False
     n_draws = 100_000
-    plus = StateLabel(Basis.X, 0)
-    zeros = sum(1 for _ in range(n_draws) if measure(plus, Basis.Z, rng) == 0)
-    freq = zeros / n_draws
+    plus = np.full(n_draws, StateLabel(Basis.X, 0).code, dtype=np.uint8)
+    freq = np.count_nonzero(measure(plus, np.zeros(n_draws, dtype=np.uint8), rng) == 0) / n_draws
     meas_ok = det_ok and abs(freq - 0.5) < 0.01
     checks.append(
         ("measurement", meas_ok, f"eigenstates deterministic, conjugate freq {freq:.4f}")

@@ -50,7 +50,7 @@ from .quantum import (
     OP_NAMES,
     OpLabel,
     RandomSource,
-    measure_codes,
+    measure,
 )
 
 if TYPE_CHECKING:
@@ -152,7 +152,7 @@ class HonestReporter:
         self, positions: np.ndarray, origins: np.ndarray, h_parity: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         bases = (self._labels[origins] >> 1) ^ h_parity
-        outcomes = measure_codes(self._photons[positions], bases, self._rng)
+        outcomes = measure(self._photons[positions], bases, self._rng)
         return bases, outcomes, outcomes
 
 

@@ -24,9 +24,11 @@ Lost photons are announced by the receiver after every transmission and
 dropped from both parties' bookkeeping, so indices stay aligned under a
 lossy channel.
 
-Every stage works on whole frame-code sequences (see ``quantum``) and
-draws its random numbers in the photon-by-photon order: check ops in
-ascending position, measurements in ascending returned position.
+Every stage, the quantum legs included, works on whole frame-code
+sequences (see ``quantum``) and draws each kind of random number as one
+batch in sequence order: check ops in ascending position, measurements
+in ascending returned position, and on each leg the draws in the order
+the channel acts (see ``fabric.transmit``).
 """
 from __future__ import annotations
 
@@ -41,12 +43,12 @@ from .fabric import (
     NoiseModel,
     QuantumChannel,
     Transcript,
-    transmit_codes,
+    transmit,
 )
 from .quantum import (
     OP_NAMES,
     RandomSource,
-    measure_codes,
+    measure,
     random_codes,
 )
 
@@ -55,6 +57,9 @@ if TYPE_CHECKING:
 
 #: A measurement record's entry at a position Alice did not measure.
 UNMEASURED = 2
+
+#: The longest photon sequence numpy can index.
+MAX_PHOTONS = int(np.iinfo(np.intp).max)
 
 @dataclass(frozen=True)
 class CheckSet:
@@ -129,8 +134,8 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_photons < 1:
-            raise ConfigError(f"n_photons must be >= 1, got {self.n_photons}")
+        if not 1 <= self.n_photons <= MAX_PHOTONS:
+            raise ConfigError(f"n_photons must be in [1, {MAX_PHOTONS}], got {self.n_photons}")
         if not 0.0 < self.check_fraction < 1.0:
             raise ConfigError(f"check_fraction must be in (0,1), got {self.check_fraction}")
         if not 0.0 <= self.error_threshold <= 1.0:
@@ -327,7 +332,7 @@ def measure_at(
     """Alice measures the photons at ``positions``, in that order and in
     basis codes ``bases``, and logs each measurement. Returns her record
     by position: the outcome, or ``UNMEASURED`` where she did not measure."""
-    outcomes = measure_codes(photons[positions], bases, rng)
+    outcomes = measure(photons[positions], bases, rng)
     public.measured(stage, "alice", positions, bases, outcomes)
     record = np.full(len(photons), UNMEASURED, dtype=np.uint8)
     record[positions] = outcomes
@@ -345,7 +350,7 @@ def transmit_sequence(
     the set of arrived positions. Returns the codes that arrived and their
     positions in the sent sequence."""
     public.record("quantum_send", stage, leg=channel.name, count=len(photons))
-    arrived_photons, arrived = transmit_codes(channel, photons, rng)
+    arrived_photons, arrived = transmit(channel, photons, rng)
     public.record("quantum_deliver", stage, leg=channel.name, arrived=arrived.tolist())
     return arrived_photons, arrived
 

@@ -3,15 +3,18 @@
 Photons are in one of the four conjugate-basis states, an alphabet closed
 under the three protocol unitaries (identity, the bit-flip ``i*sigma_y``,
 the Hadamard), Pauli-X noise, depolarization and measure-and-resend. So a
-photon is exactly its Pauli frame, a ``StateLabel`` (basis, bit): the
-unitaries act symbolically, and a measurement returns the bit in the
-photon's own basis and a fair coin in the conjugate one.
+photon is exactly its Pauli frame (basis, bit): the unitaries act on the
+frame, and a measurement returns the bit in the photon's own basis and a
+fair coin in the conjugate one.
 
 A sequence of photons is a ``uint8`` array of frame codes
-``2 * basis + bit`` (Z = 0, X = 1), so ``CANONICAL_LABELS[code]`` is the
-photon's label. U is ``code ^ 1`` and H is ``code ^ 2``: an operation is
-its 2-bit mask, a chain of them composes by XOR, and a whole sequence is
-encoded, passed through a controller or measured by array operations.
+``2 * basis + bit`` (Z = 0, X = 1). U is ``code ^ 1`` and H is
+``code ^ 2``: an operation is its 2-bit mask, a chain of them composes by
+XOR, and a whole sequence is encoded, passed through a controller, sent or
+measured by array operations. The kernel's random draws, ``measure`` and
+``random_codes``, each take one batch per sequence. ``StateLabel`` names
+one frame, ``CANONICAL_LABELS[code]``, for the symbolic operations, the
+self-test and the oracle.
 
 The frame model is the implementation; exact two-amplitude state vectors
 (``PhotonState``, ``apply_op``) are its independent oracle. They must
@@ -176,24 +179,11 @@ def compose_effects(ops: Iterable[OpLabel]) -> FrameEffect:
     return FrameEffect(mask & 1, mask >> 1)
 
 
-def measure(state: StateLabel, basis: Basis, rng: RandomSource) -> int:
-    """Projective measurement of a canonical state in the requested basis.
-
-    In the photon's own basis the outcome is its bit; in the conjugate
-    basis it is a fair coin (Born probability 1/2). Consumes exactly one
-    uniform draw from ``rng`` either way, so a seeded generator yields a
-    reproducible outcome stream.
-    """
-    r = rng.random()
-    if basis is state.basis:
-        return state.bit
-    return int(r >= 0.5)
-
-
-def measure_codes(codes: np.ndarray, bases: np.ndarray, rng: RandomSource) -> np.ndarray:
-    """``measure`` over a code sequence, photon i in basis code
-    ``bases[i]``: one uniform draw per photon in sequence order, drawn in
-    one batch, so the outcomes and the generator state equal the loop's."""
+def measure(codes: np.ndarray, bases: np.ndarray, rng: RandomSource) -> np.ndarray:
+    """Projective measurement of a code sequence, photon i in basis code
+    ``bases[i]``. In the photon's own basis the outcome is its bit; in the
+    conjugate basis it is a fair coin (Born probability 1/2). Draws one
+    uniform double per photon, in one batch, whichever basis it is read in."""
     r = rng.random(len(codes))
     return np.where((codes >> 1) == bases, codes & 1, r >= 0.5)
 
@@ -213,11 +203,6 @@ def is_canonical(state: PhotonState, atol: float = ATOL) -> bool:
     return any(
         abs(overlap(state, state_from_label(lbl)) - 1.0) < atol for lbl in CANONICAL_LABELS
     )
-
-
-def random_label(rng: RandomSource) -> StateLabel:
-    """One label drawn uniformly from the four canonical states."""
-    return CANONICAL_LABELS[int(rng.integers(0, 4))]
 
 
 def random_codes(n: int, rng: RandomSource) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Test-side conversions between the scalar photon type (``StateLabel``)
+"""Test-side conversions between the single-photon name (``StateLabel``)
 and the session's sequence type (frame-code arrays), and between a
 position -> outcome mapping and a measurement record."""
 import numpy as np

@@ -10,13 +10,13 @@ from qsdcsim.attacks import (
     CollusionAttack,
     FakeSequenceBypass,
     InterceptResend,
+    MeasureResendTap,
     PassiveNone,
     ReturnLegTap,
     build_attack,
     bypass_photon_pass_probability,
     collusion_photon_detection,
     intercept_resend_detection,
-    measure_and_resend,
 )
 from qsdcsim.errors import ConfigError
 from qsdcsim.fabric import NoiseModel
@@ -97,10 +97,16 @@ class TestInterceptResendOracle:
             assert abs(detected / trials - p) < three_sigma_band(p, trials)
 
     def test_matched_basis_is_nondisturbing(self):
+        """Where the tap's basis matches the preparation basis it reads the
+        bit and resends the photon unchanged."""
         for label in CANONICAL_LABELS:
-            outcome, resent = measure_and_resend(label, label.basis, rng(5))
-            assert outcome == label.bit
-            assert resent == label
+            tap = MeasureResendTap()
+            sent = np.full(64, label.code, dtype=np.uint8)
+            resent = tap.relay(sent, rng(5))
+            matched = tap.bases == label.code >> 1
+            assert 0 < np.count_nonzero(matched) < 64
+            assert tap.outcomes[matched].tolist() == [label.bit] * np.count_nonzero(matched)
+            assert resent[matched].tolist() == [label.code] * np.count_nonzero(matched)
 
     def test_monotone_detection_in_check_size(self):
         freqs = []

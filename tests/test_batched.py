@@ -1,12 +1,17 @@
-"""The batched sequence engine against the scalar photon path.
+"""The batched sequence engine against per-photon references.
 
-Sessions move whole frame-code arrays; ``fabric.transmit`` and
-``quantum.measure`` remain the per-photon definitions. For random code
-sequences and channels the batched stages must deliver what the scalar
-loop delivers and leave the generator in the same state, and every
-encoded or controller-passed code must match the amplitude oracle. The
-last test walks every output a run produces for numpy values, which
-would break ``json.dumps`` of reports and transcripts.
+Sessions move whole frame-code arrays. The quantum legs follow stream v2:
+each tap draws its bases, ``integers(0, 2, n)``, then its measurement
+doubles, ``random(n)``, in registration order; then come the loss coins,
+``random(n)``, the noise coins over the survivors, and for depolarizing
+noise ``integers(0, 4)`` for the photons it hit. The references here draw
+those batches from a twin generator and evolve each photon through the
+amplitude oracle, a measurement reading its Born probability against its
+pre-drawn double. The batched stages must deliver what the references
+deliver and leave the generator in the same state, and every encoded or
+controller-passed code must match the amplitude oracle. The last test
+walks every output a run produces for numpy values, which would break
+``json.dumps`` of reports and transcripts.
 """
 import dataclasses
 
@@ -18,8 +23,6 @@ from amplitude_oracle import label_of
 from frame_codes import as_labels
 from qsdcsim.attacks import ATTACK_REGISTRY, MeasureResendTap
 from qsdcsim.fabric import (
-    LOST,
-    ClassicalChannel,
     NoiseKind,
     NoiseModel,
     QuantumChannel,
@@ -28,14 +31,18 @@ from qsdcsim.fabric import (
 )
 from qsdcsim.harness import ExperimentConfig, run_report, run_trial
 from qsdcsim.multiparty import McSessionConfig, controller_pass, run_mc_session
-from qsdcsim.protocol import CheckSet, encode, transmit_sequence
+from qsdcsim.protocol import CheckSet, encode
 from qsdcsim.quantum import (
+    ATOL,
     BASES,
     CANONICAL_LABELS,
     OPS,
+    SQRT_HALF,
+    Basis,
+    PhotonState,
+    StateLabel,
     apply_op,
     measure,
-    measure_codes,
     state_from_label,
 )
 
@@ -49,39 +56,88 @@ def as_codes(values):
     return np.array(values, dtype=np.uint8)
 
 
-def channel(tapped, loss, noise, p):
+def channel(n_taps, loss, noise, p):
     model = NoiseModel.none() if noise == "none" else NoiseModel(NoiseKind(noise), p)
-    taps = [MeasureResendTap()] if tapped else []
+    taps = [MeasureResendTap() for _ in range(n_taps)]
     return QuantumChannel(name="leg", noise=model, loss=loss, taps=taps)
 
 
+def born_outcome(state: PhotonState, basis: Basis, r: float) -> int:
+    """The outcome of measuring ``state`` in ``basis`` against the uniform
+    double ``r``: 0 when r falls below the Born probability of reading 0.
+    That probability is 0, 1/2 or 1 for a canonical state, so it is taken
+    exactly (the amplitudes carry rounding of order 1e-16)."""
+    amp0 = state.alpha if basis is Basis.Z else SQRT_HALF * (state.alpha + state.beta)
+    born0 = abs(amp0) ** 2
+    exact = round(2 * born0) / 2
+    assert abs(born0 - exact) < ATOL
+    return int(r >= exact)
+
+
+def reference_transmit(n_taps, loss, noise, p, values, rng):
+    """Stream v2 by hand: every batch drawn up front in the documented
+    order, then each photon evolved as an amplitude vector. Returns the
+    arrived positions, the labels delivered, and each tap's (bases,
+    outcomes)."""
+    states = [state_from_label(CANONICAL_LABELS[v]) for v in values]
+    n = len(states)
+    records = []
+    for _tap in range(n_taps):
+        bases = rng.integers(0, 2, size=n).tolist()
+        doubles = rng.random(n).tolist()
+        outcomes = [born_outcome(s, BASES[b], r) for s, b, r in zip(states, bases, doubles)]
+        states = [state_from_label(StateLabel(BASES[b], o)) for b, o in zip(bases, outcomes)]
+        records.append((bases, outcomes))
+    arrived = list(range(n))
+    if loss > 0.0:
+        coins = rng.random(n).tolist()
+        arrived = [i for i in arrived if coins[i] >= loss]
+    states = [states[i] for i in arrived]
+    if noise != "none" and p > 0.0:
+        hits = [i for i, coin in enumerate(rng.random(len(states)).tolist()) if coin < p]
+        if noise == "bit_flip":
+            for i in hits:  # Pauli X: (alpha, beta) -> (beta, alpha)
+                states[i] = PhotonState(states[i].beta, states[i].alpha)
+        else:
+            for i, code in zip(hits, rng.integers(0, 4, size=len(hits)).tolist()):
+                states[i] = state_from_label(CANONICAL_LABELS[code])
+    return arrived, [label_of(s) for s in states], records
+
+
 @settings(max_examples=300, deadline=None)
-@given(code_lists, st.booleans(), probabilities, noises, probabilities, seeds)
-def test_transmit_sequence_equals_scalar_transmit(values, tapped, loss, noise, p, seed):
-    batched_rng = np.random.default_rng(seed)
-    scalar_rng = np.random.default_rng(seed)
-    got, arrived = transmit_sequence(
-        channel(tapped, loss, noise, p), as_codes(values), batched_rng, ClassicalChannel(), "leg"
+@given(code_lists, st.integers(0, 2), probabilities, noises, probabilities, seeds)
+def test_transmit_follows_stream_v2(values, n_taps, loss, noise, p, seed):
+    chan = channel(n_taps, loss, noise, p)
+    codes = as_codes(values)
+    rng = np.random.default_rng(seed)
+    twin = np.random.default_rng(seed)
+    got, arrived = transmit(chan, codes, rng)
+    expected_arrived, expected_labels, records = reference_transmit(
+        n_taps, loss, noise, p, values, twin
     )
-    scalar = channel(tapped, loss, noise, p)
-    delivered = [transmit(scalar, CANONICAL_LABELS[v], scalar_rng) for v in values]
-    expected = [i for i, photon in enumerate(delivered) if photon is not LOST]
-    assert arrived.tolist() == expected
-    assert as_labels(got) == [delivered[i] for i in expected]
-    assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
+    assert arrived.tolist() == expected_arrived
+    assert as_labels(got) == expected_labels
+    assert [(tap.bases.tolist(), tap.outcomes.tolist()) for tap in chan.taps] == records
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert codes.tolist() == values
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1)), max_size=48), seeds)
-def test_batched_measurement_equals_scalar_measure(pairs, seed):
+def test_measure_follows_born_rule_per_draw(pairs, seed):
     codes = as_codes([code for code, _basis in pairs])
     bases = as_codes([basis for _code, basis in pairs])
-    batched_rng = np.random.default_rng(seed)
-    scalar_rng = np.random.default_rng(seed)
-    outcomes = measure_codes(codes, bases, batched_rng)
-    expected = [measure(CANONICAL_LABELS[c], BASES[b], scalar_rng) for c, b in pairs]
+    rng = np.random.default_rng(seed)
+    twin = np.random.default_rng(seed)
+    outcomes = measure(codes, bases, rng)
+    doubles = twin.random(len(pairs)).tolist()
+    expected = [
+        born_outcome(state_from_label(CANONICAL_LABELS[c]), BASES[b], r)
+        for (c, b), r in zip(pairs, doubles)
+    ]
     assert outcomes.tolist() == expected
-    assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert codes.tolist() == [code for code, _basis in pairs]
 
 
 @settings(max_examples=200, deadline=None)

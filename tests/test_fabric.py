@@ -10,9 +10,7 @@ from amplitude_oracle import label_of
 from qsdcsim import attacks, multiparty, protocol
 from qsdcsim.errors import ConfigError
 from qsdcsim.fabric import (
-    LOST,
     ClassicalChannel,
-    Lost,
     NoiseKind,
     NoiseModel,
     QuantumChannel,
@@ -27,6 +25,11 @@ from qsdcsim.quantum import (
     StateLabel,
     state_from_label,
 )
+
+
+def repeated(label, n):
+    """A sequence of n photons, each in the state ``label``."""
+    return np.full(n, label.code, dtype=np.uint8)
 
 
 class TestNoiseModel:
@@ -49,9 +52,10 @@ class TestNoiseModel:
         chan_none = QuantumChannel(name="a", noise=NoiseModel.none())
         chan_zero = QuantumChannel(name="b", noise=NoiseModel.bit_flip(0.0))
         for _ in range(50):
-            out_a = transmit(chan_none, psi, rng_a)
-            out_b = transmit(chan_zero, psi, rng_b)
-            assert out_a == out_b
+            out_a, arrived_a = transmit(chan_none, repeated(psi, 3), rng_a)
+            out_b, arrived_b = transmit(chan_zero, repeated(psi, 3), rng_b)
+            assert out_a.tolist() == out_b.tolist() == [psi.code] * 3
+            assert arrived_a.tolist() == arrived_b.tolist() == [0, 1, 2]
         assert rng_a.integers(0, 2**30) == rng_b.integers(0, 2**30)
 
 
@@ -59,16 +63,16 @@ class TestTransmit:
     def test_identity_channel(self):
         rng = np.random.default_rng(0)
         chan = QuantumChannel(name="leg")
-        for label in CANONICAL_LABELS:
-            out = transmit(chan, label, rng)
-            assert not isinstance(out, Lost)
-            assert out == label
+        codes = np.array([label.code for label in CANONICAL_LABELS], dtype=np.uint8)
+        out, arrived = transmit(chan, codes, rng)
+        assert arrived.tolist() == [0, 1, 2, 3]
+        assert [CANONICAL_LABELS[c] for c in out.tolist()] == list(CANONICAL_LABELS)
 
     def test_total_loss(self):
         rng = np.random.default_rng(1)
         chan = QuantumChannel(name="leg", loss=1.0)
-        for _ in range(20):
-            assert transmit(chan, CANONICAL_LABELS[0], rng) is LOST
+        out, arrived = transmit(chan, repeated(CANONICAL_LABELS[0], 20), rng)
+        assert arrived.tolist() == [] and out.tolist() == []
 
     def test_forced_bit_flip(self):
         """Pauli X flips the Z-basis bits and only rephases the X
@@ -76,42 +80,45 @@ class TestTransmit:
         X(alpha, beta) = (beta, alpha)."""
         rng = np.random.default_rng(2)
         chan = QuantumChannel(name="leg", noise=NoiseModel.bit_flip(1.0))
-        for label in CANONICAL_LABELS:
+        codes = np.array([label.code for label in CANONICAL_LABELS], dtype=np.uint8)
+        out, _arrived = transmit(chan, codes, rng)
+        for label, code in zip(CANONICAL_LABELS, out.tolist()):
             st = state_from_label(label)
-            assert transmit(chan, label, rng) == label_of(PhotonState(st.beta, st.alpha))
+            assert CANONICAL_LABELS[code] == label_of(PhotonState(st.beta, st.alpha))
 
     def test_loss_rate_matches_configuration(self):
         rng = np.random.default_rng(3)
         chan = QuantumChannel(name="leg", loss=0.3)
-        psi = CANONICAL_LABELS[0]
         n = 100_000
-        lost = sum(1 for _ in range(n) if isinstance(transmit(chan, psi, rng), Lost))
-        assert abs(lost / n - 0.3) < 0.01
+        _out, arrived = transmit(chan, repeated(CANONICAL_LABELS[0], n), rng)
+        assert abs((n - len(arrived)) / n - 0.3) < 0.01
 
     def test_depolarizing_replaces_with_canonical(self):
         rng = np.random.default_rng(5)
         chan = QuantumChannel(name="leg", noise=NoiseModel.depolarizing(1.0))
-        counts = dict.fromkeys(CANONICAL_LABELS, 0)
         n = 40_000
-        for _ in range(n):
-            counts[transmit(chan, StateLabel(Basis.Z, 0), rng)] += 1
-        assert sum(counts.values()) == n
+        out, arrived = transmit(chan, repeated(StateLabel(Basis.Z, 0), n), rng)
+        assert len(arrived) == n
+        counts = np.bincount(out, minlength=4)
+        assert len(counts) == 4 and counts.sum() == n
         for label in CANONICAL_LABELS:
-            assert abs(counts[label] / n - 0.25) < 0.02
+            assert abs(counts[label.code] / n - 0.25) < 0.02
 
     def test_tap_replacement_is_delivered(self):
-        """The line carries what the tap returns, not the original."""
+        """The line carries what the tap returns, not the original, and the
+        sender's sequence is left as it was."""
 
         class Swapper:
-            def relay(self, photon, rng):
-                return StateLabel(Basis.Z, 1)
+            def relay(self, codes, rng):
+                return np.full(len(codes), StateLabel(Basis.Z, 1).code, dtype=np.uint8)
 
         rng = np.random.default_rng(6)
         chan = QuantumChannel(name="leg", taps=[Swapper()])
-        original = StateLabel(Basis.Z, 0)
-        out = transmit(chan, original, rng)
+        original = repeated(StateLabel(Basis.Z, 0), 4)
+        out, _arrived = transmit(chan, original, rng)
         assert out is not original
-        assert out == StateLabel(Basis.Z, 1)
+        assert out.tolist() == [StateLabel(Basis.Z, 1).code] * 4
+        assert original.tolist() == [StateLabel(Basis.Z, 0).code] * 4
 
     def test_bad_loss_rejected(self):
         with pytest.raises(ConfigError):

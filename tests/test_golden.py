@@ -71,23 +71,23 @@ SWEEP = {
 
 DIGESTS = {
     "qsdc_none": "4761777603f87db61588436fa599a22dfeb75d772010a2cd7a97afa9be9d0ce9",
-    "qsdc_intercept_resend": "07a804c8847e407a70ab33d391e94e75f59bc3ee26aff4d67405733d0d143adb",
-    "qsdc_return_leg_tap_disclosed": "1a20480614971e5b1faa7277cd59136ad8cd919a0b568949dc59a98742a5d7d9",
+    "qsdc_intercept_resend": "9e4cf6ee3856f4a6244c1b62972cc776ae004bede086f5b49cbe3b50ba6979fb",
+    "qsdc_return_leg_tap_disclosed": "7f914101c632fa0eb2baa75d494f2ec9aede5c67a240f4b57858c147e41988e2",
     "qsdc_loss": "9d0e88146c35e2c5ff87461c88cdd6c94def6d9087dd33776281f6ec168d9772",
     "qsdc_bit_flip": "8f3bac932bd6093cced08300d6f3f82a63b626b91ded8f40a45b43376e6df146",
-    "qsdc_loss_bit_flip": "8ee8b931a18f9ded97c140d5bf5d023361e0a262124b394663335ed5a2783834",
-    "qsdc_depolarizing": "5ec3a8bb4d26ab415b9099949126d2255966b33170e6e594e3f83b02ac367a3d",
+    "qsdc_loss_bit_flip": "4b5f9c8d3e33288ec24353a9c086c80064a21f3729abc7cf8a83a380957b5e85",
+    "qsdc_depolarizing": "d1fe9038758ed3c7fb36382d8fa21bb2e66f7a8af2ccfc3753ac518b73cde5c7",
     "mcqsdc_m3_loss": "e3ccc21bb1c4141107461293790a60e348f6a38db00ba43da697a4ee3334ed6b",
     "mcqsdc_collusion_random": "ce267776fec6cadc56e4d7d42632e077a2498a8a25f8356afe4124e1bd5928c7",
     "mcqsdc_collusion_fixed": "a55af412020000364ddfebeef3a0261986189b9393c724a2f7ef3d46ed3be929",
     "mcqsdc_bypass": "1fb2a75dbdbaf4c4cbfb4dd005ca4db88067fe9efb968c206401f7712b26feb9",
-    "mcqsdc_return_leg_tap_m1": "cc4cdea56c280ed42a90da310db6ef3bf4db42885244a5102bee6e2f6f3890e0",
+    "mcqsdc_return_leg_tap_m1": "6a33f099cb3bd507314bac1455440130281b5febb439445e8657f4e1e0fc5e39",
     "mcqsdc_withheld": "1a615313c2d9c9c5e4e9561b6966aec7629c797aebd37f8d90380a27f2563752",
     "mcqsdc_m0": "fd18f176a192bded61655409021f9839b1aff62ef0df55fffceba21552c80271",
     "mcqsdc_m1_loss": "8078644da24df53767f534f57b24af68ab27a5cd7d43a53a72a02d12d0c647db",
-    "mcqsdc_intercept_resend_aborted": "10a091b2005b34ee61f82db2e2f71b15e48539097c9e57263a71703150ea6316",
+    "mcqsdc_intercept_resend_aborted": "4b78d8de2e0560fe46dfc3a60c990cde549c4151883308e5e74014aea4f9e57e",
     "qsdc_heavy_loss": "f46ae1b58527bd1226c5a8e4e559dd5ff9c3fa35e3175dfc32511ecfbdbcee5a",
-    "sweep_csv": "ce69fc5debf8277c49120fe13b6ffb2a37dc29f41eeaea25f102b4303fd9b46c",
+    "sweep_csv": "1df0b5232a37615e766726bd696ee8dfee92d7620203a48d6078ef0c4d736389",
 }
 
 

@@ -200,7 +200,6 @@ class TestRunReport:
         results = [run_trial(config, derive_seed(3, t)) for t in range(5)]
         stats = aggregate_trials(results)
         assert stats.accuracy is not None
-        assert stats.detection_freq == stats.abort_rate
 
 
 class TestSweep:
@@ -386,6 +385,7 @@ class TestCli:
                     attack={"name": "return_leg_tap", "params": {"disclose_permutation": "no"}},
                 ),
             ),
+            ("run", dict(HONEST_QSDC, n_photons=1e19)),
         ],
         ids=[
             "n_photons_1",
@@ -400,6 +400,7 @@ class TestCli:
             "unknown_attack_key",
             "unknown_noise_key",
             "return_leg_tap_flag_not_bool",
+            "n_photons_beyond_index_range",
         ],
     )
     def test_invalid_field_exit_two(self, tmp_path, command, config):

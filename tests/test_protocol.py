@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amplitude_oracle import label_of
 from frame_codes import as_labels, codes, record
+from qsdcsim.attacks import build_attack
 from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import NoiseModel, Transcript
+from qsdcsim.multiparty import McSessionConfig, run_mc_session
 from qsdcsim.protocol import (
     CheckSet,
     Permutation,
@@ -279,6 +283,37 @@ class TestSession:
             for bit, k in zip(out.decoded_bits, out.decoded_positions):
                 assert bit == sent[k]
         assert hit_loss
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["qsdc", "mcqsdc"]),
+        st.integers(4, 80),
+        st.sampled_from([0.0, 0.1, 0.5]) | st.floats(0.0, 0.8),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["none", "intercept_resend"]),
+        st.integers(0, 3),
+    )
+    def test_decoded_positions_invariant_under_loss(self, protocol, n, loss, seed, attack, m):
+        """Under any loss the decoded bits sit on strictly increasing
+        sent-message indices, one index per bit, and with no noise and no
+        attack each decoded bit is the bit sent there. A session starved
+        by loss is a ``ProtocolError`` and has nothing to check."""
+        common = dict(n_photons=n, loss=loss, seed=seed, error_threshold=1.0)
+        try:
+            if protocol == "qsdc":
+                out = run_session(SessionConfig(**common), attack=build_attack(attack))
+            else:
+                config = McSessionConfig(controllers=m, **common)
+                out = run_mc_session(config, attack=build_attack(attack))
+        except ProtocolError:
+            return
+        assert not out.aborted
+        positions, sent = out.decoded_positions, out.message_sent
+        assert len(positions) == len(out.decoded_bits)
+        assert all(0 <= k < len(sent) for k in positions)
+        assert all(a < b for a, b in zip(positions, positions[1:]))
+        if attack == "none":
+            assert out.decoded_bits == [sent[k] for k in positions]
 
     def test_message_length_validated(self):
         config = SessionConfig(n_photons=12, check_count=4, seed=1)

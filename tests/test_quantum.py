@@ -11,6 +11,7 @@ from amplitude_oracle import label_of
 from qsdcsim import attacks, fabric, multiparty, protocol
 from qsdcsim.quantum import (
     ATOL,
+    BASES,
     CANONICAL_LABELS,
     Basis,
     FrameEffect,
@@ -155,6 +156,12 @@ class TestSymbolicModel:
         def interned(label):
             return any(label is canonical for canonical in CANONICAL_LABELS)
 
+        def frame_codes(codes):
+            """Sequence stages return uint8 frame codes, each naming one
+            interned label through ``CANONICAL_LABELS``."""
+            assert codes.dtype == np.uint8 and set(codes.tolist()) <= {0, 1, 2, 3}
+            return [CANONICAL_LABELS[code] for code in codes.tolist()]
+
         for basis in Basis:
             for bit in (0, 1):
                 fresh = StateLabel(basis, bit)
@@ -163,11 +170,14 @@ class TestSymbolicModel:
                 for op in OpLabel:
                     assert interned(apply_op_symbolic(op, fresh))
                 assert interned(compose_effects([OpLabel.U, OpLabel.H]).apply(fresh))
-                for measured_basis in Basis:
-                    _outcome, resent = attacks.measure_and_resend(fresh, measured_basis, rng)
-                    assert interned(resent)
+                sent = np.full(32, fresh.code, dtype=np.uint8)
+                tap = attacks.MeasureResendTap()
+                resent = frame_codes(tap.relay(sent, rng))
+                assert all(interned(label) for label in resent)
+                assert resent == [StateLabel(BASES[b], o) for b, o in zip(tap.bases, tap.outcomes)]
                 if basis is Basis.Z:
-                    assert interned(fabric.transmit(flip_all, fresh, rng))
+                    delivered, _arrived = fabric.transmit(flip_all, sent, rng)
+                    assert frame_codes(delivered) == [StateLabel(basis, 1 - bit)] * 32
 
 
 class TestExhaustiveEquivalence:
@@ -216,39 +226,48 @@ class GridSource:
     outcome frequencies of a measurement are exact; it counts the draws."""
 
     def __init__(self, size: int):
-        self._values = iter((k + 0.5) / size for k in range(size))
+        self._values = (np.arange(size) + 0.5) / size
         self.draws = 0
 
-    def random(self) -> float:
-        self.draws += 1
-        return next(self._values)
+    def random(self, size: int) -> np.ndarray:
+        self.draws += size
+        return self._values[self.draws - size:self.draws]
+
+
+def repeated(label, n):
+    """n photons in the state ``label``, as frame codes."""
+    return np.full(n, label.code, dtype=np.uint8)
+
+
+def in_basis(basis, n):
+    """n reads in ``basis``, as basis codes."""
+    return np.full(n, BASES.index(basis), dtype=np.uint8)
 
 
 class TestMeasurement:
     def test_eigenstates_deterministic(self):
         rng = np.random.default_rng(123)
         for label in CANONICAL_LABELS:
-            outcomes = {measure(label, label.basis, rng) for _ in range(64)}
-            assert outcomes == {label.bit}
+            outcomes = measure(repeated(label, 64), in_basis(label.basis, 64), rng)
+            assert set(outcomes.tolist()) == {label.bit}
 
     def test_conjugate_basis_balanced(self):
         rng = np.random.default_rng(20240)
         n = 100_000
-        zeros = sum(1 for _ in range(n) if measure(X0, Basis.Z, rng) == 0)
+        zeros = np.count_nonzero(measure(repeated(X0, n), in_basis(Basis.Z, n), rng) == 0)
         assert abs(zeros / n - 0.5) < 0.01
 
     def test_flipped_plus_measures_minus(self):
         # U|+> = |->, so an X-basis measurement gives 1 with certainty.
         rng = np.random.default_rng(9)
         st = label_of(apply_op(OpLabel.U, state_from_label(X0)))
-        for _ in range(64):
-            assert measure(st, Basis.X, rng) == 1
+        assert measure(repeated(st, 64), in_basis(Basis.X, 64), rng).tolist() == [1] * 64
 
     def test_frame_rule_matches_born_rule(self):
         """For every (label, basis) pair the Born probability of reading
         the label's bit is 1, 0 or 1/2, and the frame measurement returns
         that bit, the other bit, or a fair coin accordingly, with one
-        uniform draw per call."""
+        uniform draw per photon."""
         size = 1000
         for label in CANONICAL_LABELS:
             st = state_from_label(label)
@@ -258,7 +277,7 @@ class TestMeasurement:
                 born_bit = born0 if label.bit == 0 else 1.0 - born0
                 assert min(abs(born_bit - p) for p in (1.0, 0.0, 0.5)) < ATOL
                 source = GridSource(size)
-                outcomes = [measure(label, basis, source) for _ in range(size)]
+                outcomes = measure(repeated(label, size), in_basis(basis, size), source).tolist()
                 assert source.draws == size
                 assert abs(outcomes.count(label.bit) / size - born_bit) < ATOL
 
