@@ -48,6 +48,7 @@ from .protocol import (
     reveal_order_and_decode,
     run_check,
     run_session,
+    run_sessions,
     select_check_set,
 )
 from .quantum import (

@@ -32,8 +32,7 @@ from .multiparty import (
     honest_chain,
 )
 from .protocol import (
-    CheckSet,
-    Permutation,
+    EncoderTurn,
     SessionConfig,
     SessionOutcome,
     decode_accuracy,
@@ -81,16 +80,21 @@ class Attack:
 
       install          before any photon flies: register taps on the first
                        and return legs, keep a handle on the public log.
-      receive_secrets  after the shuffle: secrets the protocol never
-                       discloses (the permutation, the ascending origins,
-                       the check set and the preparation codes).
+      receive_secrets  after the shuffle: the encoder's turn, whose
+                       permutation, ascending origins and check set the
+                       protocol never discloses, and the preparation codes;
+                       row r of the batch starts at ``turn.starts[r]``. A
+                       strategy reads no other field of the turn.
       check_config     when a config loads and when a session starts: raise
                        ``ConfigError`` for a session the strategy cannot run.
       reroute          controlled sessions, after preparation: return a
                        ``Chain`` that replaces the honest controller chain,
                        or None to leave it alone.
-      report           turn a finished session into an ``AttackReport``.
+      report           turn a finished session, the batch's ``row``, into
+                       an ``AttackReport``.
 
+    One instance serves one batch of sessions (one session in a controlled
+    run); its taps see the whole batch, row after row.
     ``protocols`` names the protocols a strategy applies to.
     """
 
@@ -106,9 +110,7 @@ class Attack:
     ) -> None:
         pass
 
-    def receive_secrets(
-        self, perm: Permutation, origins: np.ndarray, check: CheckSet, labels: np.ndarray
-    ) -> None:
+    def receive_secrets(self, turn: EncoderTurn, labels: np.ndarray) -> None:
         pass
 
     def check_config(self, config: SessionConfig) -> None:
@@ -124,7 +126,7 @@ class Attack:
     ) -> Chain | None:
         return None
 
-    def report(self, outcome: SessionOutcome) -> AttackReport:
+    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
         return self._report(outcome, None)
 
     def _report(
@@ -154,6 +156,7 @@ class InterceptResend(Attack):
 
     def __init__(self) -> None:
         self.tap = MeasureResendTap()
+        self._rows = 1
 
     def install(
         self,
@@ -164,8 +167,12 @@ class InterceptResend(Attack):
     ) -> None:
         forward.taps.append(self.tap)
 
-    def report(self, outcome: SessionOutcome) -> AttackReport:
-        return self._report(outcome, None, n_tapped=len(self.tap.outcomes))
+    def receive_secrets(self, turn: EncoderTurn, labels: np.ndarray) -> None:
+        self._rows = len(turn.starts) - 1
+
+    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
+        # Every row's prepared photons all passed the tap.
+        return self._report(outcome, None, n_tapped=len(self.tap.outcomes) // self._rows)
 
 
 class ReturnLegTap(Attack):
@@ -195,8 +202,11 @@ class ReturnLegTap(Attack):
         self.disclose_initial_states = disclose_initial_states
         self.tap = MeasureResendTap()
         self._public: ClassicalChannel | None = None
+        self._starts: list[int] = []
+        self._free: np.ndarray | None = None
         self._true_positions: np.ndarray | None = None
         self._true_origins: np.ndarray | None = None
+        self._message_starts: list[int] = []
         self._labels: np.ndarray | None = None
 
     def install(
@@ -209,38 +219,43 @@ class ReturnLegTap(Attack):
         back.taps.append(self.tap)
         self._public = public
 
-    def receive_secrets(
-        self, perm: Permutation, origins: np.ndarray, check: CheckSet, labels: np.ndarray
-    ) -> None:
+    def receive_secrets(self, turn: EncoderTurn, labels: np.ndarray) -> None:
         """Experiment instrumentation: hand Eve, per the flags, the
         returned position and the origin of each message bit (in ascending
-        origin order), and the preparation record."""
+        origin order), and the preparation record. The row layout places
+        each row in her tap record, which holds the returned photons."""
+        self._starts = turn.starts.tolist()
         if self.disclose_permutation:
-            srcs = np.flatnonzero(~check.mask(len(origins)))
-            self._true_positions = perm.inverse().mapping[srcs]
-            self._true_origins = origins[srcs]
+            srcs = np.flatnonzero(~turn.check.mask(len(turn.origins)))
+            self._true_positions = turn.perm.inverse().mapping[srcs]
+            self._true_origins = turn.origins[srcs]
+            self._message_starts = srcs.searchsorted(turn.starts).tolist()
         if self.disclose_initial_states:
             self._labels = labels.copy()
 
-    def message_guess(self, n_message: int) -> list[int]:
-        """Best guess of the message bits from whatever Eve holds."""
+    def message_guess(self, row: int, n_message: int) -> list[int]:
+        """Best guess of one row's message bits from whatever Eve holds:
+        her tap record of that row and, per the flags, its secrets."""
         if self._true_positions is not None:
-            positions = self._true_positions
+            first, last = self._message_starts[row:row + 2]
+            positions = self._true_positions[first:last]
         else:
             # Without the permutation she assumes the returned order is the
-            # message order: k-th non-check position carries bit k.
-            check_open = self._public.latest.get("check_open") if self._public else None
-            free = np.ones(len(self.tap.outcomes), dtype=bool)
-            free[check_open["positions"] if check_open else []] = False
-            positions = np.flatnonzero(free)[:n_message]
+            # message order: k-th non-check position of a row carries bit k.
+            if self._free is None:
+                check_open = self._public.latest.get("check_open") if self._public else None
+                self._free = np.ones(len(self.tap.outcomes), dtype=bool)
+                self._free[check_open["positions"] if check_open else []] = False
+            lo, hi = self._starts[row:row + 2]
+            positions = np.flatnonzero(self._free[lo:hi])[:n_message] + lo
         guesses = self.tap.outcomes[positions]
-        if self._labels is not None and self._true_origins is not None:
-            guesses = guesses ^ (self._labels[self._true_origins] & 1)
+        if self._labels is not None:  # disclosed only with the permutation
+            guesses = guesses ^ (self._labels[self._true_origins[first:last]] & 1)
         return guesses.tolist()
 
-    def report(self, outcome: SessionOutcome) -> AttackReport:
+    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
         sent = outcome.message_sent
-        guesses = self.message_guess(len(sent))
+        guesses = self.message_guess(row, len(sent))
         compared = min(len(guesses), len(sent))
         hits = int(np.count_nonzero(np.equal(guesses[:compared], sent[:compared])))
         return self._report(
@@ -333,7 +348,7 @@ class FakeSequenceBypass(Attack):
         direct = QuantumChannel(name="alice=>bob", noise=config.noise)
         return _decoy_chain(labels, config.controllers, [direct], BypassReporter, rng, public)
 
-    def report(self, outcome: SessionOutcome) -> AttackReport:
+    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
         return self._report(outcome, decode_accuracy(outcome))
 
 
@@ -414,7 +429,7 @@ class CollusionAttack(Attack):
             chain.schedule = lambda n_check, m, _rng: AnnouncementSchedule.chain_order(n_check, m)
         return chain
 
-    def report(self, outcome: SessionOutcome) -> AttackReport:
+    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
         return self._report(
             outcome, decode_accuracy(outcome), schedule_variant=self.schedule_variant
         )

@@ -1,10 +1,12 @@
 """Experiment harness: configuration loading, single runs, parameter
 sweeps with binomial statistics, and the exhaustive self-test.
 
-Every run is fully determined by (config, seed): per-point and per-trial
-generators derive their seeds from the master seed and the point/trial
-indices through a deterministic seed sequence, so sweep aggregation is
-order-independent and repeated runs are byte-identical.
+Every run is fully determined by (config, seed), through child seeds
+derived from the master seed and indices, so repeated runs are
+byte-identical. A qsdc sweep point draws its trials from one generator
+seeded with ``derive_seed(seed, point)``, in consecutive batches of at
+most ``BATCH_PHOTONS`` photons; an mcqsdc trial t runs alone, seeded with
+``derive_seed(seed, point, t)``.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .attacks import AttackReport, build_attack
 from .errors import ConfigError
 from .fabric import NoiseKind, NoiseModel, Transcript
 from .multiparty import McSessionConfig, run_mc_session
-from .protocol import SessionConfig, SessionOutcome, decode_accuracy, run_session
+from .protocol import SessionConfig, SessionOutcome, decode_accuracy, run_session, run_sessions
 from .quantum import (
     ATOL,
     CANONICAL_LABELS,
@@ -47,6 +49,10 @@ SWEEP_AXES = (
     "loss",
     "controllers",
 )
+
+#: The photon budget of one batch of a qsdc sweep point: a fixed part of
+#: the seeding rule of sweep CSVs, which bounds a batch's memory.
+BATCH_PHOTONS = 1 << 16
 
 
 def derive_seed(*parts: int) -> int:
@@ -326,6 +332,22 @@ def _point_config(config: ExperimentConfig, point: Mapping[str, Any]) -> Experim
     return replace(config, sweep={}, **overrides)
 
 
+def run_point(config: ExperimentConfig, seed: int) -> list[tuple[SessionOutcome, AttackReport]]:
+    """Every trial of one qsdc sweep point, as batches of at most
+    ``BATCH_PHOTONS`` photons (one session at least) drawn one after the
+    other from one generator seeded with ``seed``, each batch with a fresh
+    strategy instance."""
+    rng = np.random.default_rng(seed)
+    session = config.session_config(seed)
+    per_batch = max(1, BATCH_PHOTONS // config.n_photons)
+    results = []
+    for done in range(0, config.trials, per_batch):
+        attack = build_attack(config.attack_name, config.attack_params)
+        outcomes = run_sessions(session, min(per_batch, config.trials - done), rng, attack)
+        results += [(outcome, attack.report(outcome, row)) for row, outcome in enumerate(outcomes)]
+    return results
+
+
 def run_sweep(config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     """Run every sweep point and return the CSV header plus rows. Every
     point is validated before the first trial runs."""
@@ -335,10 +357,11 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     point_configs = [_point_config(config, point) for point in points]
     rows: list[list[str]] = []
     for point_index, (point, point_config) in enumerate(zip(points, point_configs)):
-        results = []
-        for trial in range(config.trials):
-            seed = derive_seed(config.seed, point_index, trial)
-            results.append(run_trial(point_config, seed))
+        if config.protocol == "qsdc":
+            results = run_point(point_config, derive_seed(config.seed, point_index))
+        else:
+            seeds = (derive_seed(config.seed, point_index, t) for t in range(config.trials))
+            results = [run_trial(point_config, seed) for seed in seeds]
         stats = aggregate_trials(results)
         row = [_format_value(point[a]) for a in axes]
         row += [

@@ -56,6 +56,12 @@ from .quantum import (
 if TYPE_CHECKING:
     from .attacks import Attack
 
+#: The policy cap on the controller chain. Every controller adds a hop,
+#: a private record of N ops and two announcements per check photon, so a
+#: session's memory and transcript grow with N times the chain length.
+MAX_CONTROLLERS = 64
+
+
 @dataclass(frozen=True)
 class McSessionConfig(SessionConfig):
     """Session configuration with a controller chain of length
@@ -65,8 +71,10 @@ class McSessionConfig(SessionConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.controllers < 0:
-            raise ConfigError(f"controllers must be >= 0, got {self.controllers}")
+        if not 0 <= self.controllers <= MAX_CONTROLLERS:
+            raise ConfigError(
+                f"controllers must be in [0, {MAX_CONTROLLERS}], got {self.controllers}"
+            )
 
 
 @dataclass(frozen=True)
@@ -93,11 +101,11 @@ class AnnouncementSchedule:
 
     @classmethod
     def draw(cls, n_check: int, m: int, rng: RandomSource) -> "AnnouncementSchedule":
-        """Fresh uniform orderings, independent across photons and rounds."""
-        h_orders = [rng.permutation(m) for _ in range(n_check)]
-        iu_orders = [rng.permutation(m) for _ in range(n_check)]
-        shape = (n_check, m)
-        return cls(np.reshape(h_orders, shape), np.reshape(iu_orders, shape))
+        """Fresh uniform orderings, independent across photons and rounds:
+        one ``permuted`` draw per round, which shuffles row after row as
+        ``n_check`` calls of ``permutation(m)`` would."""
+        orders = np.tile(np.arange(m), (n_check, 1))
+        return cls(rng.permuted(orders, axis=1), rng.permuted(orders, axis=1))
 
     @classmethod
     def chain_order(cls, n_check: int, m: int) -> "AnnouncementSchedule":
@@ -333,7 +341,7 @@ def run_mc_session(
 
     turn = encoder_turn(config, chain.photons, chain.origins, message, rng, public)
     if attack is not None:
-        attack.receive_secrets(turn.perm, chain.origins, turn.check, labels)
+        attack.receive_secrets(turn, labels)
     receipt = turn.send_back(back, rng, public)
     rows = receipt.check_items
     positions, check_origins, masks = rows.T.tolist()
@@ -354,8 +362,12 @@ def run_mc_session(
         public,
     )
     disclosed = {str(pos): OP_NAMES[mask] for pos, mask in zip(positions, masks)}
-    if decide_and_reveal(public, "bob", error_rate, config.error_threshold, receipt, ops=disclosed):
-        return turn.outcome(receipt, error_rate, None, public)
+    rates = [error_rate]
+    aborted, order = decide_and_reveal(
+        public, "bob", rates, config.error_threshold, receipt, ops=disclosed
+    )
+    if aborted[0]:
+        return turn.outcome(receipt, rates, aborted, [], public)[0]
 
     # Controllers release their full records (fabricated ones included:
     # a colluder announces whatever it committed to during the check).
@@ -366,7 +378,7 @@ def run_mc_session(
             payload = {str(orig): OP_NAMES[mask] for orig, mask in released}
             public.announce(f"controller_{c}", "release", payload, stage="reveal")
 
-    args = (labels, receipt.message_order, receipt.photons)
+    args = (labels, order, receipt.photons)
     if rerouted:
         # The corrupt receiver ignores the releases: the photons she holds
         # never met the controllers, so the preparation basis decodes them.
@@ -379,4 +391,4 @@ def run_mc_session(
         decoded = frame_decode(*args, kept, rng, public)
     else:
         decoded = release_and_reconstruct(*args, records, m, rng, public)
-    return turn.outcome(receipt, error_rate, decoded, public)
+    return turn.outcome(receipt, rates, aborted, decoded, public)[0]

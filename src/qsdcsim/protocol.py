@@ -24,16 +24,31 @@ Lost photons are announced by the receiver after every transmission and
 dropped from both parties' bookkeeping, so indices stay aligned under a
 lossy channel.
 
-Every stage, the quantum legs included, works on whole frame-code
-sequences (see ``quantum``) and draws each kind of random number as one
-batch in sequence order: check ops in ascending position, measurements
-in ascending returned position, and on each leg the draws in the order
-the channel acts (see ``fabric.transmit``).
+Every stage works on a batch of T sessions (``run_sessions``; ``run_session``
+is T = 1): one flat frame-code sequence (see ``quantum``) whose rows are the
+sessions laid end to end, row r from flat position ``starts[r]`` on, so loss
+leaves rows of different lengths without padding. Positions and origins are
+flat indices over the batch. Each kind of random number is one draw for the
+whole batch in ascending (row, position) order; only the check-set
+``choice`` and the shuffle ``permutation`` are drawn row by row:
+
+  1. the preparation codes of all T * N photons;
+  2. the forward leg's draws, in the order the channel acts
+     (see ``fabric.transmit``);
+  3. one ``choice`` per row, the check set;
+  4. the message bits of all rows;
+  5. the check ops of all rows;
+  6. one ``permutation`` per row, the shuffle;
+  7. the return leg's draws;
+  8. the check measurement, by ascending returned position;
+  9. the reveal measurement of the rows that passed, likewise.
+
+A transcript and a fixed message are accepted only for a single session.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -58,22 +73,49 @@ if TYPE_CHECKING:
 #: A measurement record's entry at a position Alice did not measure.
 UNMEASURED = 2
 
-#: The longest photon sequence numpy can index.
-MAX_PHOTONS = int(np.iinfo(np.intp).max)
+#: The policy cap on a session's photon count. A session peaks at about
+#: 340 bytes per photon (measured at N = 2^19), so the cap keeps one
+#: session within about 6 GB.
+MAX_PHOTONS = 1 << 24
 
-@dataclass(frozen=True)
+
+def row_of(starts: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The row of each flat index of a batch whose row r starts at
+    ``starts[r]`` (empty rows included)."""
+    return starts.searchsorted(index, side="right") - 1
+
+
+def _counts(bounds: np.ndarray) -> np.ndarray:
+    """The size of each row from its bounds, ``bounds[r + 1] - bounds[r]``."""
+    return bounds[1:] - bounds[:-1]
+
+
+def _each_row(sizes: list[int], draw: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """``draw(r, n)`` for every row r of n positions, each shifted onto its
+    row's flat offset and laid end to end."""
+    if len(sizes) == 1:
+        return draw(0, sizes[0])
+    offset, parts = 0, []
+    for r, n in enumerate(sizes):
+        parts.append(draw(r, n) + offset)
+        offset += n
+    return np.concatenate(parts)
+
+
+@dataclass(frozen=True, eq=False)
 class CheckSet:
-    """Positions sacrificed to the eavesdropping check, within the
-    sequence being encoded."""
+    """Positions sacrificed to the eavesdropping check, ascending, within
+    the sequence being encoded (flat over a batch's rows)."""
 
-    positions: tuple[int, ...]
+    positions: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.positions) == 0:
+        positions = np.sort(np.asarray(self.positions, dtype=np.intp))
+        if len(positions) == 0:
             raise ConfigError("check set must be nonempty")
-        if len(set(self.positions)) != len(self.positions):
+        if np.count_nonzero(positions[1:] == positions[:-1]):
             raise ProtocolError("check positions must be distinct")
-        object.__setattr__(self, "positions", tuple(sorted(self.positions)))
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -81,7 +123,7 @@ class CheckSet:
     def mask(self, n: int) -> np.ndarray:
         """The check positions as a boolean mask over n positions."""
         mask = np.zeros(n, dtype=bool)
-        mask[list(self.positions)] = True
+        mask[self.positions] = True
         return mask
 
 
@@ -99,10 +141,6 @@ class Permutation:
         if np.count_nonzero(hit) != len(hit):
             raise ProtocolError(f"not a permutation of [0,{len(mapping)}): {self.mapping}")
         object.__setattr__(self, "mapping", mapping)
-
-    @classmethod
-    def random(cls, n: int, rng: RandomSource) -> "Permutation":
-        return cls(rng.permutation(n))
 
     def apply(self, items: Sequence[Any]) -> np.ndarray:
         if len(items) != len(self.mapping):
@@ -208,14 +246,20 @@ def select_check_set(n: int, fraction: float, rng: RandomSource) -> CheckSet:
     return select_check_positions(n, size, rng)
 
 
-def select_check_positions(n: int, size: int, rng: RandomSource) -> CheckSet:
-    """Uniformly random check subset of an explicit size."""
-    if size < 1:
+def select_check_positions(
+    n: int | Sequence[int], size: int | Sequence[int], rng: RandomSource
+) -> CheckSet:
+    """Uniformly random check subset of an explicit size. Over a batch,
+    ``n`` and ``size`` hold one entry per row: row r gets ``size[r]`` of
+    its ``n[r]`` positions from one ``choice`` draw, and the positions
+    are flat over the rows laid end to end."""
+    ns, sizes = (list(n), list(size)) if isinstance(n, Sequence) else ([n], [size])
+    if min(sizes) < 1:
         raise ConfigError("check set would be empty")
-    if size > n:
-        raise ConfigError(f"check set size {size} exceeds sequence length {n}")
-    positions = rng.choice(n, size=size, replace=False)
-    return CheckSet(tuple(positions.tolist()))
+    for k, m in zip(sizes, ns):
+        if k > m:
+            raise ConfigError(f"check set size {k} exceeds sequence length {m}")
+    return CheckSet(_each_row(ns, lambda r, m: rng.choice(m, size=sizes[r], replace=False)))
 
 
 def encode(
@@ -230,37 +274,47 @@ def encode(
     of every position (0 for I, 1 for U).
     """
     n = len(photons)
-    check_positions = check.positions if check is not None else ()
-    if check_positions and check_positions[-1] >= n:
+    n_check = 0 if check is None else len(check)
+    if n_check and check.positions[-1] >= n:
         raise ProtocolError("check set references a position beyond the sequence")
-    if len(message) != n - len(check_positions):
-        raise ProtocolError(
-            f"message length {len(message)} != {n} - {len(check_positions)} free positions"
-        )
+    if len(message) != n - n_check:
+        raise ProtocolError(f"message length {len(message)} != {n} - {n_check} free positions")
     bad = set(message) - {0, 1}
     if bad:
         raise ProtocolError(f"message bits must be 0/1, got {bad.pop()!r}")
     is_check = check.mask(n) if check is not None else np.zeros(n, dtype=bool)
     ops = np.zeros(n, dtype=np.uint8)
-    ops[is_check] = rng.integers(0, 2, size=len(check_positions))
+    ops[is_check] = rng.integers(0, 2, size=n_check)
     ops[~is_check] = message
     return photons ^ ops, ops
 
 
-def rearrange(photons: np.ndarray, rng: RandomSource) -> tuple[np.ndarray, Permutation]:
-    """Reorder the sequence by a uniformly random secret permutation."""
-    perm = Permutation.random(len(photons), rng)
+def rearrange(
+    photons: np.ndarray, rng: RandomSource, sizes: Sequence[int] | None = None
+) -> tuple[np.ndarray, Permutation]:
+    """Reorder each row of the sequence by its own uniformly random secret
+    permutation, one ``permutation`` draw per row; ``sizes`` are the row
+    lengths (one row by default)."""
+    sizes = [len(photons)] if sizes is None else sizes
+    perm = Permutation(_each_row(sizes, lambda _r, n: rng.permutation(n)))
     return perm.apply(photons), perm
 
 
-def run_check(alice_labels: np.ndarray, rows: np.ndarray, alice_measurements: np.ndarray) -> float:
+def run_check(
+    alice_labels: np.ndarray,
+    rows: np.ndarray,
+    alice_measurements: np.ndarray,
+    starts: np.ndarray | None = None,
+) -> np.ndarray:
     """Evaluate the eavesdropping check from the encoder's disclosed check
     rows (position, origin, op mask) plus Alice's preparation codes and
     her measurement record (outcome by returned position, ``UNMEASURED``
     where she did not measure).
 
     For each check photon the expected outcome is the initial bit XOR'd
-    with the encoder's announced bit-flip. Returns the mismatch fraction.
+    with the encoder's announced bit-flip. Returns the mismatch fraction
+    of each session, a session's check photons being those returned into
+    its row (row r starts at position ``starts[r]``; one row by default).
     """
     if len(rows) == 0:
         raise ProtocolError("check announcement is empty")
@@ -273,7 +327,11 @@ def run_check(alice_labels: np.ndarray, rows: np.ndarray, alice_measurements: np
     if len(unknown):
         raise ProtocolError(f"check announcement references unknown origin {unknown[0]}")
     expected = (alice_labels[origins] ^ ops) & 1
-    return int(np.count_nonzero(outcomes != expected)) / len(positions)
+    if starts is None:
+        starts = np.array([0, len(alice_measurements)])
+    row, n_rows = row_of(starts, positions), len(starts) - 1
+    errors = np.bincount(row[outcomes != expected], minlength=n_rows)
+    return errors / np.bincount(row, minlength=n_rows)
 
 
 def _recorded(alice_measurements: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -360,18 +418,25 @@ class Receipt:
     """The returned sequence after the receipt: the codes by returned
     position (a lost one holds 0, never read), and the encoder's private
     split of the arrived positions into check rows (position, origin, op
-    mask) and message-order rows (position, origin), by ascending position."""
+    mask) and message-order rows (position, origin), by ascending position.
+    ``starts`` is the batch's row layout of returned positions, and
+    ``n_check[r]`` counts the check photons that came back in row r."""
 
     photons: np.ndarray
     check_items: np.ndarray
     message_order: np.ndarray
+    starts: np.ndarray
+    n_check: list[int]
 
 
 @dataclass(frozen=True)
 class EncoderTurn:
     """The encoder's private state once it has encoded and shuffled the
     photons it received: ``origins[i]`` (ascending, as legs keep the order)
-    and ``ops[i]`` are the prepared-order index and op mask of the i-th."""
+    and ``ops[i]`` are the prepared-order index and op mask of the i-th.
+    Row r of the batch holds the photons from ``starts[r]`` on, before and
+    after the shuffle, and its message bits follow the row before it in
+    ``message_bits``."""
 
     origins: np.ndarray
     message_bits: list[int]
@@ -379,6 +444,7 @@ class EncoderTurn:
     ops: np.ndarray
     perm: Permutation
     shuffled: np.ndarray
+    starts: np.ndarray
 
     def send_back(
         self, back: QuantumChannel, rng: RandomSource, public: ClassicalChannel
@@ -390,38 +456,48 @@ class EncoderTurn:
         public.announce("alice", "receipt", arrived.tolist(), stage="receipt")
         src = self.perm.mapping[arrived]
         is_check = self.check.mask(len(self.shuffled))[src]
-        if not np.count_nonzero(is_check):
+        n_check = _counts(arrived[is_check].searchsorted(self.starts)).tolist()
+        if not all(n_check):
             raise ProtocolError("no check photons survived the return transmission")
         photons = np.zeros(len(self.shuffled), dtype=np.uint8)
         photons[arrived] = returned
         rows = np.column_stack((arrived, self.origins[src], self.ops[src]))
-        return Receipt(photons, rows[is_check], rows[~is_check, :2])
+        return Receipt(photons, rows[is_check], rows[~is_check, :2], self.starts, n_check)
 
     def outcome(
         self,
         receipt: Receipt,
-        error_rate: float,
-        decoded: list[int] | None,
+        error_rates: Sequence[float],
+        aborted: Sequence[bool],
+        decoded: list[int],
         public: ClassicalChannel,
-    ) -> SessionOutcome:
-        """Assemble the session result, with the transcript attached to
-        ``public``; ``decoded`` is None exactly when the check aborted."""
-        decoded_positions = None
-        if decoded is not None:
-            # Which sent-message indices did the decoded bits land on? Bit k
-            # rode on the k-th non-check photon: those that came back.
-            back = np.zeros(len(self.shuffled), dtype=bool)
-            back[self.perm.mapping[receipt.message_order[:, 0]]] = True
-            decoded_positions = np.flatnonzero(back[~self.check.mask(len(back))]).tolist()
-        return SessionOutcome(
-            aborted=decoded is None,
-            measured_error_rate=error_rate,
-            message_sent=self.message_bits,
-            decoded_bits=decoded,
-            decoded_positions=decoded_positions,
-            n_check=len(receipt.check_items),
-            transcript=public.transcript,
-        )
+    ) -> list[SessionOutcome]:
+        """Assemble each session's result, with the transcript attached to
+        ``public``; ``decoded`` holds the bits of the sessions that did not
+        abort, session after session."""
+        # Which sent-message indices did the decoded bits land on? Bit k of
+        # a row rode on its k-th non-check photon: those that came back.
+        back = np.zeros(len(self.shuffled), dtype=bool)
+        back[self.perm.mapping[receipt.message_order[:, 0]]] = True
+        landed = np.flatnonzero(back[~self.check.mask(len(back))])
+        slots = self.starts - self.check.positions.searchsorted(self.starts)
+        bounds = landed.searchsorted(slots)
+        positions = (landed - slots[:-1].repeat(_counts(bounds))).tolist()
+        slots, bounds = slots.tolist(), bounds.tolist()
+        outcomes, used = [], 0
+        for r, (rate, stop) in enumerate(zip(np.asarray(error_rates).tolist(), aborted)):
+            lo, hi = bounds[r], bounds[r + 1]
+            outcomes.append(SessionOutcome(
+                aborted=stop,
+                measured_error_rate=rate,
+                message_sent=self.message_bits[slots[r]:slots[r + 1]],
+                decoded_bits=None if stop else decoded[used:used + hi - lo],
+                decoded_positions=None if stop else positions[lo:hi],
+                n_check=receipt.n_check[r],
+                transcript=public.transcript,
+            ))
+            used += 0 if stop else hi - lo
+        return outcomes
 
 
 def encoder_turn(
@@ -431,21 +507,28 @@ def encoder_turn(
     message: Sequence[int] | None,
     rng: RandomSource,
     public: ClassicalChannel,
+    rows: int = 1,
 ) -> EncoderTurn:
-    """The encoder's turn: carve the check set out of the surviving
-    photons, encode the message on the rest, and shuffle. ``message``
-    fixes the bits (its length must match the free positions); by default
-    random bits are drawn."""
-    n_alive = len(photons)
-    if n_alive < 2:
-        raise ProtocolError("too few photons survived to form a check set and a message")
-    size = config.check_size(n_alive)
-    if size < 1:
-        raise ProtocolError("too few photons survived to form a nonempty check set")
-    if size >= n_alive:
-        raise ProtocolError("check set would leave no message positions after loss")
-    check = select_check_positions(n_alive, size, rng)
-    n_message = n_alive - len(check)
+    """The encoder's turn in each of a batch's ``rows`` sessions: carve the
+    check set out of the session's surviving photons, encode its message
+    on the rest, and shuffle. The ascending flat ``origins`` place each
+    photon in its session, row r having prepared the origins from
+    ``r * config.n_photons`` on. ``message`` fixes the bits (its length
+    must match the free positions); by default random bits are drawn."""
+    starts = origins.searchsorted(np.arange(0, (rows + 1) * config.n_photons, config.n_photons))
+    n_alive = _counts(starts).tolist()
+    sizes = []
+    for n in n_alive:
+        if n < 2:
+            raise ProtocolError("too few photons survived to form a check set and a message")
+        size = config.check_size(n)
+        if size < 1:
+            raise ProtocolError("too few photons survived to form a nonempty check set")
+        if size >= n:
+            raise ProtocolError("check set would leave no message positions after loss")
+        sizes.append(size)
+    check = select_check_positions(n_alive, sizes, rng)
+    n_message = len(photons) - len(check)
     if message is None:
         message_bits = rng.integers(0, 2, size=n_message).tolist()
     else:
@@ -455,67 +538,77 @@ def encoder_turn(
     encoded, ops = encode(photons, check, message_bits, rng)
 
     # Shuffle: the permutation exists only in Bob's head at this point.
-    shuffled, perm = rearrange(encoded, rng)
+    shuffled, perm = rearrange(encoded, rng, n_alive)
     public.record("event", "shuffle", party="bob", count=len(shuffled))
-    return EncoderTurn(origins, message_bits, check, ops, perm, shuffled)
+    return EncoderTurn(origins, message_bits, check, ops, perm, shuffled, starts)
 
 
 def decide_and_reveal(
     public: ClassicalChannel,
     sender: str,
-    error_rate: float,
+    error_rates: Sequence[float],
     threshold: float,
     receipt: Receipt,
     **payload: Any,
-) -> bool:
-    """Announce and record the check decision; only after a passing check
-    does the encoder publish the order of the message positions. Returns
-    whether the session aborted."""
-    aborted = error_rate > threshold
-    public.announce(
-        sender,
-        "check_decision",
-        {"error_rate": error_rate, "aborted": aborted, **payload},
-        stage="check",
-    )
-    public.record("decision", "check", error_rate=error_rate, threshold=threshold, aborted=aborted)
-    if not aborted:
-        public.announce("bob", "message_order", receipt.message_order.tolist(), stage="reveal")
-    return aborted
+) -> tuple[list[bool], np.ndarray]:
+    """Announce and record each session's check decision; only after a
+    passing check does the encoder publish the order of the message
+    positions. Returns which sessions aborted and the order published:
+    the message-order rows of the sessions that passed."""
+    rates = np.asarray(error_rates).tolist()
+    aborted = [rate > threshold for rate in rates]
+    for rate, stop in zip(rates, aborted):
+        decision = {"error_rate": rate, "aborted": stop, **payload}
+        public.announce(sender, "check_decision", decision, stage="check")
+        public.record("decision", "check", error_rate=rate, threshold=threshold, aborted=stop)
+    order = receipt.message_order
+    if all(aborted):
+        return aborted, order[:0]
+    if any(aborted):
+        order = order[~np.array(aborted)[row_of(receipt.starts, order[:, 0])]]
+    public.announce("bob", "message_order", order.tolist(), stage="reveal")
+    return aborted, order
 
 
-def run_session(
+def run_sessions(
     config: SessionConfig,
+    trials: int,
+    rng: RandomSource,
     attack: Attack | None = None,
     message: Sequence[int] | None = None,
-    transcript: Transcript | None = None,
-) -> SessionOutcome:
-    """Run one full two-party session.
+    public: ClassicalChannel | None = None,
+) -> list[SessionOutcome]:
+    """Run a batch of ``trials`` two-party sessions, drawing from ``rng``
+    in the order the module describes (``config.seed`` is not read).
 
     ``message`` fixes the sender's bits (its length must match the free
     positions after the check set is carved out); by default random bits
     are drawn. An ``attack`` may install taps on either quantum leg before
-    any photon flies.
+    any photon flies; it serves the whole batch and reports on each row.
+    A fixed message and a transcript on ``public`` need ``trials == 1``.
     """
-    rng = np.random.default_rng(config.seed)
-    public = ClassicalChannel(transcript)
+    public = ClassicalChannel() if public is None else public
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if trials > 1 and (message is not None or public.listening):
+        raise ConfigError("a fixed message or a transcript needs a single session")
     forward = QuantumChannel(name="alice->bob", noise=config.noise, loss=config.loss)
     back = QuantumChannel(name="bob->alice", noise=config.noise, loss=config.loss)
     if attack is not None:
         attack.install(forward, back, public, rng)
 
     # Preparation: Alice's codes are her private record and the photons sent.
-    labels = prepare_p_sequence(config.n_photons, rng)
+    labels = prepare_p_sequence(trials * config.n_photons, rng)
     photons, origins = transmit_sequence(forward, labels, rng, public, "prepare")
 
     # Receiver announces arrivals; both sides drop lost positions.
     public.announce("bob", "arrived_forward", origins.tolist(), stage="prepare")
-    turn = encoder_turn(config, photons, origins, message, rng, public)
+    turn = encoder_turn(config, photons, origins, message, rng, public, trials)
 
     # Experiment instrumentation: a strategy may ask for secrets that the
     # protocol itself never discloses, to isolate what each one protects.
     if attack is not None:
-        attack.receive_secrets(turn.perm, origins, turn.check, labels)
+        attack.receive_secrets(turn, labels)
 
     receipt = turn.send_back(back, rng, public)
 
@@ -530,14 +623,25 @@ def run_session(
         stage="check",
     )
 
-    # Alice measures every check photon, then every message photon, in its
-    # preparation basis.
+    # Alice measures every check photon, then every message photon of the
+    # sessions that passed, in its preparation basis.
     measured = measure_at(photons, rows[:, 0], labels[rows[:, 1]] >> 1, rng, public, "check")
-    error_rate = run_check(labels, rows, measured)
-    if decide_and_reveal(public, "alice", error_rate, config.error_threshold, receipt):
-        return turn.outcome(receipt, error_rate, None, public)
+    error_rates = run_check(labels, rows, measured, turn.starts)
+    aborted, order = decide_and_reveal(public, "alice", error_rates, config.error_threshold, receipt)
+    decoded: list[int] = []
+    if not all(aborted):
+        measured = measure_at(photons, order[:, 0], labels[order[:, 1]] >> 1, rng, public, "reveal")
+        decoded = reveal_order_and_decode(labels, order, measured, check_passed=True)
+    return turn.outcome(receipt, error_rates, aborted, decoded, public)
 
-    rows = receipt.message_order
-    measured = measure_at(photons, rows[:, 0], labels[rows[:, 1]] >> 1, rng, public, "reveal")
-    decoded = reveal_order_and_decode(labels, rows, measured, check_passed=True)
-    return turn.outcome(receipt, error_rate, decoded, public)
+
+def run_session(
+    config: SessionConfig,
+    attack: Attack | None = None,
+    message: Sequence[int] | None = None,
+    transcript: Transcript | None = None,
+) -> SessionOutcome:
+    """Run one full two-party session, seeded with ``config.seed``: the
+    batch of one (see ``run_sessions``)."""
+    rng = np.random.default_rng(config.seed)
+    return run_sessions(config, 1, rng, attack, message, ClassicalChannel(transcript))[0]

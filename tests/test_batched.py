@@ -9,13 +9,16 @@ those batches from a twin generator and evolve each photon through the
 amplitude oracle, a measurement reading its Born probability against its
 pre-drawn double. The batched stages must deliver what the references
 deliver and leave the generator in the same state, and every encoded or
-controller-passed code must match the amplitude oracle. The last test
+controller-passed code must match the amplitude oracle, and the
+announcement schedule must order each photon's controllers as one
+``permutation`` per photon would. The last test
 walks every output a run produces for numpy values, which would break
 ``json.dumps`` of reports and transcripts.
 """
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +33,12 @@ from qsdcsim.fabric import (
     transmit,
 )
 from qsdcsim.harness import ExperimentConfig, run_report, run_trial
-from qsdcsim.multiparty import McSessionConfig, controller_pass, run_mc_session
+from qsdcsim.multiparty import (
+    AnnouncementSchedule,
+    McSessionConfig,
+    controller_pass,
+    run_mc_session,
+)
 from qsdcsim.protocol import CheckSet, encode
 from qsdcsim.quantum import (
     ATOL,
@@ -172,6 +180,22 @@ def test_controller_pass_matches_oracle_and_scalar_draws(values, seed):
     for code, op, passed in zip(values, ops, out):
         oracle = label_of(apply_op(OPS[op], state_from_label(CANONICAL_LABELS[code])))
         assert CANONICAL_LABELS[passed] == oracle
+
+
+@pytest.mark.parametrize("n_check", [0, 1, 7, 127])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8])
+def test_schedule_draw_matches_per_photon_permutations(n_check, m):
+    """One ``permuted`` draw per round orders each photon's controllers as
+    one ``permutation(m)`` per photon would, and draws exactly as much."""
+    rng = np.random.default_rng(1000 * n_check + m)
+    twin = np.random.default_rng(1000 * n_check + m)
+    schedule = AnnouncementSchedule.draw(n_check, m, rng)
+    h_orders = [twin.permutation(m).tolist() for _ in range(n_check)]
+    iu_orders = [twin.permutation(m).tolist() for _ in range(n_check)]
+    assert schedule.h_orders.shape == schedule.iu_orders.shape == (n_check, m)
+    assert schedule.h_orders.tolist() == h_orders
+    assert schedule.iu_orders.tolist() == iu_orders
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 PLAIN = (int, float, str, bool, type(None))

@@ -2,7 +2,8 @@
 
 Each digest is the SHA-256 of a run report (canonical JSON) followed by
 its transcript JSON Lines, of a withheld-controller session, or of a
-sweep CSV. They pin the random stream end to end: an engine change that
+sweep CSV (qsdc points run as batches of sessions, mcqsdc points trial
+by trial). They pin the random stream end to end: an engine change that
 draws one number more, fewer or in another order moves them. When a
 change to the outputs is intended, recompute them with
 ``python tests/test_golden.py`` and say why in CHANGES.md.
@@ -59,14 +60,41 @@ RUNS = {
     "qsdc_heavy_loss": dict(QSDC, seed=20, loss=0.6),
 }
 
-SWEEP = {
-    "protocol": "qsdc",
-    "n_photons": 24,
-    "error_threshold": 0.0,
-    "attack": {"name": "intercept_resend"},
-    "trials": 6,
-    "seed": 15,
-    "sweep": {"check_count": [2, 6], "loss": [0.0, 0.1]},
+SWEEPS = {
+    "sweep_csv": {
+        "protocol": "qsdc",
+        "n_photons": 24,
+        "error_threshold": 0.0,
+        "attack": {"name": "intercept_resend"},
+        "trials": 6,
+        "seed": 15,
+        "sweep": {"check_count": [2, 6], "loss": [0.0, 0.1]},
+    },
+    "mcqsdc_sweep_csv": dict(
+        MC,
+        trials=5,
+        seed=19,
+        attack={"name": "return_leg_tap", "params": {"disclose_permutation": True}},
+        sweep={"controllers": [0, 3], "loss": [0.0, 0.05]},
+    ),
+    "qsdc_sweep_return_leg_tap": dict(
+        QSDC,
+        trials=5,
+        seed=23,
+        attack={"name": "return_leg_tap"},
+        sweep={"check_count": [4, 12], "loss": [0.0, 0.1]},
+    ),
+    "qsdc_sweep_return_leg_tap_disclosed": dict(
+        QSDC,
+        trials=5,
+        seed=24,
+        loss=0.1,
+        attack={
+            "name": "return_leg_tap",
+            "params": {"disclose_permutation": True, "disclose_initial_states": True},
+        },
+        sweep={"n_photons": [24, 48]},
+    ),
 }
 
 DIGESTS = {
@@ -87,7 +115,10 @@ DIGESTS = {
     "mcqsdc_m1_loss": "8078644da24df53767f534f57b24af68ab27a5cd7d43a53a72a02d12d0c647db",
     "mcqsdc_intercept_resend_aborted": "4b78d8de2e0560fe46dfc3a60c990cde549c4151883308e5e74014aea4f9e57e",
     "qsdc_heavy_loss": "f46ae1b58527bd1226c5a8e4e559dd5ff9c3fa35e3175dfc32511ecfbdbcee5a",
-    "sweep_csv": "1df0b5232a37615e766726bd696ee8dfee92d7620203a48d6078ef0c4d736389",
+    "sweep_csv": "53ee818e68001ea3324c1e0149f83b8a09e8d94cfc13e19391c40e91c4657476",
+    "mcqsdc_sweep_csv": "33e8025c15a65f8eb6d99bd4e51ec5e1c296cc029f934d96bde2e4a1702b06ba",
+    "qsdc_sweep_return_leg_tap": "c702fc5a06fe015c724ce4dabe2ccaca439d7bda39c6ad1d707790bdc1d97fa0",
+    "qsdc_sweep_return_leg_tap_disclosed": "842691aab0acf0273f9fc7fe3c9d199494a6af442b793f0e9bd1b12936c435b0",
 }
 
 
@@ -97,8 +128,8 @@ def _sha(text: str) -> str:
 
 def output_text(name: str) -> str:
     """The bytes a golden digest is taken over."""
-    if name == "sweep_csv":
-        return sweep_csv(ExperimentConfig.from_dict(SWEEP))
+    if name in SWEEPS:
+        return sweep_csv(ExperimentConfig.from_dict(SWEEPS[name]))
     if name == "mcqsdc_withheld":
         config = McSessionConfig(n_photons=40, controllers=3, error_threshold=0.0, seed=16)
         out = run_mc_session(config, transcript=Transcript(), withheld_controller=1)

@@ -386,6 +386,10 @@ class TestCli:
                 ),
             ),
             ("run", dict(HONEST_QSDC, n_photons=1e19)),
+            ("run", dict(HONEST_QSDC, n_photons=9223372036854775807)),
+            ("sweep", dict(HONEST_QSDC, sweep={"n_photons": [16, 2**24 + 1]})),
+            ("run", dict(CORRUPT, controllers=10**12)),
+            ("sweep", dict(CORRUPT, sweep={"controllers": [2, 65]})),
         ],
         ids=[
             "n_photons_1",
@@ -401,6 +405,10 @@ class TestCli:
             "unknown_noise_key",
             "return_leg_tap_flag_not_bool",
             "n_photons_beyond_index_range",
+            "n_photons_int64_max",
+            "sweep_n_photons_beyond_cap",
+            "controllers_huge",
+            "sweep_controllers_beyond_cap",
         ],
     )
     def test_invalid_field_exit_two(self, tmp_path, command, config):
