@@ -4,9 +4,10 @@ Every strategy subclasses ``Attack`` and overrides the hooks it needs.
 They come in two shapes: passive taps installed on a quantum leg (the
 line hands the whole sequence over and carries whatever the tap
 returns), and corrupt-party behaviors that reroute the photon flow of a
-controlled session. Every strategy can turn a finished session into an
-``AttackReport`` with the detection flag, the check error rate, and the
-adversary's message-guess accuracy where one exists.
+controlled session. Every strategy turns a finished batch of sessions into a
+``BatchReport``, columns computed once for the whole batch, and each row
+of it into an ``AttackReport`` with the detection flag, the check error
+rate, and the adversary's message-guess accuracy where one exists.
 
 Security statements here are empirical: the simulator demonstrates
 resistance against exactly these strategies, nothing stronger.
@@ -33,10 +34,11 @@ from .multiparty import (
 )
 from .protocol import (
     EncoderTurn,
+    SessionBatch,
     SessionConfig,
     SessionOutcome,
-    decode_accuracy,
     prepare_p_sequence,
+    row_of,
     transmit_sequence,
 )
 from .quantum import RandomSource, measure
@@ -53,6 +55,32 @@ class AttackReport:
     check_error_rate: float
     message_guess_accuracy: float | None
     metadata: dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class BatchReport:
+    """A strategy's report on every row of a finished batch, as columns:
+    ``detected[r]``, the abort decision of row r, and, for a strategy that
+    guesses the message, ``guess_hits[r]`` right out of ``guessed[r]``
+    bits guessed (both None for one that never guesses)."""
+
+    attack: str
+    outcome: SessionBatch
+    detected: np.ndarray
+    guess_hits: np.ndarray | None = None
+    guessed: np.ndarray | None = None
+
+    def row(self, row: int, **metadata: Any) -> AttackReport:
+        accuracy = None
+        if self.guessed is not None and self.guessed[row]:
+            accuracy = int(self.guess_hits[row]) / int(self.guessed[row])
+        return AttackReport(
+            attack=self.attack,
+            detected=bool(self.detected[row]),
+            check_error_rate=float(self.outcome.error_rate[row]),
+            message_guess_accuracy=accuracy,
+            metadata={"n_check": int(self.outcome.n_check[row]), **metadata},
+        )
 
 
 class MeasureResendTap:
@@ -90,8 +118,10 @@ class Attack:
       reroute          controlled sessions, after preparation: return a
                        ``Chain`` that replaces the honest controller chain,
                        or None to leave it alone.
-      report           turn a finished session, the batch's ``row``, into
-                       an ``AttackReport``.
+      guesses          after a batch: per row, the message bits the
+                       adversary guessed right and guessed, or None.
+      report           the ``AttackReport`` of one row of a finished batch,
+                       read from the batch's ``columns``.
 
     One instance serves one batch of sessions (one session in a controlled
     run); its taps see the whole batch, row after row.
@@ -100,6 +130,7 @@ class Attack:
 
     name = "none"
     protocols: tuple[str, ...] = ("qsdc", "mcqsdc")
+    _columns: BatchReport | None = None
 
     def install(
         self,
@@ -126,19 +157,19 @@ class Attack:
     ) -> Chain | None:
         return None
 
-    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
-        return self._report(outcome, None)
+    def guesses(self, outcome: SessionBatch) -> tuple[np.ndarray, np.ndarray] | None:
+        return None
 
-    def _report(
-        self, outcome: SessionOutcome, accuracy: float | None, **metadata: Any
-    ) -> AttackReport:
-        return AttackReport(
-            attack=self.name,
-            detected=outcome.aborted,
-            check_error_rate=outcome.measured_error_rate,
-            message_guess_accuracy=accuracy,
-            metadata={"n_check": outcome.n_check, **metadata},
-        )
+    def columns(self, outcome: SessionBatch) -> BatchReport:
+        """The report columns of a finished batch, computed once for it."""
+        if self._columns is None or self._columns.outcome is not outcome:
+            guess = self.guesses(outcome) or (None, None)
+            self._columns = BatchReport(self.name, outcome, outcome.aborted, *guess)
+        return self._columns
+
+    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
+        """The report on row ``row`` of the batch ``outcome`` belongs to."""
+        return self.columns(outcome.batch).row(row)
 
 
 #: No adversary. Exists so experiment configs always name a strategy and
@@ -156,7 +187,6 @@ class InterceptResend(Attack):
 
     def __init__(self) -> None:
         self.tap = MeasureResendTap()
-        self._rows = 1
 
     def install(
         self,
@@ -167,12 +197,10 @@ class InterceptResend(Attack):
     ) -> None:
         forward.taps.append(self.tap)
 
-    def receive_secrets(self, turn: EncoderTurn, labels: np.ndarray) -> None:
-        self._rows = len(turn.starts) - 1
-
     def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
         # Every row's prepared photons all passed the tap.
-        return self._report(outcome, None, n_tapped=len(self.tap.outcomes) // self._rows)
+        n_tapped = len(self.tap.outcomes) // len(outcome.batch)
+        return self.columns(outcome.batch).row(row, n_tapped=n_tapped)
 
 
 class ReturnLegTap(Attack):
@@ -202,11 +230,9 @@ class ReturnLegTap(Attack):
         self.disclose_initial_states = disclose_initial_states
         self.tap = MeasureResendTap()
         self._public: ClassicalChannel | None = None
-        self._starts: list[int] = []
-        self._free: np.ndarray | None = None
+        self._starts = np.zeros(2, dtype=np.intp)
         self._true_positions: np.ndarray | None = None
         self._true_origins: np.ndarray | None = None
-        self._message_starts: list[int] = []
         self._labels: np.ndarray | None = None
 
     def install(
@@ -224,44 +250,46 @@ class ReturnLegTap(Attack):
         returned position and the origin of each message bit (in ascending
         origin order), and the preparation record. The row layout places
         each row in her tap record, which holds the returned photons."""
-        self._starts = turn.starts.tolist()
+        self._starts = turn.starts
         if self.disclose_permutation:
             srcs = np.flatnonzero(~turn.check.mask(len(turn.origins)))
             self._true_positions = turn.perm.inverse().mapping[srcs]
             self._true_origins = turn.origins[srcs]
-            self._message_starts = srcs.searchsorted(turn.starts).tolist()
         if self.disclose_initial_states:
             self._labels = labels.copy()
 
-    def message_guess(self, row: int, n_message: int) -> list[int]:
-        """Best guess of one row's message bits from whatever Eve holds:
-        her tap record of that row and, per the flags, its secrets."""
+    def guesses(self, outcome: SessionBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Eve's best guess of every row's message bits from whatever she
+        holds: her tap record and, per the flags, the secrets. Compared
+        with the sent bits, bit by bit, over the whole batch at once."""
+        sent, bounds = outcome.message_bits, outcome.message_starts
         if self._true_positions is not None:
-            first, last = self._message_starts[row:row + 2]
-            positions = self._true_positions[first:last]
+            # Her k-th guess, in ascending origin order, is for bit k.
+            guesses = self.tap.outcomes[self._true_positions]
+            if self._labels is not None:  # disclosed only with the permutation
+                guesses = guesses ^ (self._labels[self._true_origins] & 1)
+            bit = np.arange(len(sent))
         else:
             # Without the permutation she assumes the returned order is the
             # message order: k-th non-check position of a row carries bit k.
-            if self._free is None:
-                check_open = self._public.latest.get("check_open") if self._public else None
-                self._free = np.ones(len(self.tap.outcomes), dtype=bool)
-                self._free[check_open["positions"] if check_open else []] = False
-            lo, hi = self._starts[row:row + 2]
-            positions = np.flatnonzero(self._free[lo:hi])[:n_message] + lo
-        guesses = self.tap.outcomes[positions]
-        if self._labels is not None:  # disclosed only with the permutation
-            guesses = guesses ^ (self._labels[self._true_origins[first:last]] & 1)
-        return guesses.tolist()
+            check_open = self._public.latest.get("check_open") if self._public else None
+            free = np.ones(len(self.tap.outcomes), dtype=bool)
+            free[check_open["positions"] if check_open else []] = False
+            positions = np.flatnonzero(free)
+            row = row_of(self._starts, positions)
+            k = np.arange(len(positions)) - positions.searchsorted(self._starts)[row]
+            keep = k < np.diff(bounds)[row]
+            guesses = self.tap.outcomes[positions[keep]]
+            bit = bounds[row[keep]] + k[keep]
+        row = row_of(bounds, bit)
+        hits = np.bincount(row[guesses == sent[bit]], minlength=len(outcome))
+        return hits, np.bincount(row, minlength=len(outcome))
 
     def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
-        sent = outcome.message_sent
-        guesses = self.message_guess(row, len(sent))
-        compared = min(len(guesses), len(sent))
-        hits = int(np.count_nonzero(np.equal(guesses[:compared], sent[:compared])))
-        return self._report(
-            outcome,
-            hits / compared if compared else 0.0,
-            n_guessed=compared,
+        columns = self.columns(outcome.batch)
+        return columns.row(
+            row,
+            n_guessed=int(columns.guessed[row]),
             disclose_permutation=self.disclose_permutation,
             disclose_initial_states=self.disclose_initial_states,
         )
@@ -348,8 +376,13 @@ class FakeSequenceBypass(Attack):
         direct = QuantumChannel(name="alice=>bob", noise=config.noise)
         return _decoy_chain(labels, config.controllers, [direct], BypassReporter, rng, public)
 
-    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
-        return self._report(outcome, decode_accuracy(outcome))
+    def guesses(self, outcome: SessionBatch) -> tuple[np.ndarray, np.ndarray]:
+        # The corrupt receiver's decode is her guess.
+        return outcome.decode_hits, outcome.decode_bits
+
+    # A class of the registry keeps a ``report`` of its own, which
+    # perfbench's tracer wraps class by class.
+    report = Attack.report
 
 
 class ColluderAgent:
@@ -429,10 +462,11 @@ class CollusionAttack(Attack):
             chain.schedule = lambda n_check, m, _rng: AnnouncementSchedule.chain_order(n_check, m)
         return chain
 
+    guesses = FakeSequenceBypass.guesses
+
     def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
-        return self._report(
-            outcome, decode_accuracy(outcome), schedule_variant=self.schedule_variant
-        )
+        columns = self.columns(outcome.batch)
+        return columns.row(row, schedule_variant=self.schedule_variant)
 
 
 def intercept_resend_detection(n_check: int) -> float:

@@ -16,15 +16,15 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .attacks import AttackReport, build_attack
+from .attacks import AttackReport, BatchReport, build_attack
 from .errors import ConfigError
 from .fabric import NoiseKind, NoiseModel, Transcript
 from .multiparty import McSessionConfig, run_mc_session
-from .protocol import SessionConfig, SessionOutcome, decode_accuracy, run_session, run_sessions
+from .protocol import SessionBatch, SessionConfig, SessionOutcome, run_session, run_sessions
 from .quantum import (
     ATOL,
     CANONICAL_LABELS,
@@ -283,23 +283,39 @@ class AggregateStats:
     accuracy: float | None
 
 
-def aggregate_trials(results: list[tuple[SessionOutcome, AttackReport]]) -> AggregateStats:
-    n = len(results)
-    detected = sum(1 for _o, r in results if r.detected)
-    error_rates = [o.measured_error_rate for o, _r in results]
-    mean_err = sum(error_rates) / n
+def _sum(values: np.ndarray) -> float:
+    """The sum of ``values`` added one after the other, in order, as a
+    Python ``sum`` over them would be."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def aggregate_trials(batches: Iterable[tuple[SessionBatch, BatchReport]]) -> AggregateStats:
+    """Fold a point's trials, batch by batch as they come, into its
+    statistics; a batch is dropped once folded. What outlives it is one
+    float64 error rate and accuracy per trial: sums run in trial order,
+    and the sample variance takes two passes over the error rates."""
+    detected = 0
+    rates, accuracies = [], []
+    for outcome, report in batches:
+        detected += int(np.count_nonzero(report.detected))
+        rates.append(outcome.error_rate)
+        # The adversary's guess accuracy where it has one, else the
+        # receiver's; NaN where neither holds a bit.
+        hits, bits = outcome.decode_hits, outcome.decode_bits
+        if report.guessed is not None:
+            hits, bits = report.guess_hits, report.guessed
+        accuracies.append(np.divide(hits, bits, out=np.full(len(bits), np.nan), where=bits > 0))
+    error_rates = np.concatenate(rates)
+    n = len(error_rates)
+    mean_err = _sum(error_rates) / n
     if n > 1:
-        var = sum((e - mean_err) ** 2 for e in error_rates) / (n - 1)
+        var = _sum((error_rates - mean_err) ** 2) / (n - 1)
         stderr = math.sqrt(var / n)
     else:
         stderr = 0.0
-    # The adversary's guess accuracy where it has one, else the receiver's.
-    guesses = (
-        r.message_guess_accuracy if r.message_guess_accuracy is not None else decode_accuracy(o)
-        for o, r in results
-    )
-    accuracies = [acc for acc in guesses if acc is not None]
-    accuracy = sum(accuracies) / len(accuracies) if accuracies else None
+    guesses = np.concatenate(accuracies)
+    guesses = guesses[~np.isnan(guesses)]
+    accuracy = _sum(guesses) / len(guesses) if len(guesses) else None
     return AggregateStats(
         trials=n,
         detection_freq=detected / n,
@@ -332,20 +348,30 @@ def _point_config(config: ExperimentConfig, point: Mapping[str, Any]) -> Experim
     return replace(config, sweep={}, **overrides)
 
 
-def run_point(config: ExperimentConfig, seed: int) -> list[tuple[SessionOutcome, AttackReport]]:
-    """Every trial of one qsdc sweep point, as batches of at most
-    ``BATCH_PHOTONS`` photons (one session at least) drawn one after the
-    other from one generator seeded with ``seed``, each batch with a fresh
-    strategy instance."""
+def run_point(config: ExperimentConfig, seed: int) -> AggregateStats:
+    """The statistics of one qsdc sweep point. Its trials run as batches
+    of at most ``BATCH_PHOTONS`` photons (one session at least) drawn one
+    after the other from one generator seeded with ``seed``, each batch
+    with a fresh strategy instance and folded as soon as it finishes."""
     rng = np.random.default_rng(seed)
     session = config.session_config(seed)
     per_batch = max(1, BATCH_PHOTONS // config.n_photons)
-    results = []
-    for done in range(0, config.trials, per_batch):
-        attack = build_attack(config.attack_name, config.attack_params)
-        outcomes = run_sessions(session, min(per_batch, config.trials - done), rng, attack)
-        results += [(outcome, attack.report(outcome, row)) for row, outcome in enumerate(outcomes)]
-    return results
+
+    def batches() -> Iterator[tuple[SessionBatch, BatchReport]]:
+        for done in range(0, config.trials, per_batch):
+            attack = build_attack(config.attack_name, config.attack_params)
+            outcome = run_sessions(session, min(per_batch, config.trials - done), rng, attack)
+            yield outcome, attack.columns(outcome)
+
+    return aggregate_trials(batches())
+
+
+def _mc_trial(config: ExperimentConfig, seed: int) -> tuple[SessionBatch, BatchReport]:
+    """One controlled trial with a fresh strategy instance, as a batch of
+    one session."""
+    attack = build_attack(config.attack_name, config.attack_params)
+    outcome = run_mc_session(config.session_config(seed), attack=attack).batch
+    return outcome, attack.columns(outcome)
 
 
 def run_sweep(config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
@@ -358,11 +384,10 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     rows: list[list[str]] = []
     for point_index, (point, point_config) in enumerate(zip(points, point_configs)):
         if config.protocol == "qsdc":
-            results = run_point(point_config, derive_seed(config.seed, point_index))
+            stats = run_point(point_config, derive_seed(config.seed, point_index))
         else:
             seeds = (derive_seed(config.seed, point_index, t) for t in range(config.trials))
-            results = [run_trial(point_config, seed) for seed in seeds]
-        stats = aggregate_trials(results)
+            stats = aggregate_trials(_mc_trial(point_config, seed) for seed in seeds)
         row = [_format_value(point[a]) for a in axes]
         row += [
             str(stats.trials),

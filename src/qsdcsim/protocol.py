@@ -48,7 +48,7 @@ A transcript and a fixed message are accepted only for a single session.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -196,37 +196,104 @@ class SessionConfig:
         return int(round(self.check_fraction * n))
 
 
-@dataclass
-class SessionOutcome:
-    """Result of one session. ``decoded_bits`` is present exactly when the
-    session was not aborted; under loss it is the sent message restricted
-    to surviving positions, with ``decoded_positions`` giving the indices
-    into the sent message that each decoded bit corresponds to."""
+@dataclass(frozen=True, eq=False)
+class SessionBatch:
+    """Results of a batch of sessions as columns, one entry per row:
+    whether it aborted, its measured error rate, how many check photons
+    came back, and how many decoded bits equal the sent bit they carry.
+    The sent messages lie end to end in ``message_bits``, row r's from
+    ``message_starts[r]`` on. The decoded bits, and each one's index into
+    its row's sent message, are flat over the rows that did not abort,
+    row r's from ``decoded_starts[r]`` on (an aborted row holds none).
+    Indexing or iterating gives each row's ``SessionOutcome``."""
 
-    aborted: bool
-    measured_error_rate: float
-    message_sent: list[int]
-    decoded_bits: list[int] | None
-    decoded_positions: list[int] | None
-    n_check: int
+    aborted: np.ndarray
+    error_rate: np.ndarray
+    n_check: np.ndarray
+    decode_hits: np.ndarray
+    message_bits: np.ndarray
+    message_starts: np.ndarray
+    decoded_bits: np.ndarray
+    decoded_positions: np.ndarray
+    decoded_starts: np.ndarray
     transcript: Transcript | None
+
+    @property
+    def decode_bits(self) -> np.ndarray:
+        """How many bits each row decoded (0 where it aborted)."""
+        return _counts(self.decoded_starts)
+
+    def __len__(self) -> int:
+        return len(self.aborted)
+
+    def __getitem__(self, row: int) -> "SessionOutcome":
+        if not 0 <= row < len(self):
+            raise IndexError(f"batch has no row {row}")
+        return SessionOutcome(self, row)
+
+    def __iter__(self) -> Iterator["SessionOutcome"]:
+        return (SessionOutcome(self, row) for row in range(len(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class SessionOutcome:
+    """Result of one session, row ``row`` of its batch, read as plain
+    values. ``decoded_bits`` is present exactly when the session was not
+    aborted; under loss it is the sent message restricted to surviving
+    positions, with ``decoded_positions`` giving the indices into the sent
+    message that each decoded bit corresponds to."""
+
+    batch: SessionBatch
+    row: int
+
+    #: The values a row reads, the fields of a session's result.
+    FIELDS = ("aborted", "measured_error_rate", "message_sent", "decoded_bits",
+              "decoded_positions", "n_check", "transcript")
+
+    @property
+    def aborted(self) -> bool:
+        return bool(self.batch.aborted[self.row])
+
+    @property
+    def measured_error_rate(self) -> float:
+        return float(self.batch.error_rate[self.row])
+
+    @property
+    def message_sent(self) -> list[int]:
+        lo, hi = self.batch.message_starts[self.row:self.row + 2]
+        return self.batch.message_bits[lo:hi].tolist()
+
+    def _decoded(self, column: np.ndarray) -> list[int] | None:
+        if self.aborted:
+            return None
+        lo, hi = self.batch.decoded_starts[self.row:self.row + 2]
+        return column[lo:hi].tolist()
+
+    @property
+    def decoded_bits(self) -> list[int] | None:
+        return self._decoded(self.batch.decoded_bits)
+
+    @property
+    def decoded_positions(self) -> list[int] | None:
+        return self._decoded(self.batch.decoded_positions)
+
+    @property
+    def n_check(self) -> int:
+        return int(self.batch.n_check[self.row])
+
+    @property
+    def transcript(self) -> Transcript | None:
+        return self.batch.transcript
 
     def decode_hits(self) -> tuple[int, int]:
         """(hits, bits): how many decoded bits equal the sent bit they
         carry, out of all decoded bits; (0, 0) when nothing was decoded."""
-        if self.decoded_bits is None:
-            return 0, 0
-        positions = self.decoded_positions or range(len(self.decoded_bits))
-        sent = self.message_sent
-        hits = sum(1 for bit, k in zip(self.decoded_bits, positions) if bit == sent[k])
-        return hits, len(self.decoded_bits)
+        return int(self.batch.decode_hits[self.row]), int(self.batch.decode_bits[self.row])
 
-
-def decode_accuracy(outcome: SessionOutcome) -> float | None:
-    """Fraction of decoded bits matching the sent message (None when the
-    session aborted or decoded nothing)."""
-    hits, bits = outcome.decode_hits()
-    return hits / bits if bits else None
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SessionOutcome):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.FIELDS)
 
 
 def prepare_p_sequence(n: int, rng: RandomSource) -> np.ndarray:
@@ -279,13 +346,14 @@ def encode(
         raise ProtocolError("check set references a position beyond the sequence")
     if len(message) != n - n_check:
         raise ProtocolError(f"message length {len(message)} != {n} - {n_check} free positions")
-    bad = set(message) - {0, 1}
+    bits = np.asarray(message)
+    bad = bits[(bits != 0) & (bits != 1)].tolist()
     if bad:
-        raise ProtocolError(f"message bits must be 0/1, got {bad.pop()!r}")
+        raise ProtocolError(f"message bits must be 0/1, got {bad[0]!r}")
     is_check = check.mask(n) if check is not None else np.zeros(n, dtype=bool)
     ops = np.zeros(n, dtype=np.uint8)
     ops[is_check] = rng.integers(0, 2, size=n_check)
-    ops[~is_check] = message
+    ops[~is_check] = bits
     return photons ^ ops, ops
 
 
@@ -426,7 +494,7 @@ class Receipt:
     check_items: np.ndarray
     message_order: np.ndarray
     starts: np.ndarray
-    n_check: list[int]
+    n_check: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -439,7 +507,7 @@ class EncoderTurn:
     ``message_bits``."""
 
     origins: np.ndarray
-    message_bits: list[int]
+    message_bits: np.ndarray
     check: CheckSet
     ops: np.ndarray
     perm: Permutation
@@ -456,8 +524,8 @@ class EncoderTurn:
         public.announce("alice", "receipt", arrived.tolist(), stage="receipt")
         src = self.perm.mapping[arrived]
         is_check = self.check.mask(len(self.shuffled))[src]
-        n_check = _counts(arrived[is_check].searchsorted(self.starts)).tolist()
-        if not all(n_check):
+        n_check = _counts(arrived[is_check].searchsorted(self.starts))
+        if not n_check.all():
             raise ProtocolError("no check photons survived the return transmission")
         photons = np.zeros(len(self.shuffled), dtype=np.uint8)
         photons[arrived] = returned
@@ -468,11 +536,11 @@ class EncoderTurn:
         self,
         receipt: Receipt,
         error_rates: Sequence[float],
-        aborted: Sequence[bool],
-        decoded: list[int],
+        aborted: np.ndarray,
+        decoded: Sequence[int],
         public: ClassicalChannel,
-    ) -> list[SessionOutcome]:
-        """Assemble each session's result, with the transcript attached to
+    ) -> SessionBatch:
+        """Assemble the batch's results, with the transcript attached to
         ``public``; ``decoded`` holds the bits of the sessions that did not
         abort, session after session."""
         # Which sent-message indices did the decoded bits land on? Bit k of
@@ -481,23 +549,24 @@ class EncoderTurn:
         back[self.perm.mapping[receipt.message_order[:, 0]]] = True
         landed = np.flatnonzero(back[~self.check.mask(len(back))])
         slots = self.starts - self.check.positions.searchsorted(self.starts)
-        bounds = landed.searchsorted(slots)
-        positions = (landed - slots[:-1].repeat(_counts(bounds))).tolist()
-        slots, bounds = slots.tolist(), bounds.tolist()
-        outcomes, used = [], 0
-        for r, (rate, stop) in enumerate(zip(np.asarray(error_rates).tolist(), aborted)):
-            lo, hi = bounds[r], bounds[r + 1]
-            outcomes.append(SessionOutcome(
-                aborted=stop,
-                measured_error_rate=rate,
-                message_sent=self.message_bits[slots[r]:slots[r + 1]],
-                decoded_bits=None if stop else decoded[used:used + hi - lo],
-                decoded_positions=None if stop else positions[lo:hi],
-                n_check=receipt.n_check[r],
-                transcript=public.transcript,
-            ))
-            used += 0 if stop else hi - lo
-        return outcomes
+        row = row_of(slots, landed)
+        kept = ~aborted[row]
+        landed, row = landed[kept], row[kept]
+        decoded_bits = np.asarray(decoded, dtype=np.uint8)
+        hit = decoded_bits == self.message_bits[landed]
+        n_rows = len(aborted)
+        return SessionBatch(
+            aborted=aborted,
+            error_rate=np.asarray(error_rates, dtype=np.float64),
+            n_check=receipt.n_check,
+            decode_hits=np.bincount(row[hit], minlength=n_rows),
+            message_bits=self.message_bits,
+            message_starts=slots,
+            decoded_bits=decoded_bits,
+            decoded_positions=landed - slots[row],
+            decoded_starts=np.append(0, np.cumsum(np.bincount(row, minlength=n_rows))),
+            transcript=public.transcript,
+        )
 
 
 def encoder_turn(
@@ -530,16 +599,15 @@ def encoder_turn(
     check = select_check_positions(n_alive, sizes, rng)
     n_message = len(photons) - len(check)
     if message is None:
-        message_bits = rng.integers(0, 2, size=n_message).tolist()
-    else:
-        if len(message) != n_message:
-            raise ConfigError(f"message length {len(message)} != {n_message} free positions")
-        message_bits = [int(b) for b in message]
-    encoded, ops = encode(photons, check, message_bits, rng)
+        message = rng.integers(0, 2, size=n_message)
+    elif len(message) != n_message:
+        raise ConfigError(f"message length {len(message)} != {n_message} free positions")
+    encoded, ops = encode(photons, check, message, rng)
 
     # Shuffle: the permutation exists only in Bob's head at this point.
     shuffled, perm = rearrange(encoded, rng, n_alive)
     public.record("event", "shuffle", party="bob", count=len(shuffled))
+    message_bits = np.asarray(message, dtype=np.uint8)
     return EncoderTurn(origins, message_bits, check, ops, perm, shuffled, starts)
 
 
@@ -550,22 +618,27 @@ def decide_and_reveal(
     threshold: float,
     receipt: Receipt,
     **payload: Any,
-) -> tuple[list[bool], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Announce and record each session's check decision; only after a
     passing check does the encoder publish the order of the message
     positions. Returns which sessions aborted and the order published:
-    the message-order rows of the sessions that passed."""
-    rates = np.asarray(error_rates).tolist()
-    aborted = [rate > threshold for rate in rates]
-    for rate, stop in zip(rates, aborted):
-        decision = {"error_rate": rate, "aborted": stop, **payload}
-        public.announce(sender, "check_decision", decision, stage="check")
-        public.record("decision", "check", error_rate=rate, threshold=threshold, aborted=stop)
+    the message-order rows of the sessions that passed. The decisions
+    are built one by one only for a transcript; unheard, they just take
+    their sequence numbers."""
+    rates = np.asarray(error_rates, dtype=np.float64)
+    aborted = rates > threshold
+    if public.listening:
+        for rate, stop in zip(rates.tolist(), aborted.tolist()):
+            decision = {"error_rate": rate, "aborted": stop, **payload}
+            public.announce(sender, "check_decision", decision, stage="check")
+            public.record("decision", "check", error_rate=rate, threshold=threshold, aborted=stop)
+    else:
+        public.seq += len(rates)
     order = receipt.message_order
-    if all(aborted):
+    if aborted.all():
         return aborted, order[:0]
-    if any(aborted):
-        order = order[~np.array(aborted)[row_of(receipt.starts, order[:, 0])]]
+    if aborted.any():
+        order = order[~aborted[row_of(receipt.starts, order[:, 0])]]
     public.announce("bob", "message_order", order.tolist(), stage="reveal")
     return aborted, order
 
@@ -577,7 +650,7 @@ def run_sessions(
     attack: Attack | None = None,
     message: Sequence[int] | None = None,
     public: ClassicalChannel | None = None,
-) -> list[SessionOutcome]:
+) -> SessionBatch:
     """Run a batch of ``trials`` two-party sessions, drawing from ``rng``
     in the order the module describes (``config.seed`` is not read).
 
@@ -629,7 +702,7 @@ def run_sessions(
     error_rates = run_check(labels, rows, measured, turn.starts)
     aborted, order = decide_and_reveal(public, "alice", error_rates, config.error_threshold, receipt)
     decoded: list[int] = []
-    if not all(aborted):
+    if not aborted.all():
         measured = measure_at(photons, order[:, 0], labels[order[:, 1]] >> 1, rng, public, "reveal")
         decoded = reveal_order_and_decode(labels, order, measured, check_passed=True)
     return turn.outcome(receipt, error_rates, aborted, decoded, public)

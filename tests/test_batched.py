@@ -39,7 +39,7 @@ from qsdcsim.multiparty import (
     controller_pass,
     run_mc_session,
 )
-from qsdcsim.protocol import CheckSet, encode
+from qsdcsim.protocol import CheckSet, SessionOutcome, encode
 from qsdcsim.quantum import (
     ATOL,
     BASES,
@@ -237,10 +237,11 @@ def test_no_numpy_value_reaches_an_output():
         leaks += numpy_leaks(run_report(config))
         transcript = Transcript()
         outcome, report = run_trial(config, config.seed, transcript)
-        for session_output in (outcome, report):
-            for field in dataclasses.fields(session_output):
-                if field.name != "transcript":
-                    leaks += numpy_leaks(getattr(session_output, field.name), field.name)
+        names = [field.name for field in dataclasses.fields(report)]
+        for session_output, fields in ((outcome, SessionOutcome.FIELDS), (report, names)):
+            for name in fields:
+                if name != "transcript":
+                    leaks += numpy_leaks(getattr(session_output, name), name)
         leaks += numpy_leaks(transcript.events)
     config = McSessionConfig(n_photons=32, controllers=3, error_threshold=0.0, seed=5)
     withheld = run_mc_session(config, transcript=Transcript(), withheld_controller=1)

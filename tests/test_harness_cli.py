@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from qsdcsim import cli as qsdcsim_cli
@@ -25,6 +26,7 @@ from qsdcsim.harness import (
     three_sigma_band,
 )
 from qsdcsim.multiparty import McSessionConfig, run_mc_session
+from qsdcsim.protocol import run_sessions
 from qsdcsim.quantum import OpLabel, unitary_matrix
 from transcript_audit import audit
 
@@ -120,7 +122,7 @@ class TestCorruptAttackLimits:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         trials = []
-        monkeypatch.setattr(harness, "run_trial", lambda *args, **kwargs: trials.append(args))
+        monkeypatch.setattr(harness, "run_mc_session", lambda *args, **kwargs: trials.append(args))
         assert qsdcsim_cli.main(["sweep", "--config", str(path)]) == 2
         out = capsys.readouterr()
         assert out.out == ""
@@ -197,9 +199,14 @@ class TestRunReport:
                 "seed": 3,
             }
         )
-        results = [run_trial(config, derive_seed(3, t)) for t in range(5)]
-        stats = aggregate_trials(results)
-        assert stats.accuracy is not None
+        session = config.session_config(3)
+        attack = build_attack("return_leg_tap")
+        outcome = run_sessions(session, 5, np.random.default_rng(3), attack)
+        stats = aggregate_trials([(outcome, attack.columns(outcome))])
+        # Every row aborts, so only Eve's guesses have an accuracy.
+        assert outcome.aborted.all()
+        guesses = [attack.report(row, r).message_guess_accuracy for r, row in enumerate(outcome)]
+        assert stats.accuracy == pytest.approx(sum(guesses) / len(guesses))
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ batch. A row must behave exactly like an independent session: honest
 rows decode every bit that survives, attacked rows meet the closed forms,
 and neighbouring rows are uncorrelated. A qsdc sweep point runs its
 trials as consecutive batches of at most ``harness.BATCH_PHOTONS``
-photons drawn from one generator.
+photons drawn from one generator, and folds each batch as it finishes.
 """
 import numpy as np
 import pytest
@@ -148,27 +148,42 @@ def intercept_point(trials):
     )
 
 
-def test_point_runs_consecutive_batches_from_one_generator():
+def record_batches(monkeypatch):
+    """Make ``run_point`` hand every batch it runs to the returned list."""
+    seen = []
+
+    def recording(*args):
+        seen.append(run_sessions(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(harness, "run_sessions", recording)
+    return seen
+
+
+def test_point_runs_consecutive_batches_from_one_generator(monkeypatch):
     config = intercept_point(4100)
     per_batch = harness.BATCH_PHOTONS // config.n_photons
     sizes = [per_batch, per_batch, config.trials - 2 * per_batch]
     assert sizes[-1] > 0
-    results = run_point(config, 99)
-    assert run_point(config, 99) == results
+    seen = record_batches(monkeypatch)
+    stats = run_point(config, 99)
+    assert run_point(config, 99) == stats
+    assert [len(outcome) for outcome in seen] == sizes * 2
     rng = np.random.default_rng(99)
     expected = []
-    for size in sizes:
+    for size, ran in zip(sizes, seen):
         attack = build_attack("intercept_resend")
-        outcomes = run_sessions(config.session_config(99), size, rng, attack)
-        expected += [(out, attack.report(out, row)) for row, out in enumerate(outcomes)]
-    assert results == expected
+        outcome = run_sessions(config.session_config(99), size, rng, attack)
+        assert list(outcome) == list(ran)
+        expected.append((outcome, attack.columns(outcome)))
+    assert aggregate_trials(expected) == stats
 
 
 def test_batches_of_a_point_keep_its_statistics(monkeypatch):
     config = intercept_point(4100)
-    chunked = aggregate_trials(run_point(config, 7))
+    chunked = run_point(config, 7)
     monkeypatch.setattr(harness, "BATCH_PHOTONS", config.trials * config.n_photons)
-    whole = aggregate_trials(run_point(config, 7))
+    whole = run_point(config, 7)
     p = intercept_resend_detection(4)
     for stats in (chunked, whole):
         assert stats.trials == config.trials
@@ -178,11 +193,15 @@ def test_batches_of_a_point_keep_its_statistics(monkeypatch):
     assert abs(chunked.detection_freq - whole.detection_freq) < two_sample
 
 
-def test_one_row_per_batch_beyond_the_budget():
+def test_one_row_per_batch_beyond_the_budget(monkeypatch):
     config = ExperimentConfig.from_dict(
         {"protocol": "qsdc", "n_photons": harness.BATCH_PHOTONS + 8, "check_count": 8,
          "error_threshold": 0.0, "trials": 2, "seed": 3}
     )
+    seen = record_batches(monkeypatch)
+    stats = run_point(config, 3)
     rng = np.random.default_rng(3)
     expected = [run_sessions(config.session_config(3), 1, rng)[0] for _ in range(2)]
-    assert [out for out, _report in run_point(config, 3)] == expected
+    assert [len(outcome) for outcome in seen] == [1, 1]
+    assert [outcome[0] for outcome in seen] == expected
+    assert stats.trials == 2 and stats.detection_freq == 0.0 and stats.accuracy == 1.0
