@@ -49,7 +49,7 @@ from .protocol import (
     run_check,
     run_session,
     run_sessions,
-    select_check_set,
+    select_check_positions,
 )
 from .quantum import (
     Basis,

@@ -29,16 +29,18 @@ is T = 1): one flat frame-code sequence (see ``quantum``) whose rows are the
 sessions laid end to end, row r from flat position ``starts[r]`` on, so loss
 leaves rows of different lengths without padding. Positions and origins are
 flat indices over the batch. Each kind of random number is one draw for the
-whole batch in ascending (row, position) order; only the check-set
-``choice`` and the shuffle ``permutation`` are drawn row by row:
+whole batch in ascending (row, position) order:
 
   1. the preparation codes of all T * N photons;
   2. the forward leg's draws, in the order the channel acts
      (see ``fabric.transmit``);
-  3. one ``choice`` per row, the check set;
+  3. one ``permuted`` draw of T rows over the widest row's survivors, the
+     check sets: row r's are the first ``size[r]`` of its entries below
+     its own survivor count n_r, sorted;
   4. the message bits of all rows;
   5. the check ops of all rows;
-  6. one ``permutation`` per row, the shuffle;
+  6. a second such ``permuted`` draw, the shuffles: row r keeps its
+     entries below n_r, in the order drawn (for T = 1, ``permutation(n)``);
   7. the return leg's draws;
   8. the check measurement, by ascending returned position;
   9. the reveal measurement of the rows that passed, likewise.
@@ -48,7 +50,7 @@ A transcript and a fixed message are accepted only for a single session.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
@@ -90,16 +92,23 @@ def _counts(bounds: np.ndarray) -> np.ndarray:
     return bounds[1:] - bounds[:-1]
 
 
-def _each_row(sizes: list[int], draw: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """``draw(r, n)`` for every row r of n positions, each shifted onto its
-    row's flat offset and laid end to end."""
+def _row_orders(sizes: np.ndarray, rng: RandomSource) -> np.ndarray:
+    """A uniformly random order of [0, n) for each row size n, the rows
+    laid end to end, from one ``permuted`` draw of [0, width) per row,
+    width the largest size. Each row keeps the entries below its own
+    size, in the order drawn: a uniform permutation restricted to [0, n)
+    is a uniform permutation of [0, n), so ragged rows need no second
+    draw. One row draws ``permutation(n)``, the same numbers."""
     if len(sizes) == 1:
-        return draw(0, sizes[0])
-    offset, parts = 0, []
-    for r, n in enumerate(sizes):
-        parts.append(draw(r, n) + offset)
-        offset += n
-    return np.concatenate(parts)
+        return rng.permutation(sizes[0])
+    draw = rng.permuted(np.arange(sizes.max())[None].repeat(len(sizes), 0), axis=1)
+    return draw[draw < sizes[:, None]]
+
+
+def _firsts(sizes: np.ndarray) -> np.ndarray:
+    """The flat index of each row's first entry, rows of ``sizes`` laid
+    end to end."""
+    return sizes.cumsum() - sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +197,14 @@ class SessionConfig:
         if self.n_photons - size < 1:
             raise ConfigError("configuration leaves no message positions")
 
-    def check_size(self, n: int) -> int:
+    def check_size(self, n: Any) -> Any:
+        """The check-set size of a sequence of n photons, elementwise over
+        an array of lengths."""
         if self.check_count is not None:
             if not 1 <= self.check_count <= self.n_photons - 1:
                 raise ConfigError(f"check_count must be in [1, n_photons-1], got {self.check_count}")
-            return self.check_count
-        return int(round(self.check_fraction * n))
+            return np.full_like(n, self.check_count)
+        return np.rint(self.check_fraction * n).astype(np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,28 +316,22 @@ def prepare_p_sequence(n: int, rng: RandomSource) -> np.ndarray:
     return random_codes(n, rng)
 
 
-def select_check_set(n: int, fraction: float, rng: RandomSource) -> CheckSet:
-    """Uniformly random check subset of size round(fraction * n)."""
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"check fraction must be in (0,1), got {fraction}")
-    size = int(round(fraction * n))
-    return select_check_positions(n, size, rng)
-
-
 def select_check_positions(
     n: int | Sequence[int], size: int | Sequence[int], rng: RandomSource
 ) -> CheckSet:
     """Uniformly random check subset of an explicit size. Over a batch,
-    ``n`` and ``size`` hold one entry per row: row r gets ``size[r]`` of
-    its ``n[r]`` positions from one ``choice`` draw, and the positions
-    are flat over the rows laid end to end."""
-    ns, sizes = (list(n), list(size)) if isinstance(n, Sequence) else ([n], [size])
-    if min(sizes) < 1:
-        raise ConfigError("check set would be empty")
-    for k, m in zip(sizes, ns):
-        if k > m:
-            raise ConfigError(f"check set size {k} exceeds sequence length {m}")
-    return CheckSet(_each_row(ns, lambda r, m: rng.choice(m, size=sizes[r], replace=False)))
+    ``n`` and ``size`` hold one entry per row: row r gets the first
+    ``size[r]`` entries of its order from one ``_row_orders`` draw, and
+    the positions, ascending, are flat over the rows laid end to end."""
+    ns, sizes = np.atleast_1d(n), np.atleast_1d(size)
+    bad = (sizes < 1) | (sizes > ns)
+    if bad.any():
+        k, m = sizes[bad][0], ns[bad][0]
+        raise ConfigError(f"check set size {k} exceeds sequence length {m}" if k >= 1 else
+                          "check set would be empty")
+    firsts = _firsts(ns).repeat(ns)
+    index = np.arange(len(firsts)) - firsts
+    return CheckSet((_row_orders(ns, rng) + firsts)[index < sizes.repeat(ns)])
 
 
 def encode(
@@ -358,13 +363,13 @@ def encode(
 
 
 def rearrange(
-    photons: np.ndarray, rng: RandomSource, sizes: Sequence[int] | None = None
+    photons: np.ndarray, rng: RandomSource, sizes: np.ndarray | None = None
 ) -> tuple[np.ndarray, Permutation]:
     """Reorder each row of the sequence by its own uniformly random secret
-    permutation, one ``permutation`` draw per row; ``sizes`` are the row
-    lengths (one row by default)."""
-    sizes = [len(photons)] if sizes is None else sizes
-    perm = Permutation(_each_row(sizes, lambda _r, n: rng.permutation(n)))
+    permutation, all rows from one ``_row_orders`` draw; ``sizes`` are
+    the row lengths (one row by default)."""
+    sizes = np.array([len(photons)]) if sizes is None else sizes
+    perm = Permutation(_row_orders(sizes, rng) + _firsts(sizes).repeat(sizes))
     return perm.apply(photons), perm
 
 
@@ -564,7 +569,7 @@ class EncoderTurn:
             message_starts=slots,
             decoded_bits=decoded_bits,
             decoded_positions=landed - slots[row],
-            decoded_starts=np.append(0, np.cumsum(np.bincount(row, minlength=n_rows))),
+            decoded_starts=np.bincount(row + 1, minlength=n_rows + 1).cumsum(),
             transcript=public.transcript,
         )
 
@@ -585,17 +590,16 @@ def encoder_turn(
     ``r * config.n_photons`` on. ``message`` fixes the bits (its length
     must match the free positions); by default random bits are drawn."""
     starts = origins.searchsorted(np.arange(0, (rows + 1) * config.n_photons, config.n_photons))
-    n_alive = _counts(starts).tolist()
-    sizes = []
-    for n in n_alive:
-        if n < 2:
+    n_alive = _counts(starts)
+    sizes = config.check_size(n_alive)
+    starved = (sizes < 1) | (sizes >= n_alive)
+    if starved.any():
+        row = starved.argmax()
+        if n_alive[row] < 2:
             raise ProtocolError("too few photons survived to form a check set and a message")
-        size = config.check_size(n)
-        if size < 1:
+        if sizes[row] < 1:
             raise ProtocolError("too few photons survived to form a nonempty check set")
-        if size >= n:
-            raise ProtocolError("check set would leave no message positions after loss")
-        sizes.append(size)
+        raise ProtocolError("check set would leave no message positions after loss")
     check = select_check_positions(n_alive, sizes, rng)
     n_message = len(photons) - len(check)
     if message is None:

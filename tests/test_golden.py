@@ -98,27 +98,27 @@ SWEEPS = {
 }
 
 DIGESTS = {
-    "qsdc_none": "4761777603f87db61588436fa599a22dfeb75d772010a2cd7a97afa9be9d0ce9",
-    "qsdc_intercept_resend": "9e4cf6ee3856f4a6244c1b62972cc776ae004bede086f5b49cbe3b50ba6979fb",
-    "qsdc_return_leg_tap_disclosed": "7f914101c632fa0eb2baa75d494f2ec9aede5c67a240f4b57858c147e41988e2",
-    "qsdc_loss": "9d0e88146c35e2c5ff87461c88cdd6c94def6d9087dd33776281f6ec168d9772",
-    "qsdc_bit_flip": "8f3bac932bd6093cced08300d6f3f82a63b626b91ded8f40a45b43376e6df146",
-    "qsdc_loss_bit_flip": "4b5f9c8d3e33288ec24353a9c086c80064a21f3729abc7cf8a83a380957b5e85",
-    "qsdc_depolarizing": "d1fe9038758ed3c7fb36382d8fa21bb2e66f7a8af2ccfc3753ac518b73cde5c7",
-    "mcqsdc_m3_loss": "e3ccc21bb1c4141107461293790a60e348f6a38db00ba43da697a4ee3334ed6b",
-    "mcqsdc_collusion_random": "ce267776fec6cadc56e4d7d42632e077a2498a8a25f8356afe4124e1bd5928c7",
-    "mcqsdc_collusion_fixed": "a55af412020000364ddfebeef3a0261986189b9393c724a2f7ef3d46ed3be929",
-    "mcqsdc_bypass": "1fb2a75dbdbaf4c4cbfb4dd005ca4db88067fe9efb968c206401f7712b26feb9",
-    "mcqsdc_return_leg_tap_m1": "6a33f099cb3bd507314bac1455440130281b5febb439445e8657f4e1e0fc5e39",
-    "mcqsdc_withheld": "1a615313c2d9c9c5e4e9561b6966aec7629c797aebd37f8d90380a27f2563752",
-    "mcqsdc_m0": "fd18f176a192bded61655409021f9839b1aff62ef0df55fffceba21552c80271",
-    "mcqsdc_m1_loss": "8078644da24df53767f534f57b24af68ab27a5cd7d43a53a72a02d12d0c647db",
-    "mcqsdc_intercept_resend_aborted": "4b78d8de2e0560fe46dfc3a60c990cde549c4151883308e5e74014aea4f9e57e",
-    "qsdc_heavy_loss": "f46ae1b58527bd1226c5a8e4e559dd5ff9c3fa35e3175dfc32511ecfbdbcee5a",
-    "sweep_csv": "53ee818e68001ea3324c1e0149f83b8a09e8d94cfc13e19391c40e91c4657476",
-    "mcqsdc_sweep_csv": "33e8025c15a65f8eb6d99bd4e51ec5e1c296cc029f934d96bde2e4a1702b06ba",
-    "qsdc_sweep_return_leg_tap": "c702fc5a06fe015c724ce4dabe2ccaca439d7bda39c6ad1d707790bdc1d97fa0",
-    "qsdc_sweep_return_leg_tap_disclosed": "842691aab0acf0273f9fc7fe3c9d199494a6af442b793f0e9bd1b12936c435b0",
+    "qsdc_none": "9f29ce0a9d6efb8d9fb912f2b6984b6442cc8af5f531484013826306b68ce5f7",
+    "qsdc_intercept_resend": "4be827cae6477284c64ab8300a70721b0cb74c122011da07e5fdbcd06811384d",
+    "qsdc_return_leg_tap_disclosed": "e57738f9499f64f03b15eb5fd4d6488c9a32f2489270d455482b1ae2b4bb6f1d",
+    "qsdc_loss": "8f5468a9fd012a60079f01017a0fafd544c71f622a3299d732d57a82ea7e4d3b",
+    "qsdc_bit_flip": "f2893f36a8e4eaa85b2a8522988602926d1fa44106c8582c2ddd9d3a59330348",
+    "qsdc_loss_bit_flip": "f695ac75c3e04990f3d69c7742c6778f33d1aa67797d982e5a229d7e3df98dcd",
+    "qsdc_depolarizing": "704ed6f0b3eae66421e9a19438b21fe5e8f60ae9f3abb767bff4a3a4ff8166d4",
+    "mcqsdc_m3_loss": "40b549eca8a52261170b6821c778f4ed6e53cbcec304107c9fad0ffebbdc7de2",
+    "mcqsdc_collusion_random": "6ea48afbb4bb2af2ad79ca75500a9ee814645a26e2529ed7f67f80b540caf157",
+    "mcqsdc_collusion_fixed": "cb88c766655036ae656aab80b36bd35d67beed01ae1cc656271e5d4e7a9a0fea",
+    "mcqsdc_bypass": "48d963efc97ac90579f9cb49edd907c73b3400733be2311972124e1bfaaba1d7",
+    "mcqsdc_return_leg_tap_m1": "a34d8af7825d9429b13b10eeb85bc794c5c3fa4bef456127754a542302b97b3e",
+    "mcqsdc_withheld": "fe1dfba0eb17bd31ebbc57ec8c8af47a55764e9b167790d1e0848d80f5564ff0",
+    "mcqsdc_m0": "4f1cba3a4a014cbb9e9159a083485fd7bac1501e1f7d3a9b318e1b7269204edf",
+    "mcqsdc_m1_loss": "03337d81f9b45465b4afbbce76068ea4e1f96c4cba8e1fba4e6eb2a294bd0c44",
+    "mcqsdc_intercept_resend_aborted": "784f3cec355062c7152a6397f73746e76f84a17dd6a82b468a2dd8a6243973c2",
+    "qsdc_heavy_loss": "6ef0ba67c1a222d5a102e655e7233d548548d8607649aa42184c4ec3fd4c26fe",
+    "sweep_csv": "5c724633a642a05631da53858fb20ceae27656db19246a48d734dbd98ae524e5",
+    "mcqsdc_sweep_csv": "fb8c185815273e15560e15a0fd516e989f4e8e9fcdd7b95543a3c10537b176d8",
+    "qsdc_sweep_return_leg_tap": "9ebbf41c123659ffd213f454b0851ad1031ccc81a631e07fb181c79613519c61",
+    "qsdc_sweep_return_leg_tap_disclosed": "c4c7633bb2fe8d35d1048d9ccf7a2f4d08b62a6cfdf31f3eec87b7f03f31e07f",
 }
 
 

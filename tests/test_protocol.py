@@ -25,7 +25,7 @@ from qsdcsim.protocol import (
     reveal_order_and_decode,
     run_check,
     run_session,
-    select_check_set,
+    select_check_positions,
 )
 from qsdcsim.quantum import (
     CANONICAL_LABELS,
@@ -71,31 +71,34 @@ class TestPrepare:
 
 class TestCheckSet:
     def test_requested_size(self):
-        cs = select_check_set(10, 0.3, rng(0))
+        cs = select_check_positions(10, 3, rng(0))
         assert len(cs) == 3
         assert all(0 <= p < 10 for p in cs.positions)
         assert len(set(cs.positions)) == 3
 
     def test_boundary_single_position(self):
-        cs = select_check_set(2, 0.5, rng(0))
+        cs = select_check_positions(2, 1, rng(0))
         assert len(cs) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            select_check_set(10, 0.01, rng(0))
+            select_check_positions(10, 0, rng(0))
 
     def test_fraction_bounds(self):
+        """A check set takes a fraction of its sequence in (0, 1]: a size
+        beyond the length is refused, row by row over a batch."""
         with pytest.raises(ConfigError):
-            select_check_set(10, 0.0, rng(0))
+            select_check_positions(10, 11, rng(0))
         with pytest.raises(ConfigError):
-            select_check_set(10, 1.0, rng(0))
+            select_check_positions([10, 4], [3, 5], rng(0))
+        assert len(select_check_positions(10, 10, rng(0))) == 10
 
     def test_uniform_coverage(self):
         counts = [0] * 10
         draws = 20_000
         r = rng(17)
         for _ in range(draws):
-            for p in select_check_set(10, 0.3, r).positions:
+            for p in select_check_positions(10, 3, r).positions:
                 counts[p] += 1
         for c in counts:
             assert abs(c / draws - 0.3) < 0.02
@@ -141,7 +144,7 @@ class TestEncode:
 
     def test_closure_under_encoding(self):
         seq = prepare_p_sequence(40, rng(5))
-        check = select_check_set(40, 0.25, rng(6))
+        check = select_check_positions(40, 10, rng(6))
         bits = [int(b) for b in rng(7).integers(0, 2, size=30)]
         out, ops = encode(seq, check, bits, rng(8))
         for photon, op, encoded in zip(as_labels(seq), ops, as_labels(out)):

@@ -8,17 +8,26 @@ and neighbouring rows are uncorrelated. A qsdc sweep point runs its
 trials as consecutive batches of at most ``harness.BATCH_PHOTONS``
 photons drawn from one generator, and folds each batch as it finishes.
 """
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdcsim import harness
-from qsdcsim.attacks import build_attack, intercept_resend_detection
+from qsdcsim import harness, protocol
+from qsdcsim.attacks import Attack, build_attack, intercept_resend_detection
 from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import ClassicalChannel, Transcript
 from qsdcsim.harness import ExperimentConfig, aggregate_trials, run_point, three_sigma_band
-from qsdcsim.protocol import SessionConfig, run_session, run_sessions
+from qsdcsim.protocol import (
+    SessionConfig,
+    rearrange,
+    run_session,
+    run_sessions,
+    select_check_positions,
+)
 
 
 def batch(config, trials, seed, attack=None):
@@ -205,3 +214,93 @@ def test_one_row_per_batch_beyond_the_budget(monkeypatch):
     assert [len(outcome) for outcome in seen] == [1, 1]
     assert [outcome[0] for outcome in seen] == expected
     assert stats.trials == 2 and stats.detection_freq == 0.0 and stats.accuracy == 1.0
+
+
+# Stream v3: a batch's check sets and shuffles are one ``permuted`` draw
+# each, over the widest row; a row keeps its entries below its own size.
+
+#: 0.999 quantiles of the chi-square distribution by degrees of freedom.
+CHI2_999 = {5: 20.515, 9: 27.877}
+
+
+def chi_square(counts):
+    counts = np.asarray(list(counts), dtype=float)
+    expected = counts.sum() / len(counts)
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+def ragged_sizes(rng, rows, n, loss):
+    """Row lengths as loss leaves them: each of n photons survives with
+    probability 1 - loss, and a row keeps at least two."""
+    return np.maximum(rng.binomial(n, 1.0 - loss, size=rows), 2)
+
+
+def rows_of(flat, sizes):
+    """Split a flat batch array into its rows, each shifted to start at 0."""
+    firsts = np.cumsum(sizes) - sizes
+    return [flat[lo:lo + n] - lo for lo, n in zip(firsts, sizes)]
+
+
+def test_stream_v3_shuffles_of_three_are_uniform_in_ragged_batches():
+    rng = np.random.default_rng(31)
+    sizes = ragged_sizes(rng, 30_000, 5, 0.35)
+    assert len(set(sizes.tolist())) > 2 and (sizes == 3).sum() > 3000
+    _shuffled, perm = rearrange(np.zeros(sizes.sum(), dtype=np.uint8), rng, sizes)
+    orders = Counter(
+        tuple(row.tolist()) for row in rows_of(perm.mapping, sizes) if len(row) == 3
+    )
+    assert sorted(orders) == sorted(itertools.permutations(range(3)))
+    assert chi_square(orders.values()) < CHI2_999[5]
+
+
+def test_stream_v3_check_subsets_are_uniform_in_ragged_batches():
+    rng = np.random.default_rng(32)
+    n = ragged_sizes(rng, 30_000, 7, 0.3)
+    k = np.where(n == 5, 2, n // 2)
+    assert len(set(n.tolist())) > 2 and (n == 5).sum() > 3000
+    check = select_check_positions(n, k, rng)
+    # Positions are flat over the rows of n photons: rebase each onto its row.
+    local = check.positions - (np.cumsum(n) - n).repeat(k)
+    subsets = Counter(
+        tuple(local[lo:lo + 2].tolist()) for lo, m in zip(np.cumsum(k) - k, n) if m == 5
+    )
+    assert sorted(subsets) == sorted(itertools.combinations(range(5), 2))
+    assert chi_square(subsets.values()) < CHI2_999[9]
+
+
+class SecretsSpy(Attack):
+    """Keeps the encoder's turn of every batch it serves."""
+
+    def receive_secrets(self, turn, labels):
+        self.turn = turn
+
+
+def test_stream_v3_draws_stay_inside_each_lossy_row():
+    config = SessionConfig(n_photons=40, loss=0.2, error_threshold=1.0)
+    spy = SecretsSpy()
+    outcome = run_sessions(config, 300, np.random.default_rng(33), spy)
+    turn = spy.turn
+    n = np.diff(turn.starts)
+    assert len(set(n.tolist())) > 5
+    expected_sizes = config.check_size(n)
+    check_row = protocol.row_of(turn.starts, turn.check.positions)
+    assert np.bincount(check_row, minlength=len(n)).tolist() == expected_sizes.tolist()
+    for r, (lo, hi) in enumerate(zip(turn.starts[:-1], turn.starts[1:])):
+        assert sorted(turn.perm.mapping[lo:hi].tolist()) == list(range(lo, hi))
+    assert all(len(out.message_sent) == m - k for out, m, k in zip(outcome, n, expected_sizes))
+
+
+def test_stream_v3_one_row_is_todays_draw():
+    """One row shuffles as ``permutation(n)`` does, and equal rows as one
+    ``permutation(n)`` each, row after row; the check set of one row is
+    the first entries of a permutation, sorted."""
+    _out, perm = rearrange(np.zeros(12, dtype=np.uint8), np.random.default_rng(4))
+    assert perm.mapping.tolist() == np.random.default_rng(4).permutation(12).tolist()
+    sizes = np.array([6, 6, 6])
+    _out, perm = rearrange(np.zeros(18, dtype=np.uint8), np.random.default_rng(5), sizes)
+    reference = np.random.default_rng(5)
+    expected = [reference.permutation(6) + 6 * r for r in range(3)]
+    assert perm.mapping.tolist() == np.concatenate(expected).tolist()
+    check = select_check_positions(12, 5, np.random.default_rng(6))
+    first = np.random.default_rng(6).permutation(12)[:5]
+    assert check.positions.tolist() == sorted(first.tolist())
