@@ -365,6 +365,18 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
+    def test_config_not_utf8_exit_two(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(HONEST_QSDC).encode("utf-16-le"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsdcsim", "run", "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "not valid UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "command,config",
         [

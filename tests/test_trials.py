@@ -9,6 +9,8 @@ trials as consecutive batches of at most ``harness.BATCH_PHOTONS``
 photons drawn from one generator, and folds each batch as it finishes.
 """
 import itertools
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -304,3 +306,31 @@ def test_stream_v3_one_row_is_todays_draw():
     check = select_check_positions(12, 5, np.random.default_rng(6))
     first = np.random.default_rng(6).permutation(12)[:5]
     assert check.positions.tolist() == sorted(first.tolist())
+
+
+MEMORY_PROBE = """
+import resource
+from qsdcsim.harness import ExperimentConfig, sweep_csv
+
+def point(trials):
+    return ExperimentConfig.from_dict({
+        "protocol": "qsdc", "n_photons": 33, "error_threshold": 0.0, "trials": trials,
+        "attack": {"name": "intercept_resend"}, "seed": 8, "sweep": {"check_count": [4]},
+    })
+
+sweep_csv(point(2000))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sweep_csv(point(100_000))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_point_of_a_hundred_thousand_trials_runs_in_bounded_memory():
+    """A point folds each batch as it finishes and keeps only one error
+    rate and one accuracy per trial. Keeping every trial's outcome and
+    report instead grew the peak by about 99 MB at 10^5 trials."""
+    probe = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE], capture_output=True, text=True, check=True
+    )
+    growth_mb = float(probe.stdout)
+    assert growth_mb < 25.0
