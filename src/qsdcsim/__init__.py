@@ -4,6 +4,7 @@ pluggable eavesdropping layer with detection and leak metrics."""
 
 from .attacks import (
     AttackReport,
+    BatchReport,
     CollusionAttack,
     FakeSequenceBypass,
     InterceptResend,
@@ -40,6 +41,7 @@ from .multiparty import (
 from .protocol import (
     CheckSet,
     Permutation,
+    SessionBatch,
     SessionConfig,
     SessionOutcome,
     encode,

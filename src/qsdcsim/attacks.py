@@ -71,6 +71,8 @@ class BatchReport:
     guessed: np.ndarray | None = None
 
     def row(self, row: int, **metadata: Any) -> AttackReport:
+        """The ``AttackReport`` of row ``row``; ``metadata`` joins the
+        row's check count."""
         accuracy = None
         if self.guessed is not None and self.guessed[row]:
             accuracy = int(self.guess_hits[row]) / int(self.guessed[row])

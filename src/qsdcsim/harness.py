@@ -20,7 +20,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .attacks import AttackReport, BatchReport, build_attack
+from .attacks import Attack, BatchReport, build_attack
 from .errors import ConfigError
 from .fabric import NoiseKind, NoiseModel, Transcript
 from .multiparty import McSessionConfig, run_mc_session
@@ -226,15 +226,16 @@ def load_config(path: str) -> ExperimentConfig:
 
 def run_trial(
     config: ExperimentConfig, seed: int, transcript: Transcript | None = None
-) -> tuple[SessionOutcome, AttackReport]:
-    """Run one session with a fresh strategy instance and report it."""
+) -> tuple[SessionOutcome, Attack]:
+    """Run one session with a fresh strategy instance, which then reports
+    on it."""
     attack = build_attack(config.attack_name, config.attack_params)
     session = config.session_config(seed)
     if config.protocol == "mcqsdc":
         outcome = run_mc_session(session, attack=attack, transcript=transcript)
     else:
         outcome = run_session(session, attack=attack, transcript=transcript)
-    return outcome, attack.report(outcome)
+    return outcome, attack
 
 
 def bits_to_str(bits: Iterable[int] | None) -> str | None:
@@ -252,7 +253,8 @@ def run_report(
     the embedded attack report."""
     seed = config.seed if seed_override is None else seed_override
     effective = replace(config, seed=seed)
-    outcome, report = run_trial(effective, seed, transcript=transcript)
+    outcome, attack = run_trial(effective, seed, transcript=transcript)
+    report = attack.report(outcome)
     return {
         "config": effective.to_dict(),
         "seed": seed,
@@ -368,14 +370,6 @@ def run_point(config: ExperimentConfig, seed: int) -> AggregateStats:
     return aggregate_trials(batches())
 
 
-def _mc_trial(config: ExperimentConfig, seed: int) -> tuple[SessionBatch, BatchReport]:
-    """One controlled trial with a fresh strategy instance, as a batch of
-    one session."""
-    attack = build_attack(config.attack_name, config.attack_params)
-    outcome = run_mc_session(config.session_config(seed), attack=attack).batch
-    return outcome, attack.columns(outcome)
-
-
 def run_sweep(config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     """Run every sweep point and return the CSV header plus rows. Every
     point is validated before the first trial runs."""
@@ -389,7 +383,8 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
             stats = run_point(point_config, derive_seed(config.seed, point_index))
         else:
             seeds = (derive_seed(config.seed, point_index, t) for t in range(config.trials))
-            stats = aggregate_trials(_mc_trial(point_config, seed) for seed in seeds)
+            trials = (run_trial(point_config, seed) for seed in seeds)
+            stats = aggregate_trials((out.batch, attack.columns(out.batch)) for out, attack in trials)
         row = [_format_value(point[a]) for a in axes]
         row += [
             str(stats.trials),

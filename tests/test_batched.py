@@ -236,7 +236,8 @@ def test_no_numpy_value_reaches_an_output():
         config = ExperimentConfig.from_dict(raw)
         leaks += numpy_leaks(run_report(config))
         transcript = Transcript()
-        outcome, report = run_trial(config, config.seed, transcript)
+        outcome, attack = run_trial(config, config.seed, transcript)
+        report = attack.report(outcome)
         names = [field.name for field in dataclasses.fields(report)]
         for session_output, fields in ((outcome, SessionOutcome.FIELDS), (report, names)):
             for name in fields:

@@ -21,7 +21,6 @@ from qsdcsim.harness import (
     load_config,
     run_report,
     run_selftest,
-    run_trial,
     sweep_csv,
     three_sigma_band,
 )
@@ -122,7 +121,7 @@ class TestCorruptAttackLimits:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         trials = []
-        monkeypatch.setattr(harness, "run_mc_session", lambda *args, **kwargs: trials.append(args))
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kwargs: trials.append(args))
         assert qsdcsim_cli.main(["sweep", "--config", str(path)]) == 2
         out = capsys.readouterr()
         assert out.out == ""

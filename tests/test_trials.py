@@ -287,7 +287,7 @@ def test_stream_v3_draws_stay_inside_each_lossy_row():
     expected_sizes = config.check_size(n)
     check_row = protocol.row_of(turn.starts, turn.check.positions)
     assert np.bincount(check_row, minlength=len(n)).tolist() == expected_sizes.tolist()
-    for r, (lo, hi) in enumerate(zip(turn.starts[:-1], turn.starts[1:])):
+    for lo, hi in zip(turn.starts[:-1], turn.starts[1:]):
         assert sorted(turn.perm.mapping[lo:hi].tolist()) == list(range(lo, hi))
     assert all(len(out.message_sent) == m - k for out, m, k in zip(outcome, n, expected_sizes))
 
