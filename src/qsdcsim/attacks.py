@@ -347,7 +347,7 @@ def _decoy_chain(
     photons = labels
     for leg in legs:
         photons, _arrived = transmit_sequence(leg, photons, rng, public, "chain")
-    public.announce("bob", "arrived_forward", origins.tolist(), stage="chain")
+    public.announce("bob", "arrived_forward", public.column(origins), stage="chain")
     return Chain(photons, origins, agents, partial(reporter, labels, rng=rng))
 
 

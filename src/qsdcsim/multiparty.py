@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .fabric import ClassicalChannel, DanceBatch, QuantumChannel, Transcript
+from .fabric import ClassicalChannel, Coded, DanceBatch, QuantumChannel, Transcript, json_texts
 from .protocol import (
     SessionConfig,
     SessionOutcome,
@@ -55,6 +55,11 @@ from .quantum import (
 
 if TYPE_CHECKING:
     from .attacks import Attack
+
+#: The JSON texts of the initial states the receiver discloses for the
+#: check, and of the op names, by code.
+STATE_TEXTS = json_texts([{"basis": s.basis.value, "bit": s.bit} for s in CANONICAL_LABELS])
+OP_TEXTS = json_texts(OP_NAMES)
 
 #: The policy cap on the controller chain. Every controller adds a hop,
 #: a private record of N ops and two announcements per check photon, so a
@@ -222,9 +227,8 @@ def mc_check_round(
     expected = (labels[origins] ^ (2 * h_parity + heard) ^ ops) & 1
     mismatches = reports != expected
     if public.listening:
-        arrays = (positions, schedule.h_orders, schedule.iu_orders, h_bits, bases, outcomes)
-        columns = (a.tolist() for a in (*arrays, reports, flips))
-        public.transcript.add(DanceBatch(public.seq, *columns))
+        columns = (positions, schedule.h_orders, schedule.iu_orders, h_bits, bases, outcomes)
+        public.transcript.add(DanceBatch(public.seq, *columns, reports, flips))
     public.seq += k * (2 * m + 1)
     return int(np.count_nonzero(mismatches)) / k if k else 0.0, mismatches
 
@@ -294,10 +298,10 @@ def honest_chain(
         photons, alive = transmit_sequence(hop, photons, rng, public, "chain")
         origins = origins[alive]
         if c < len(hops) - 1:
-            public.announce(f"controller_{c}", "arrived", origins.tolist(), stage="chain")
+            public.announce(f"controller_{c}", "arrived", public.column(origins), stage="chain")
             photons, ops = controller_pass(photons, rng)
             agents.append(HonestController(ControllerRecord(origins, ops)))
-    public.announce("bob", "arrived_forward", origins.tolist(), stage="chain")
+    public.announce("bob", "arrived_forward", public.column(origins), stage="chain")
     return Chain(photons, origins, agents, partial(HonestReporter, labels, rng=rng))
 
 
@@ -344,15 +348,17 @@ def run_mc_session(
         attack.receive_secrets(turn, labels)
     receipt = turn.send_back(back, rng, public)
     rows = receipt.check_items
-    positions, check_origins, masks = rows.T.tolist()
-    payload = {"positions": positions, "origins": check_origins}
+    positions, check_origins, masks = rows.T
+    payload = {"positions": public.column(positions), "origins": public.column(check_origins)}
     public.announce("bob", "check_open", payload, stage="check")
 
     # The receiver publishes the initial states of the check photons so the
-    # encoder can evaluate; the disclosure is logged like any announcement.
-    states = {str(orig): CANONICAL_LABELS[labels[orig]] for orig in check_origins}
-    payload = {o: {"basis": label.basis.value, "bit": label.bit} for o, label in states.items()}
-    public.announce("alice", "check_initial_states", payload, stage="check")
+    # encoder can evaluate; only a transcript reads the disclosure back.
+    if public.listening:
+        states = Coded(labels[check_origins], STATE_TEXTS, keys=check_origins)
+        public.announce("alice", "check_initial_states", states, stage="check")
+    else:
+        public.seq += 1
     error_rate, _mismatches = mc_check_round(
         labels,
         rows,
@@ -361,7 +367,8 @@ def run_mc_session(
         chain.agents,
         public,
     )
-    disclosed = {str(pos): OP_NAMES[mask] for pos, mask in zip(positions, masks)}
+    # The check ops by position, rendered only if a transcript is written.
+    disclosed = Coded(masks, OP_TEXTS, keys=positions)
     rates = [error_rate]
     aborted, order = decide_and_reveal(
         public, "bob", rates, config.error_threshold, receipt, ops=disclosed
@@ -374,8 +381,7 @@ def run_mc_session(
     records = {c: agent.release(chain.origins) for c, agent in enumerate(chain.agents)}
     if public.listening:
         for c, record in records.items():
-            released = sorted(zip(record.origins.tolist(), record.ops.tolist()))
-            payload = {str(orig): OP_NAMES[mask] for orig, mask in released}
+            payload = Coded(record.ops, OP_TEXTS, keys=record.origins)
             public.announce(f"controller_{c}", "release", payload, stage="reveal")
 
     args = (labels, order, receipt.photons)

@@ -482,7 +482,7 @@ def transmit_sequence(
     positions in the sent sequence."""
     public.record("quantum_send", stage, leg=channel.name, count=len(photons))
     arrived_photons, arrived = transmit(channel, photons, rng)
-    public.record("quantum_deliver", stage, leg=channel.name, arrived=arrived.tolist())
+    public.record("quantum_deliver", stage, leg=channel.name, arrived=public.column(arrived))
     return arrived_photons, arrived
 
 
@@ -526,7 +526,7 @@ class EncoderTurn:
         positions arrived, and the encoder splits them into check photons
         and message photons."""
         returned, arrived = transmit_sequence(back, self.shuffled, rng, public, "return")
-        public.announce("alice", "receipt", arrived.tolist(), stage="receipt")
+        public.announce("alice", "receipt", public.column(arrived), stage="receipt")
         src = self.perm.mapping[arrived]
         is_check = self.check.mask(len(self.shuffled))[src]
         n_check = _counts(arrived[is_check].searchsorted(self.starts))
@@ -643,7 +643,7 @@ def decide_and_reveal(
         return aborted, order[:0]
     if aborted.any():
         order = order[~aborted[row_of(receipt.starts, order[:, 0])]]
-    public.announce("bob", "message_order", order.tolist(), stage="reveal")
+    public.announce("bob", "message_order", public.column(order), stage="reveal")
     return aborted, order
 
 
@@ -679,7 +679,7 @@ def run_sessions(
     photons, origins = transmit_sequence(forward, labels, rng, public, "prepare")
 
     # Receiver announces arrivals; both sides drop lost positions.
-    public.announce("bob", "arrived_forward", origins.tolist(), stage="prepare")
+    public.announce("bob", "arrived_forward", public.column(origins), stage="prepare")
     turn = encoder_turn(config, photons, origins, message, rng, public, trials)
 
     # Experiment instrumentation: a strategy may ask for secrets that the
@@ -692,13 +692,10 @@ def run_sessions(
     # Check disclosure: positions, their origins, and Bob's check ops --
     # but only for check photons, the message order stays secret.
     photons, rows = receipt.photons, receipt.check_items
-    positions, check_origins, ops = rows.T.tolist()
-    public.announce(
-        "bob",
-        "check_open",
-        {"positions": positions, "origins": check_origins, "ops": [OP_NAMES[op] for op in ops]},
-        stage="check",
-    )
+    positions, check_origins, ops = rows.T
+    payload = {"positions": public.column(positions), "origins": public.column(check_origins),
+               "ops": public.column(ops, OP_NAMES)}
+    public.announce("bob", "check_open", payload, stage="check")
 
     # Alice measures every check photon, then every message photon of the
     # sessions that passed, in its preparation basis.
