@@ -153,7 +153,7 @@ _MARKERS = re.compile("([\0-\x08])")
 _BIT, _BASIS, _VOICE, _ORDER = "\1", "\2", "\3", "\4"
 
 #: A shape's (marker, JSON texts by code) pairs.
-Tables = tuple[tuple[str, tuple[str, ...]], ...]
+_Tables = tuple[tuple[str, tuple[str, ...]], ...]
 
 #: The decimal strings of 0, 1, 2, ..., grown to the next power of two
 #: above the largest value asked for, up to ``DECIMAL_CAP`` entries; larger
@@ -194,7 +194,7 @@ class Shape:
     A table takes in the literal text around its marker, so that a line
     has fewer cells to join."""
 
-    def __init__(self, text: str, sep: str = "\n", tables: Tables = ()):
+    def __init__(self, text: str, sep: str = "\n", tables: _Tables = ()):
         named = dict(tables)
         parts = _MARKERS.split(text + sep)
         cells: list[Any] = []  # literal texts, decimal holes, and (hole, texts) of a table
@@ -219,7 +219,7 @@ class Shape:
         self._decimal_holes = [cells[i] for i in self._decimal_cells]
         self._table_holes = [cells[i][0] for i in self._table_cells]
         texts = [cells[i][1] for i in self._table_cells]
-        self._offsets = np.cumsum([0] + [len(t) for t in texts[:-1]], dtype=np.int64)
+        self._offsets = np.cumsum([0] + [len(t) for t in texts], dtype=np.int64)[:-1]
         self._texts = np.array([name for t in texts for name in t], dtype=object)
 
     def fill(self, values: np.ndarray) -> str:
@@ -229,15 +229,14 @@ class Shape:
         cells = np.empty((len(values), self._width), dtype=object)
         cells[:, self._literal_cells] = self._literals
         cells[:, self._decimal_cells] = _decimals(values[:, self._decimal_holes])
-        if self._table_cells:
-            cells[:, self._table_cells] = self._texts[values[:, self._table_holes] + self._offsets]
+        cells[:, self._table_cells] = self._texts[values[:, self._table_holes] + self._offsets]
         if self._sep:
             cells[-1, -1] = cells[-1, -1][:-self._sep]
         return "".join(cells.ravel().tolist())
 
 
 @lru_cache(maxsize=256)
-def _shape(text: str, sep: str = "\n", tables: Tables = ()) -> Shape:
+def _shape(text: str, sep: str = "\n", tables: _Tables = ()) -> Shape:
     """The ``Shape`` of a text, split once and kept."""
     return Shape(text, sep, tables)
 
@@ -262,10 +261,9 @@ _TENS = 10 ** np.arange(1, 19, dtype=np.int64)
 def _string_order(keys: np.ndarray) -> np.ndarray:
     """The order in which ``json.dumps`` sorts the decimal strings of
     nonnegative integer keys, where "10" comes before "9": by the digits
-    padded with zeros to one length, and a prefix before what extends it."""
+    padded with zeros to one length, and a prefix before what extends it.
+    ``keys`` is not empty."""
     keys = np.asarray(keys, dtype=np.int64)
-    if len(keys) == 0:
-        return np.zeros(0, dtype=np.intp)
     digits = _TENS.searchsorted(keys, side="right")
     return np.lexsort((digits, keys * 10 ** (digits.max() - digits)))
 
