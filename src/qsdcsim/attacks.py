@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -93,14 +94,22 @@ class MeasureResendTap:
     original states are surrendered to the measurement."""
 
     def __init__(self) -> None:
-        self.bases = np.zeros(0, dtype=np.uint8)
-        self.outcomes = np.zeros(0, dtype=np.uint8)
+        self._bases: list[np.ndarray] = [np.zeros(0, dtype=np.uint8)]
+        self._outcomes: list[np.ndarray] = [np.zeros(0, dtype=np.uint8)]
+
+    @property
+    def bases(self) -> np.ndarray:
+        return np.concatenate(self._bases)
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        return np.concatenate(self._outcomes)
 
     def relay(self, codes: np.ndarray, rng: RandomSource) -> np.ndarray:
         bases = rng.integers(0, 2, size=len(codes)).astype(np.uint8)
         outcomes = measure(codes, bases, rng)
-        self.bases = np.append(self.bases, bases)
-        self.outcomes = np.append(self.outcomes, outcomes)
+        self._bases.append(bases)
+        self._outcomes.append(outcomes)
         return 2 * bases + outcomes
 
 
@@ -265,9 +274,10 @@ class ReturnLegTap(Attack):
         holds: her tap record and, per the flags, the secrets. Compared
         with the sent bits, bit by bit, over the whole batch at once."""
         sent, bounds = outcome.message_bits, outcome.message_starts
+        record = self.tap.outcomes
         if self._true_positions is not None:
             # Her k-th guess, in ascending origin order, is for bit k.
-            guesses = self.tap.outcomes[self._true_positions]
+            guesses = record[self._true_positions]
             if self._labels is not None:  # disclosed only with the permutation
                 guesses = guesses ^ (self._labels[self._true_origins] & 1)
             bit = np.arange(len(sent))
@@ -275,13 +285,13 @@ class ReturnLegTap(Attack):
             # Without the permutation she assumes the returned order is the
             # message order: k-th non-check position of a row carries bit k.
             check_open = self._public.latest.get("check_open") if self._public else None
-            free = np.ones(len(self.tap.outcomes), dtype=bool)
+            free = np.ones(len(record), dtype=bool)
             free[check_open["positions"] if check_open else []] = False
             positions = np.flatnonzero(free)
             row = row_of(self._starts, positions)
             k = np.arange(len(positions)) - positions.searchsorted(self._starts)[row]
             keep = k < np.diff(bounds)[row]
-            guesses = self.tap.outcomes[positions[keep]]
+            guesses = record[positions[keep]]
             bit = bounds[row[keep]] + k[keep]
         row = row_of(bounds, bit)
         hits = np.bincount(row[guesses == sent[bit]], minlength=len(outcome))

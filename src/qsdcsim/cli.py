@@ -15,6 +15,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import lru_cache
 from typing import TextIO
 
 from .errors import ConfigError, ProtocolError
@@ -22,7 +23,11 @@ from .fabric import Transcript
 from .harness import load_config, run_report, run_selftest, sweep_csv
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared: parsing
+    writes only into the fresh namespace each call returns, so one parser
+    serves every ``main`` call of a process."""
     parser = argparse.ArgumentParser(
         prog="qsdcsim",
         description=(
@@ -101,8 +106,7 @@ def cmd_selftest() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args)

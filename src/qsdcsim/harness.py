@@ -15,8 +15,9 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass, field, fields, replace
+from typing import Any
 
 import numpy as np
 
@@ -112,6 +113,9 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     sweep: dict[str, list[Any]] = field(default_factory=dict)
+    #: The session parameters at ``seed``, built and checked with the
+    #: experiment itself.
+    session: SessionConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -138,6 +142,7 @@ class ExperimentConfig:
         # and the attack against them. A sweep runs its points instead, and
         # each point is checked as it is built, before the first trial.
         session = self.session_config(self.seed)
+        object.__setattr__(self, "session", session)
         if not self.sweep:
             attack.check_config(session)
 
@@ -155,7 +160,7 @@ class ExperimentConfig:
             _check_keys("attack", attack, ("name", "params"))
             kwargs["attack_name"] = attack.get("name", "none")
             kwargs["attack_params"] = attack.get("params", {})
-        known = set(cls.__dataclass_fields__)
+        known = {f.name for f in fields(cls) if f.init}
         for key, value in data.items():
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -290,25 +295,27 @@ class AggregateStats:
 def _sum(values: np.ndarray) -> float:
     """The sum of ``values`` added one after the other, in order, as a
     Python ``sum`` over them would be."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
 def aggregate_trials(batches: Iterable[tuple[SessionBatch, BatchReport]]) -> AggregateStats:
     """Fold a point's trials, batch by batch as they come, into its
     statistics; a batch is dropped once folded. What outlives it is one
-    float64 error rate and accuracy per trial: sums run in trial order,
-    and the sample variance takes two passes over the error rates."""
+    float64 error rate and at most one accuracy per trial: sums run in
+    trial order, and the sample variance takes two passes over the error
+    rates."""
     detected = 0
     rates, accuracies = [], []
     for outcome, report in batches:
         detected += int(np.count_nonzero(report.detected))
         rates.append(outcome.error_rate)
         # The adversary's guess accuracy where it has one, else the
-        # receiver's; NaN where neither holds a bit.
+        # receiver's; a trial where neither holds a bit has none.
         hits, bits = outcome.decode_hits, outcome.decode_bits
         if report.guessed is not None:
             hits, bits = report.guess_hits, report.guessed
-        accuracies.append(np.divide(hits, bits, out=np.full(len(bits), np.nan), where=bits > 0))
+        held = bits > 0
+        accuracies.append(hits[held] / bits[held])
     error_rates = np.concatenate(rates)
     n = len(error_rates)
     mean_err = _sum(error_rates) / n
@@ -318,7 +325,6 @@ def aggregate_trials(batches: Iterable[tuple[SessionBatch, BatchReport]]) -> Agg
     else:
         stderr = 0.0
     guesses = np.concatenate(accuracies)
-    guesses = guesses[~np.isnan(guesses)]
     accuracy = _sum(guesses) / len(guesses) if len(guesses) else None
     return AggregateStats(
         trials=n,
@@ -358,7 +364,7 @@ def run_point(config: ExperimentConfig, seed: int) -> AggregateStats:
     after the other from one generator seeded with ``seed``, each batch
     with a fresh strategy instance and folded as soon as it finishes."""
     rng = np.random.default_rng(seed)
-    session = config.session_config(seed)
+    session = config.session  # its seed is not read: the batches draw from rng
     per_batch = max(1, BATCH_PHOTONS // config.n_photons)
 
     def batches() -> Iterator[tuple[SessionBatch, BatchReport]]:

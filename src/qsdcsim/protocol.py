@@ -74,6 +74,7 @@ if TYPE_CHECKING:
 
 #: A measurement record's entry at a position Alice did not measure.
 UNMEASURED = 2
+_UNMEASURED_ENTRY = np.array([UNMEASURED], dtype=np.uint8)
 
 #: The policy cap on a session's photon count. A session peaks at about
 #: 340 bytes per photon (measured at N = 2^19), so the cap keeps one
@@ -92,17 +93,16 @@ def _counts(bounds: np.ndarray) -> np.ndarray:
     return bounds[1:] - bounds[:-1]
 
 
-def _row_orders(sizes: np.ndarray, rng: RandomSource) -> np.ndarray:
-    """A uniformly random order of [0, n) for each row size n, the rows
-    laid end to end, from one ``permuted`` draw of [0, width) per row,
-    width the largest size. Each row keeps the entries below its own
-    size, in the order drawn: a uniform permutation restricted to [0, n)
-    is a uniform permutation of [0, n), so ragged rows need no second
-    draw. One row draws ``permutation(n)``, the same numbers."""
-    if len(sizes) == 1:
-        return rng.permutation(sizes[0])
+def _row_draw(sizes: np.ndarray, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+    """One ``permuted`` draw of [0, width) per row size n, width the
+    largest size, as a matrix with a row per size, and which entries each
+    row keeps: those below its own n. A row's kept entries, in the order
+    drawn, are a uniformly random order of [0, n): a uniform permutation
+    restricted to [0, n) is a uniform permutation of [0, n), so ragged
+    rows need no second draw. One row draws the numbers of
+    ``permutation(n)``."""
     draw = rng.permuted(np.arange(sizes.max())[None].repeat(len(sizes), 0), axis=1)
-    return draw[draw < sizes[:, None]]
+    return draw, draw < sizes[:, None]
 
 
 def _firsts(sizes: np.ndarray) -> np.ndarray:
@@ -117,9 +117,11 @@ class CheckSet:
     the sequence being encoded (flat over a batch's rows)."""
 
     positions: np.ndarray
+    _mask: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        positions = np.sort(np.asarray(self.positions, dtype=np.intp))
+        positions = np.array(self.positions, dtype=np.intp)
+        positions.sort()
         if len(positions) == 0:
             raise ConfigError("check set must be nonempty")
         if np.count_nonzero(positions[1:] == positions[:-1]):
@@ -130,9 +132,14 @@ class CheckSet:
         return len(self.positions)
 
     def mask(self, n: int) -> np.ndarray:
-        """The check positions as a boolean mask over n positions."""
-        mask = np.zeros(n, dtype=bool)
-        mask[self.positions] = True
+        """The check positions as a boolean mask over n positions, built
+        once per length and shared, read-only, by the stages."""
+        mask = self._mask
+        if mask is None or len(mask) != n:
+            mask = np.zeros(n, dtype=bool)
+            mask[self.positions] = True
+            mask.flags.writeable = False
+            object.__setattr__(self, "_mask", mask)
         return mask
 
 
@@ -145,10 +152,13 @@ class Permutation:
 
     def __post_init__(self) -> None:
         mapping = np.asarray(self.mapping, dtype=np.intp)
-        hit = np.zeros(len(mapping), dtype=bool)
-        hit[mapping[(mapping >= 0) & (mapping < len(mapping))]] = True
-        if np.count_nonzero(hit) != len(hit):
-            raise ProtocolError(f"not a permutation of [0,{len(mapping)}): {self.mapping}")
+        n = len(mapping)
+        # Mark each entry's slot; an entry out of [0, n), read unsigned,
+        # marks the spare slot n instead.
+        hit = np.zeros(n + 1, dtype=bool)
+        hit[np.minimum(mapping.view(np.uintp), n).astype(np.intp)] = True
+        if np.count_nonzero(hit[:n]) != n:
+            raise ProtocolError(f"not a permutation of [0,{n}): {self.mapping}")
         object.__setattr__(self, "mapping", mapping)
 
     def apply(self, items: Sequence[Any]) -> np.ndarray:
@@ -203,7 +213,7 @@ class SessionConfig:
         if self.check_count is not None:
             if not 1 <= self.check_count <= self.n_photons - 1:
                 raise ConfigError(f"check_count must be in [1, n_photons-1], got {self.check_count}")
-            return np.full_like(n, self.check_count)
+            return 0 * n + self.check_count
         return np.rint(self.check_fraction * n).astype(np.intp)
 
 
@@ -321,17 +331,18 @@ def select_check_positions(
 ) -> CheckSet:
     """Uniformly random check subset of an explicit size. Over a batch,
     ``n`` and ``size`` hold one entry per row: row r gets the first
-    ``size[r]`` entries of its order from one ``_row_orders`` draw, and
+    ``size[r]`` entries of its order from one ``_row_draw``, and
     the positions, ascending, are flat over the rows laid end to end."""
-    ns, sizes = np.atleast_1d(n), np.atleast_1d(size)
+    ns, sizes = np.array(n, ndmin=1), np.array(size, ndmin=1)
     bad = (sizes < 1) | (sizes > ns)
-    if bad.any():
-        k, m = sizes[bad][0], ns[bad][0]
+    row = bad.argmax()
+    if bad[row]:
+        k, m = sizes[row], ns[row]
         raise ConfigError(f"check set size {k} exceeds sequence length {m}" if k >= 1 else
                           "check set would be empty")
-    firsts = _firsts(ns).repeat(ns)
-    index = np.arange(len(firsts)) - firsts
-    return CheckSet((_row_orders(ns, rng) + firsts)[index < sizes.repeat(ns)])
+    draw, keep = _row_draw(ns, rng)
+    take = keep & (keep.cumsum(axis=1) <= sizes[:, None])
+    return CheckSet((draw + _firsts(ns)[:, None])[take])
 
 
 def encode(
@@ -346,7 +357,7 @@ def encode(
     of every position (0 for I, 1 for U).
     """
     n = len(photons)
-    n_check = 0 if check is None else len(check)
+    n_check = 0 if check is None else len(check.positions)
     if n_check and check.positions[-1] >= n:
         raise ProtocolError("check set references a position beyond the sequence")
     if len(message) != n - n_check:
@@ -366,10 +377,11 @@ def rearrange(
     photons: np.ndarray, rng: RandomSource, sizes: np.ndarray | None = None
 ) -> tuple[np.ndarray, Permutation]:
     """Reorder each row of the sequence by its own uniformly random secret
-    permutation, all rows from one ``_row_orders`` draw; ``sizes`` are
+    permutation, all rows from one ``_row_draw``; ``sizes`` are
     the row lengths (one row by default)."""
     sizes = np.array([len(photons)]) if sizes is None else sizes
-    perm = Permutation(_row_orders(sizes, rng) + _firsts(sizes).repeat(sizes))
+    draw, keep = _row_draw(sizes, rng)
+    perm = Permutation((draw + _firsts(sizes)[:, None])[keep])
     return perm.apply(photons), perm
 
 
@@ -393,15 +405,16 @@ def run_check(
         raise ProtocolError("check announcement is empty")
     positions, origins, ops = np.asarray(rows).T
     outcomes = _recorded(alice_measurements, positions)
-    measured = len(alice_measurements) - np.count_nonzero(alice_measurements == UNMEASURED)
-    if np.count_nonzero(outcomes == UNMEASURED) or measured != len(positions):
+    n = len(alice_measurements)
+    measured = n - np.count_nonzero(alice_measurements == UNMEASURED)
+    if UNMEASURED in outcomes or measured != len(positions):
         raise ProtocolError("measurements must cover exactly the announced check positions")
     unknown = origins[(origins < 0) | (origins >= len(alice_labels))]
     if len(unknown):
         raise ProtocolError(f"check announcement references unknown origin {unknown[0]}")
     expected = (alice_labels[origins] ^ ops) & 1
     if starts is None:
-        starts = np.array([0, len(alice_measurements)])
+        starts = np.array([0, n])
     row, n_rows = row_of(starts, positions), len(starts) - 1
     errors = np.bincount(row[outcomes != expected], minlength=n_rows)
     return errors / np.bincount(row, minlength=n_rows)
@@ -410,21 +423,24 @@ def run_check(
 def _recorded(alice_measurements: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """The outcomes of a measurement record at ``positions``: ``UNMEASURED``
     where nothing was measured, past the end of the record included."""
-    return np.append(alice_measurements, UNMEASURED)[np.minimum(positions, len(alice_measurements))]
+    padded = np.concatenate((alice_measurements, _UNMEASURED_ENTRY))
+    return padded[np.minimum(positions, len(alice_measurements))]
 
 
 def by_origin(message_order: np.ndarray, n: int) -> np.ndarray:
     """The (position, origin) rows of a message order as two arrays, in
     ascending origin order (a counting sort over the n prepared origins)."""
     order = np.asarray(message_order, dtype=np.intp).reshape(-1, 2)
-    unknown = order[(order[:, 1] < 0) | (order[:, 1] >= n), 1]
+    origins = order[:, 1]
+    unknown = origins[(origins < 0) | (origins >= n)]
     if len(unknown):
         raise ProtocolError(f"message order references unknown origin {unknown[0]}")
     row = np.full(n, -1, dtype=np.intp)
-    row[order[:, 1]] = np.arange(len(order))
-    if np.count_nonzero(row >= 0) != len(order):
+    row[origins] = np.arange(len(order))
+    row = row[row >= 0]
+    if len(row) != len(order):
         raise ProtocolError("message order repeats an origin")
-    return order[row[row >= 0]].T
+    return order.take(row, axis=0).T
 
 
 def reveal_order_and_decode(
@@ -529,13 +545,15 @@ class EncoderTurn:
         public.announce("alice", "receipt", public.column(arrived), stage="receipt")
         src = self.perm.mapping[arrived]
         is_check = self.check.mask(len(self.shuffled))[src]
-        n_check = _counts(arrived[is_check].searchsorted(self.starts))
-        if not n_check.all():
+        columns = np.array((arrived, self.origins[src], self.ops[src]))
+        check_items = columns.compress(is_check, axis=1).T
+        n_check = _counts(check_items[:, 0].searchsorted(self.starts))
+        if 0 in n_check:
             raise ProtocolError("no check photons survived the return transmission")
         photons = np.zeros(len(self.shuffled), dtype=np.uint8)
         photons[arrived] = returned
-        rows = np.column_stack((arrived, self.origins[src], self.ops[src]))
-        return Receipt(photons, rows[is_check], rows[~is_check, :2], self.starts, n_check)
+        message_order = columns[:2].compress(~is_check, axis=1).T
+        return Receipt(photons, check_items, message_order, self.starts, n_check)
 
     def outcome(
         self,
@@ -552,7 +570,7 @@ class EncoderTurn:
         # a row rode on its k-th non-check photon: those that came back.
         back = np.zeros(len(self.shuffled), dtype=bool)
         back[self.perm.mapping[receipt.message_order[:, 0]]] = True
-        landed = np.flatnonzero(back[~self.check.mask(len(back))])
+        landed = back[~self.check.mask(len(back))].nonzero()[0]
         slots = self.starts - self.check.positions.searchsorted(self.starts)
         row = row_of(slots, landed)
         kept = ~aborted[row]
@@ -569,7 +587,7 @@ class EncoderTurn:
             message_starts=slots,
             decoded_bits=decoded_bits,
             decoded_positions=landed - slots[row],
-            decoded_starts=np.bincount(row + 1, minlength=n_rows + 1).cumsum(),
+            decoded_starts=landed.searchsorted(slots),
             transcript=public.transcript,
         )
 
@@ -593,15 +611,15 @@ def encoder_turn(
     n_alive = _counts(starts)
     sizes = config.check_size(n_alive)
     starved = (sizes < 1) | (sizes >= n_alive)
-    if starved.any():
-        row = starved.argmax()
+    row = starved.argmax()
+    if starved[row]:
         if n_alive[row] < 2:
             raise ProtocolError("too few photons survived to form a check set and a message")
         if sizes[row] < 1:
             raise ProtocolError("too few photons survived to form a nonempty check set")
         raise ProtocolError("check set would leave no message positions after loss")
     check = select_check_positions(n_alive, sizes, rng)
-    n_message = len(photons) - len(check)
+    n_message = len(photons) - len(check.positions)
     if message is None:
         message = rng.integers(0, 2, size=n_message)
     elif len(message) != n_message:
@@ -639,10 +657,11 @@ def decide_and_reveal(
     else:
         public.seq += len(rates)
     order = receipt.message_order
-    if aborted.all():
+    n_aborted = np.count_nonzero(aborted)
+    if n_aborted == len(aborted):
         return aborted, order[:0]
-    if aborted.any():
-        order = order[~aborted[row_of(receipt.starts, order[:, 0])]]
+    if n_aborted:
+        order = order.compress(~aborted[row_of(receipt.starts, order[:, 0])], axis=0)
     public.announce("bob", "message_order", public.column(order), stage="reveal")
     return aborted, order
 
@@ -702,10 +721,13 @@ def run_sessions(
     measured = measure_at(photons, rows[:, 0], labels[rows[:, 1]] >> 1, rng, public, "check")
     error_rates = run_check(labels, rows, measured, turn.starts)
     aborted, order = decide_and_reveal(public, "alice", error_rates, config.error_threshold, receipt)
-    decoded: list[int] = []
-    if not aborted.all():
+    decoded = np.zeros(0, dtype=np.uint8)
+    if np.count_nonzero(aborted) < trials:
         measured = measure_at(photons, order[:, 0], labels[order[:, 1]] >> 1, rng, public, "reveal")
-        decoded = reveal_order_and_decode(labels, order, measured, check_passed=True)
+        # The published order, decoded in ascending origin order: each
+        # outcome XOR the preparation bit (see reveal_order_and_decode).
+        positions, origins = by_origin(order, len(labels))
+        decoded = measured[positions] ^ (labels[origins] & 1)
     return turn.outcome(receipt, error_rates, aborted, decoded, public)
 
 

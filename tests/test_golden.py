@@ -19,6 +19,14 @@ from qsdcsim.multiparty import McSessionConfig, run_mc_session
 
 QSDC = {"protocol": "qsdc", "n_photons": 48, "check_count": 12, "error_threshold": 0.2}
 MC = {"protocol": "mcqsdc", "n_photons": 40, "check_count": 10, "error_threshold": 0.2}
+C4_SHAPE = {
+    "protocol": "qsdc",
+    "n_photons": 9,
+    "check_count": 8,
+    "error_threshold": 0.0,
+    "seed": 25,
+    "attack": {"name": "intercept_resend"},
+}
 
 RUNS = {
     "qsdc_none": dict(QSDC, seed=3),
@@ -58,6 +66,8 @@ RUNS = {
         MC, seed=22, controllers=3, attack={"name": "intercept_resend"}
     ),
     "qsdc_heavy_loss": dict(QSDC, seed=20, loss=0.6),
+    # The shape acceptance c4 runs: one message bit per session.
+    "qsdc_one_message_bit": C4_SHAPE,
 }
 
 SWEEPS = {
@@ -95,6 +105,9 @@ SWEEPS = {
         },
         sweep={"n_photons": [24, 48]},
     ),
+    "qsdc_sweep_one_message_bit": dict(
+        C4_SHAPE, trials=20, seed=26, sweep={"error_threshold": [0.0, 0.5]}
+    ),
 }
 
 DIGESTS = {
@@ -119,6 +132,8 @@ DIGESTS = {
     "mcqsdc_sweep_csv": "fb8c185815273e15560e15a0fd516e989f4e8e9fcdd7b95543a3c10537b176d8",
     "qsdc_sweep_return_leg_tap": "9ebbf41c123659ffd213f454b0851ad1031ccc81a631e07fb181c79613519c61",
     "qsdc_sweep_return_leg_tap_disclosed": "c4c7633bb2fe8d35d1048d9ccf7a2f4d08b62a6cfdf31f3eec87b7f03f31e07f",
+    "qsdc_one_message_bit": "fcbe9bd231635a64ead6955d6fd228232f7c290ae5cfee48d96739565bc7093f",
+    "qsdc_sweep_one_message_bit": "1357a3dbe37d24ecca8b49a364db3bd318379bf3bfe1e7e4420c51d75751d514",
 }
 
 

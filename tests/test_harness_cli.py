@@ -519,3 +519,52 @@ class TestCli:
         assert proc.returncode == 0
         assert "selftest OK" in proc.stdout
         assert "2916/2916" in proc.stdout
+
+
+class TestCliInProcess:
+    """``main`` called again and again in one process, as a library caller
+    or the benchmark does: the parser is built once and shared, so no call
+    may leave anything behind for the next."""
+
+    @staticmethod
+    def main(capsys, *argv):
+        code = qsdcsim_cli.main(list(argv))
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_same_argv_same_stdout(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(HONEST_QSDC, trials=3, sweep={"n_photons": [8, 12]})))
+        first = self.main(capsys, "sweep", "--config", str(path))
+        second = self.main(capsys, "sweep", "--config", str(path))
+        assert first[0] == 0 and first[1].startswith("n_photons,trials,")
+        assert second == first
+
+    def test_bad_calls_leave_the_next_unchanged(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(HONEST_QSDC))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(HONEST_QSDC, n_photons=1)))
+        before = self.main(capsys, "run", "--config", str(good))
+        with pytest.raises(SystemExit) as exc:
+            qsdcsim_cli.main(["run", "--config", str(good), "--frobnicate"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            qsdcsim_cli.main(["run"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = self.main(capsys, "run", "--config", str(bad))
+        assert (code, out) == (2, "") and "config error" in err
+        after = self.main(capsys, "run", "--config", str(good))
+        assert before[0] == 0 and after == before
+
+    def test_seed_flag_does_not_leak(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(HONEST_QSDC))
+        plain = self.main(capsys, "run", "--config", str(path))
+        seeded = self.main(capsys, "run", "--config", str(path), "--seed", "99")
+        again = self.main(capsys, "run", "--config", str(path))
+        assert json.loads(seeded[1])["seed"] == 99
+        assert json.loads(again[1])["seed"] == HONEST_QSDC["seed"]
+        assert again == plain != seeded
