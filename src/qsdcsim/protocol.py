@@ -74,6 +74,7 @@ if TYPE_CHECKING:
 
 #: A measurement record's entry at a position Alice did not measure.
 UNMEASURED = 2
+#: The entry ``_recorded`` reads past the end of a record.
 _UNMEASURED_ENTRY = np.array([UNMEASURED], dtype=np.uint8)
 
 #: The policy cap on a session's photon count. A session peaks at about

@@ -93,6 +93,15 @@ class TestCheckSet:
             select_check_positions([10, 4], [3, 5], rng(0))
         assert len(select_check_positions(10, 10, rng(0))) == 10
 
+    def test_mask_built_once_and_read_only(self):
+        check = CheckSet((4, 1))
+        mask = check.mask(6)
+        assert mask.tolist() == [False, True, False, False, True, False]
+        assert check.mask(6) is mask
+        with pytest.raises(ValueError):
+            mask[0] = True
+        assert check.mask(5).tolist() == [False, True, False, False, True]
+
     def test_uniform_coverage(self):
         counts = [0] * 10
         draws = 20_000
@@ -176,8 +185,11 @@ class TestRearrange:
             assert abs(c / draws - 1 / 6) < 0.02
 
     def test_invalid_mapping_rejected(self):
-        with pytest.raises(ProtocolError):
-            Permutation((0, 0, 2))
+        # A repeat, a negative entry, one past the end, and one far past it
+        # (refused without allocating anything of its size).
+        for mapping in ((0, 0, 2), (-1, 0, 1), (0, 1, 3), (0, 1, 10**12)):
+            with pytest.raises(ProtocolError):
+                Permutation(mapping)
 
 
 class TestRunCheck:
