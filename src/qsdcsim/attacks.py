@@ -15,7 +15,6 @@ resistance against exactly these strategies, nothing stronger.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from collections.abc import Mapping, Sequence
 from typing import Any
 
@@ -31,7 +30,6 @@ from .multiparty import (
     HonestReporter,
     McSessionConfig,
     controller_pass,
-    honest_chain,
 )
 from .protocol import (
     EncoderTurn,
@@ -124,18 +122,18 @@ class Attack:
                        protocol never discloses, and the preparation codes;
                        row r of the batch starts at ``turn.starts[r]``. A
                        strategy reads no other field of the turn.
-      check_config     when a config loads and when a session starts: raise
+      check_config     when a config loads and when a batch starts: raise
                        ``ConfigError`` for a session the strategy cannot run.
-      reroute          controlled sessions, after preparation: return a
-                       ``Chain`` that replaces the honest controller chain,
-                       or None to leave it alone.
+      reroute          after preparation: return a ``Chain`` that replaces
+                       the honest route of the whole batch, or None to
+                       leave it alone (every two-party strategy does).
       guesses          after a batch: per row, the message bits the
                        adversary guessed right and guessed, or None.
       report           the ``AttackReport`` of one row of a finished batch,
                        read from the batch's ``columns``.
 
-    One instance serves one batch of sessions (one session in a controlled
-    run); its taps see the whole batch, row after row.
+    One instance serves one batch of sessions, in either protocol; its
+    taps and reroutes see the whole batch, row after row.
     ``protocols`` names the protocols a strategy applies to.
     """
 
@@ -358,7 +356,7 @@ def _decoy_chain(
     for leg in legs:
         photons, _arrived = transmit_sequence(leg, photons, rng, public, "chain")
     public.announce("bob", "arrived_forward", public.column(origins), stage="chain")
-    return Chain(photons, origins, agents, partial(reporter, labels, rng=rng))
+    return Chain(labels, photons, origins, agents, bypassed=True, reporter=reporter)
 
 
 class FakeSequenceBypass(Attack):
@@ -382,9 +380,9 @@ class FakeSequenceBypass(Attack):
         hops: Sequence[QuantumChannel],
         rng: RandomSource,
         public: ClassicalChannel,
-    ) -> Chain:
+    ) -> Chain | None:
         if config.controllers == 0:
-            return honest_chain(labels, hops, rng, public)
+            return None
         direct = QuantumChannel(name="alice=>bob", noise=config.noise)
         return _decoy_chain(labels, config.controllers, [direct], BypassReporter, rng, public)
 
@@ -404,13 +402,14 @@ class ColluderAgent:
     no H in the first round, and in the flip round it tries to cancel the
     honest controllers' total flip parity. Speaking last it cancels
     exactly; speaking earlier it must guess the parity of the voices still
-    to come, with one batch of coins per turn.
+    to come, with one batch of coins per turn. It keeps what it announced
+    turn by turn and joins the turns once, at the release.
     """
 
     def __init__(self, rng: RandomSource) -> None:
         self._rng = rng
-        self._origins = np.zeros(0, dtype=np.intp)
-        self._flips = np.zeros(0, dtype=np.uint8)
+        self._origins: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+        self._flips: list[np.ndarray] = [np.zeros(0, dtype=np.uint8)]
 
     def announce_h(self, origins: np.ndarray) -> np.ndarray:
         return np.zeros(len(origins), dtype=np.uint8)
@@ -419,8 +418,8 @@ class ColluderAgent:
         flips = heard
         if remaining:
             flips = heard ^ self._rng.integers(0, 2, size=len(heard)).astype(np.uint8)
-        self._origins = np.append(self._origins, origins)
-        self._flips = np.append(self._flips, flips)
+        self._origins.append(origins)
+        self._flips.append(flips)
         return flips
 
     def release(self, origins: np.ndarray) -> ControllerRecord:
@@ -428,7 +427,7 @@ class ColluderAgent:
         check: U where it announced a flip, identity everywhere else.
         ``origins`` ascend and hold every origin it spoke for."""
         flips = np.zeros(len(origins), dtype=np.uint8)
-        flips[np.searchsorted(origins, self._origins)] = self._flips
+        flips[np.searchsorted(origins, np.concatenate(self._origins))] = np.concatenate(self._flips)
         return ControllerRecord(origins, flips)
 
 

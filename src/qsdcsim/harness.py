@@ -3,10 +3,9 @@ sweeps with binomial statistics, and the exhaustive self-test.
 
 Every run is fully determined by (config, seed), through child seeds
 derived from the master seed and indices, so repeated runs are
-byte-identical. A qsdc sweep point draws its trials from one generator
-seeded with ``derive_seed(seed, point)``, in consecutive batches of at
-most ``BATCH_PHOTONS`` photons; an mcqsdc trial t runs alone, seeded with
-``derive_seed(seed, point, t)``.
+byte-identical. A sweep point of either protocol draws its trials from
+one generator seeded with ``derive_seed(seed, point)``, in consecutive
+batches of at most ``BATCH_PHOTONS`` photons.
 """
 from __future__ import annotations
 
@@ -51,7 +50,7 @@ SWEEP_AXES = (
     "controllers",
 )
 
-#: The photon budget of one batch of a qsdc sweep point: a fixed part of
+#: The photon budget of one batch of a sweep point: a fixed part of
 #: the seeding rule of sweep CSVs, which bounds a batch's memory.
 BATCH_PHOTONS = 1 << 16
 
@@ -232,15 +231,10 @@ def load_config(path: str) -> ExperimentConfig:
 def run_trial(
     config: ExperimentConfig, seed: int, transcript: Transcript | None = None
 ) -> tuple[SessionOutcome, Attack]:
-    """Run one session with a fresh strategy instance, which then reports
-    on it."""
+    """Run one session of either protocol with a fresh strategy instance,
+    which then reports on it."""
     attack = build_attack(config.attack_name, config.attack_params)
-    session = config.session_config(seed)
-    if config.protocol == "mcqsdc":
-        outcome = run_mc_session(session, attack=attack, transcript=transcript)
-    else:
-        outcome = run_session(session, attack=attack, transcript=transcript)
-    return outcome, attack
+    return run_session(config.session_config(seed), attack, transcript=transcript), attack
 
 
 def bits_to_str(bits: Iterable[int] | None) -> str | None:
@@ -359,7 +353,7 @@ def _point_config(config: ExperimentConfig, point: Mapping[str, Any]) -> Experim
 
 
 def run_point(config: ExperimentConfig, seed: int) -> AggregateStats:
-    """The statistics of one qsdc sweep point. Its trials run as batches
+    """The statistics of one sweep point. Its trials run as batches
     of at most ``BATCH_PHOTONS`` photons (one session at least) drawn one
     after the other from one generator seeded with ``seed``, each batch
     with a fresh strategy instance and folded as soon as it finishes."""
@@ -385,12 +379,7 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     point_configs = [_point_config(config, point) for point in points]
     rows: list[list[str]] = []
     for point_index, (point, point_config) in enumerate(zip(points, point_configs)):
-        if config.protocol == "qsdc":
-            stats = run_point(point_config, derive_seed(config.seed, point_index))
-        else:
-            seeds = (derive_seed(config.seed, point_index, t) for t in range(config.trials))
-            trials = (run_trial(point_config, seed) for seed in seeds)
-            stats = aggregate_trials((out.batch, attack.columns(out.batch)) for out, attack in trials)
+        stats = run_point(point_config, derive_seed(config.seed, point_index))
         row = [_format_value(point[a]) for a in axes]
         row += [
             str(stats.trials),

@@ -23,11 +23,14 @@ a voice hears the parity of the voices before it.
 Decoding requires every controller's full operation record; withholding
 any single record provably reduces the receiver to coin-flip accuracy,
 which is the control property the harness measures.
+
+A controlled session runs on the two-party engine, ``protocol.run_sessions``,
+over the ``Chain`` that ``McSessionConfig.route`` walks; ``run_mc_session``
+is the batch of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,19 +38,20 @@ import numpy as np
 from .errors import ConfigError, ProtocolError
 from .fabric import ClassicalChannel, Coded, DanceBatch, QuantumChannel, Transcript, json_texts
 from .protocol import (
+    OP_TEXTS,
+    Receipt,
+    Route,
     SessionConfig,
     SessionOutcome,
-    by_origin,
     decide_and_reveal,
-    encoder_turn,
-    measure_at,
-    prepare_p_sequence,
+    frame_decode,
+    row_rates,
+    run_sessions,
     transmit_sequence,
 )
 from .quantum import (
     CANONICAL_LABELS,
     OP_MASK,
-    OP_NAMES,
     OpLabel,
     RandomSource,
     measure,
@@ -57,9 +61,8 @@ if TYPE_CHECKING:
     from .attacks import Attack
 
 #: The JSON texts of the initial states the receiver discloses for the
-#: check, and of the op names, by code.
+#: check, by code.
 STATE_TEXTS = json_texts([{"basis": s.basis.value, "bit": s.bit} for s in CANONICAL_LABELS])
-OP_TEXTS = json_texts(OP_NAMES)
 
 #: The policy cap on the controller chain. Every controller adds a hop,
 #: a private record of N ops and two announcements per check photon, so a
@@ -80,6 +83,28 @@ class McSessionConfig(SessionConfig):
             raise ConfigError(
                 f"controllers must be in [0, {MAX_CONTROLLERS}], got {self.controllers}"
             )
+
+    def route(
+        self,
+        labels: np.ndarray,
+        hops: Sequence[QuantumChannel],
+        rng: RandomSource,
+        public: ClassicalChannel,
+    ) -> "Chain":
+        """Walk the photons through the honest controller chain, hop by hop,
+        with per-hop arrival announcements and private op records."""
+        photons = labels
+        origins = np.arange(len(photons))
+        agents: list[Any] = []
+        for c, hop in enumerate(hops):
+            photons, alive = transmit_sequence(hop, photons, rng, public, "chain")
+            origins = origins[alive]
+            if c < len(hops) - 1:
+                public.announce(f"controller_{c}", "arrived", public.column(origins), stage="chain")
+                photons, ops = controller_pass(photons, rng)
+                agents.append(HonestController(ControllerRecord(origins, ops)))
+        public.announce("bob", "arrived_forward", public.column(origins), stage="chain")
+        return Chain(labels, photons, origins, agents)
 
 
 @dataclass(frozen=True)
@@ -170,23 +195,40 @@ class HonestReporter:
 
 
 @dataclass
-class Chain:
-    """What the controller chain delivered to the encoder, and who speaks
-    for it at the check.
+class Chain(Route):
+    """A controlled batch's forward leg: what the controller chain
+    delivered to the encoder, and who speaks for it at the check.
+    ``reporter`` is the receiver's check behavior, built on the returned
+    photons, and ``schedule`` draws the announcement orders as
+    ``schedule(n_check, m, rng)``."""
 
-    ``photons`` are the codes of the survivors in arrival order and
-    ``origins`` their indices in the prepared order. ``agents`` holds one
-    announcing agent per controller, each able to ``release`` its record.
-    ``reporter(photons_by_position)`` builds the receiver's check behavior
-    from the returned photons, and ``schedule`` draws the announcement
-    orders as ``schedule(n_check, m, rng)``.
-    """
-
-    photons: np.ndarray
-    origins: np.ndarray
-    agents: list[Any]
-    reporter: Callable[[np.ndarray], HonestReporter]
+    reporter: type[HonestReporter] = HonestReporter
     schedule: Callable[[int, int, RandomSource], AnnouncementSchedule] = AnnouncementSchedule.draw
+
+    def check(
+        self, threshold: float, receipt: Receipt, rng: RandomSource, public: ClassicalChannel
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The announcement dance over every check photon of the batch, and
+        the encoder's decision on each row."""
+        labels, rows = self.labels, receipt.check_items
+        positions, check_origins, masks = rows.T
+        payload = {"positions": public.column(positions), "origins": public.column(check_origins)}
+        public.announce("bob", "check_open", payload, stage="check")
+
+        # The receiver publishes the initial states of the check photons so
+        # the encoder can evaluate; only a transcript reads the disclosure back.
+        if public.listening:
+            states = Coded(labels[check_origins], STATE_TEXTS, keys=check_origins)
+            public.announce("alice", "check_initial_states", states, stage="check")
+        else:
+            public.seq += 1
+        schedule = self.schedule(len(rows), len(self.agents), rng)
+        reporter = self.reporter(labels, receipt.photons, rng)
+        _, mismatches = mc_check_round(labels, rows, schedule, reporter, self.agents, public)
+        error_rates = row_rates(receipt.starts, positions, mismatches)
+        # The check ops by position, rendered only if a transcript is written.
+        disclosed = Coded(masks, OP_TEXTS, keys=positions)
+        return error_rates, *decide_and_reveal(public, "bob", error_rates, threshold, receipt, ops=disclosed)
 
 
 def mc_check_round(
@@ -233,28 +275,6 @@ def mc_check_round(
     return int(np.count_nonzero(mismatches)) / k if k else 0.0, mismatches
 
 
-def frame_decode(
-    labels: np.ndarray,
-    message_order: np.ndarray,
-    photons_by_position: np.ndarray,
-    records: Sequence[ControllerRecord],
-    rng: RandomSource,
-    public: ClassicalChannel,
-) -> list[int]:
-    """Frame-corrected decode over the given controller records, bits in
-    ascending origin order. The receiver XORs the records' op masks into
-    each message photon's preparation code, measures in the basis of the
-    result, and strips its bit. With no records this is the plain
-    preparation-basis decode."""
-    positions, origins = by_origin(message_order, len(labels))
-    frames = labels.copy()
-    for record in records:
-        frames[record.origins] ^= record.ops
-    frames = frames[origins]
-    measured = measure_at(photons_by_position, positions, frames >> 1, rng, public, "reveal")
-    return (measured[positions] ^ (frames & 1)).tolist()
-
-
 def release_and_reconstruct(
     alice_labels: np.ndarray,
     message_order: np.ndarray,
@@ -263,7 +283,7 @@ def release_and_reconstruct(
     n_controllers: int,
     rng: RandomSource,
     public: ClassicalChannel,
-) -> list[int]:
+) -> np.ndarray:
     """Decode the message from the controllers' released records, keyed
     by controller index.
 
@@ -277,34 +297,6 @@ def release_and_reconstruct(
     return frame_decode(alice_labels, message_order, photons_by_position, chain, rng, public)
 
 
-def _chain_hop_names(m: int) -> list[str]:
-    if m == 0:
-        return ["alice->bob"]
-    names = ["alice->controller_0"]
-    names += [f"controller_{i}->controller_{i + 1}" for i in range(m - 1)]
-    names.append(f"controller_{m - 1}->bob")
-    return names
-
-
-def honest_chain(
-    labels: np.ndarray, hops: Sequence[QuantumChannel], rng: RandomSource, public: ClassicalChannel
-) -> Chain:
-    """Walk the photons through the controller chain, hop by hop, with
-    per-hop arrival announcements and private op records."""
-    photons = labels
-    origins = np.arange(len(photons))
-    agents: list[Any] = []
-    for c, hop in enumerate(hops):
-        photons, alive = transmit_sequence(hop, photons, rng, public, "chain")
-        origins = origins[alive]
-        if c < len(hops) - 1:
-            public.announce(f"controller_{c}", "arrived", public.column(origins), stage="chain")
-            photons, ops = controller_pass(photons, rng)
-            agents.append(HonestController(ControllerRecord(origins, ops)))
-    public.announce("bob", "arrived_forward", public.column(origins), stage="chain")
-    return Chain(photons, origins, agents, partial(HonestReporter, labels, rng=rng))
-
-
 def run_mc_session(
     config: McSessionConfig,
     attack: Attack | None = None,
@@ -312,89 +304,9 @@ def run_mc_session(
     transcript: Transcript | None = None,
     withheld_controller: int | None = None,
 ) -> SessionOutcome:
-    """Run one controlled session end to end.
-
-    ``attack`` may tap the first and return legs, or reroute the photon
-    flow as a corrupt party; see the adversary module.
-    ``withheld_controller`` runs an honest session but decodes with that
-    controller's release withheld, measuring the control property.
-    """
-    m = config.controllers
+    """Run one controlled session, seeded with ``config.seed``: the batch
+    of one (see ``protocol.run_sessions`` for ``attack`` and
+    ``withheld_controller``)."""
     rng = np.random.default_rng(config.seed)
     public = ClassicalChannel(transcript)
-    if withheld_controller is not None and not 0 <= withheld_controller < m:
-        raise ConfigError(f"withheld controller {withheld_controller} out of range for m={m}")
-    if attack is not None:
-        attack.check_config(config)
-
-    hop_channels = [
-        QuantumChannel(name=name, noise=config.noise, loss=config.loss)
-        for name in _chain_hop_names(m)
-    ]
-    back = QuantumChannel(name="bob->alice", noise=config.noise, loss=config.loss)
-    if attack is not None:
-        attack.install(hop_channels[0], back, public, rng)
-
-    labels = prepare_p_sequence(config.n_photons, rng)
-    chain = None
-    if attack is not None:
-        chain = attack.reroute(config, labels, hop_channels, rng, public)
-    rerouted = chain is not None
-    if chain is None:
-        chain = honest_chain(labels, hop_channels, rng, public)
-
-    turn = encoder_turn(config, chain.photons, chain.origins, message, rng, public)
-    if attack is not None:
-        attack.receive_secrets(turn, labels)
-    receipt = turn.send_back(back, rng, public)
-    rows = receipt.check_items
-    positions, check_origins, masks = rows.T
-    payload = {"positions": public.column(positions), "origins": public.column(check_origins)}
-    public.announce("bob", "check_open", payload, stage="check")
-
-    # The receiver publishes the initial states of the check photons so the
-    # encoder can evaluate; only a transcript reads the disclosure back.
-    if public.listening:
-        states = Coded(labels[check_origins], STATE_TEXTS, keys=check_origins)
-        public.announce("alice", "check_initial_states", states, stage="check")
-    else:
-        public.seq += 1
-    error_rate, _mismatches = mc_check_round(
-        labels,
-        rows,
-        chain.schedule(len(rows), m, rng),
-        chain.reporter(receipt.photons),
-        chain.agents,
-        public,
-    )
-    # The check ops by position, rendered only if a transcript is written.
-    disclosed = Coded(masks, OP_TEXTS, keys=positions)
-    rates = [error_rate]
-    aborted, order = decide_and_reveal(
-        public, "bob", rates, config.error_threshold, receipt, ops=disclosed
-    )
-    if aborted[0]:
-        return turn.outcome(receipt, rates, aborted, [], public)[0]
-
-    # Controllers release their full records (fabricated ones included:
-    # a colluder announces whatever it committed to during the check).
-    records = {c: agent.release(chain.origins) for c, agent in enumerate(chain.agents)}
-    if public.listening:
-        for c, record in records.items():
-            payload = Coded(record.ops, OP_TEXTS, keys=record.origins)
-            public.announce(f"controller_{c}", "release", payload, stage="reveal")
-
-    args = (labels, order, receipt.photons)
-    if rerouted:
-        # The corrupt receiver ignores the releases: the photons she holds
-        # never met the controllers, so the preparation basis decodes them.
-        decoded = frame_decode(*args, [], rng, public)
-    elif withheld_controller is not None:
-        # Best-effort decode without the withheld record, which amounts to
-        # guessing identity for it: any fixed guess scores the same, since
-        # the withheld op is uniform over {I, U, H}.
-        kept = [records[c] for c in range(m) if c != withheld_controller]
-        decoded = frame_decode(*args, kept, rng, public)
-    else:
-        decoded = release_and_reconstruct(*args, records, m, rng, public)
-    return turn.outcome(receipt, rates, aborted, decoded, public)[0]
+    return run_sessions(config, 1, rng, attack, message, public, withheld_controller)[0]

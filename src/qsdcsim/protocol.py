@@ -33,7 +33,8 @@ whole batch in ascending (row, position) order:
 
   1. the preparation codes of all T * N photons;
   2. the forward leg's draws, in the order the channel acts
-     (see ``fabric.transmit``);
+     (see ``fabric.transmit``); in a controlled session, each hop's
+     draws and then its controller's ops, hop after hop;
   3. one ``permuted`` draw of T rows over the widest row's survivors, the
      check sets: row r's are the first ``size[r]`` of its entries below
      its own survivor count n_r, sorted;
@@ -42,24 +43,30 @@ whole batch in ascending (row, position) order:
   6. a second such ``permuted`` draw, the shuffles: row r keeps its
      entries below n_r, in the order drawn (for T = 1, ``permutation(n)``);
   7. the return leg's draws;
-  8. the check measurement, by ascending returned position;
+  8. the check measurement, by ascending returned position; in a
+     controlled session, the dance's orders and then its measurement;
   9. the reveal measurement of the rows that passed, likewise.
 
-A transcript and a fixed message are accepted only for a single session.
+A controlled session (``multiparty.McSessionConfig``) runs on the same
+engine over its chain of ``controllers`` hops, a two-party config being
+the chain of none; the config's ``route`` picks the check stage. A
+transcript and a fixed message are accepted only for a single session.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
 from .fabric import (
     ClassicalChannel,
+    Coded,
     NoiseModel,
     QuantumChannel,
     Transcript,
+    json_texts,
     transmit,
 )
 from .quantum import (
@@ -76,6 +83,9 @@ if TYPE_CHECKING:
 UNMEASURED = 2
 #: The entry ``_recorded`` reads past the end of a record.
 _UNMEASURED_ENTRY = np.array([UNMEASURED], dtype=np.uint8)
+
+#: The JSON texts of the op names, by code.
+OP_TEXTS = json_texts(OP_NAMES)
 
 #: The policy cap on a session's photon count. A session peaks at about
 #: 340 bytes per photon (measured at N = 2^19), so the cap keeps one
@@ -190,6 +200,8 @@ class SessionConfig:
     noise: NoiseModel = field(default_factory=NoiseModel.none)
     loss: float = 0.0
     seed: int = 0
+    #: The hops of the controller chain; ``McSessionConfig`` has a field.
+    controllers: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_photons <= MAX_PHOTONS:
@@ -216,6 +228,19 @@ class SessionConfig:
                 raise ConfigError(f"check_count must be in [1, n_photons-1], got {self.check_count}")
             return 0 * n + self.check_count
         return np.rint(self.check_fraction * n).astype(np.intp)
+
+    def route(
+        self,
+        labels: np.ndarray,
+        hops: Sequence[QuantumChannel],
+        rng: RandomSource,
+        public: ClassicalChannel,
+    ) -> "Route":
+        """The honest forward leg of a two-party session: the photons fly
+        straight to the encoder, who announces which arrived."""
+        photons, origins = transmit_sequence(hops[0], labels, rng, public, "prepare")
+        public.announce("bob", "arrived_forward", public.column(origins), stage="prepare")
+        return Route(labels, photons, origins)
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,11 +439,14 @@ def run_check(
     if len(unknown):
         raise ProtocolError(f"check announcement references unknown origin {unknown[0]}")
     expected = (alice_labels[origins] ^ ops) & 1
-    if starts is None:
-        starts = np.array([0, n])
+    return row_rates(np.array([0, n]) if starts is None else starts, positions, outcomes != expected)
+
+
+def row_rates(starts: np.ndarray, positions: np.ndarray, mismatches: np.ndarray) -> np.ndarray:
+    """The mismatch fraction of each row's check photons, a photon's row
+    read from its returned position (row r starts at ``starts[r]``)."""
     row, n_rows = row_of(starts, positions), len(starts) - 1
-    errors = np.bincount(row[outcomes != expected], minlength=n_rows)
-    return errors / np.bincount(row, minlength=n_rows)
+    return np.bincount(row[mismatches], minlength=n_rows) / np.bincount(row, minlength=n_rows)
 
 
 def _recorded(alice_measurements: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -428,20 +456,18 @@ def _recorded(alice_measurements: np.ndarray, positions: np.ndarray) -> np.ndarr
     return padded[np.minimum(positions, len(alice_measurements))]
 
 
-def by_origin(message_order: np.ndarray, n: int) -> np.ndarray:
-    """The (position, origin) rows of a message order as two arrays, in
-    ascending origin order (a counting sort over the n prepared origins)."""
-    order = np.asarray(message_order, dtype=np.intp).reshape(-1, 2)
-    origins = order[:, 1]
+def origin_rank(origins: np.ndarray, n: int) -> np.ndarray:
+    """The indices of a message order's ``origins`` in ascending origin
+    order (a counting sort over the n prepared origins)."""
     unknown = origins[(origins < 0) | (origins >= n)]
     if len(unknown):
         raise ProtocolError(f"message order references unknown origin {unknown[0]}")
     row = np.full(n, -1, dtype=np.intp)
-    row[origins] = np.arange(len(order))
+    row[origins] = np.arange(len(origins))
     row = row[row >= 0]
-    if len(row) != len(order):
+    if len(row) != len(origins):
         raise ProtocolError("message order repeats an origin")
-    return order.take(row, axis=0).T
+    return row
 
 
 def reveal_order_and_decode(
@@ -461,7 +487,8 @@ def reveal_order_and_decode(
     """
     if not check_passed:
         raise ProtocolError("message order must not be consumed before the check decision")
-    positions, origins = by_origin(message_order, len(alice_labels))
+    order = np.asarray(message_order, dtype=np.intp).reshape(-1, 2)
+    positions, origins = order[origin_rank(order[:, 1], len(alice_labels))].T
     outcomes = _recorded(alice_measurements, positions)
     missing = positions[outcomes == UNMEASURED]
     if len(missing):
@@ -667,6 +694,81 @@ def decide_and_reveal(
     return aborted, order
 
 
+def frame_decode(
+    labels: np.ndarray,
+    message_order: np.ndarray,
+    photons_by_position: np.ndarray,
+    records: Sequence[Any],
+    rng: RandomSource,
+    public: ClassicalChannel,
+) -> np.ndarray:
+    """The reveal of both protocols, bits in ascending origin order: the
+    receiver XORs the op masks of the controller ``records`` into each
+    message photon's preparation code, measures the photons in the order
+    published (ascending returned position) in the basis of the result,
+    and strips its bit. With no records it is the preparation-basis decode."""
+    positions, origins = np.asarray(message_order, dtype=np.intp).reshape(-1, 2).T
+    rank = origin_rank(origins, len(labels))
+    frames = labels.copy() if records else labels
+    for record in records:
+        frames[record.origins] ^= record.ops
+    codes = frames[origins]
+    bases = codes >> 1
+    outcomes = measure(photons_by_position[positions], bases, rng)
+    public.measured("reveal", "alice", positions, bases, outcomes)
+    return (outcomes ^ (codes & 1))[rank]
+
+
+@dataclass
+class Route:
+    """A batch's forward leg as the engine sees it: Alice's preparation
+    codes ``labels``, the codes ``photons`` of the survivors in arrival
+    order and their prepared-order ``origins``, and ``agents``, one per
+    controller the photons passed (none on the two-party route), each able
+    to ``release`` its record. ``bypassed`` marks photons that never met
+    the controllers. Its ``check`` is the two-party check;
+    ``multiparty.Chain`` swaps in the announcement dance."""
+
+    labels: np.ndarray
+    photons: np.ndarray
+    origins: np.ndarray
+    agents: list[Any] = field(default_factory=list)
+    bypassed: bool = False
+
+    def check(
+        self, threshold: float, receipt: Receipt, rng: RandomSource, public: ClassicalChannel
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bob opens the check photons; Alice measures each in its
+        preparation basis and decides. Returns each row's error rate, which
+        rows aborted and the message order published."""
+        # Only the check photons are opened: the message order stays secret.
+        rows = receipt.check_items
+        positions, origins, ops = rows.T
+        payload = {"positions": public.column(positions), "origins": public.column(origins),
+                   "ops": public.column(ops, OP_NAMES)}
+        public.announce("bob", "check_open", payload, stage="check")
+        measured = measure_at(receipt.photons, positions, self.labels[origins] >> 1, rng, public, "check")
+        error_rates = run_check(self.labels, rows, measured, receipt.starts)
+        return error_rates, *decide_and_reveal(public, "alice", error_rates, threshold, receipt)
+
+    def release(self, withheld: int | None, public: ClassicalChannel) -> list[Any]:
+        """After a passing check every controller releases its full record
+        (a colluder a fabricated one, consistent with what it announced);
+        returns the records the receiver decodes through."""
+        records = [agent.release(self.origins) for agent in self.agents]
+        if public.listening:
+            for c, record in enumerate(records):
+                payload = Coded(record.ops, OP_TEXTS, keys=record.origins)
+                public.announce(f"controller_{c}", "release", payload, stage="reveal")
+        if self.bypassed:
+            # The corrupt receiver ignores the releases: the photons she holds
+            # never met the controllers, so the preparation basis decodes them.
+            return []
+        # Decoding without a withheld record guesses identity for it; any
+        # fixed guess scores the same, the withheld op being uniform.
+        return [record for c, record in enumerate(records) if c != withheld]
+
+
 def run_sessions(
     config: SessionConfig,
     trials: int,
@@ -674,33 +776,43 @@ def run_sessions(
     attack: Attack | None = None,
     message: Sequence[int] | None = None,
     public: ClassicalChannel | None = None,
+    withheld_controller: int | None = None,
 ) -> SessionBatch:
-    """Run a batch of ``trials`` two-party sessions, drawing from ``rng``
-    in the order the module describes (``config.seed`` is not read).
+    """Run a batch of ``trials`` sessions of either protocol, drawing from
+    ``rng`` in the order the module describes (``config.seed`` is not
+    read). The config's type picks the route: a ``SessionConfig`` runs
+    two-party sessions, a ``multiparty.McSessionConfig`` controlled ones.
 
     ``message`` fixes the sender's bits (its length must match the free
     positions after the check set is carved out); by default random bits
-    are drawn. An ``attack`` may install taps on either quantum leg before
-    any photon flies; it serves the whole batch and reports on each row.
-    A fixed message and a transcript on ``public`` need ``trials == 1``.
+    are drawn. An ``attack`` may install taps on the first and return legs
+    before any photon flies, or reroute a controller chain; it serves the
+    whole batch and reports on each row. ``withheld_controller`` decodes a
+    controlled batch with that controller's release withheld, measuring
+    the control property. A fixed message and a transcript on ``public``
+    need ``trials == 1``.
     """
     public = ClassicalChannel() if public is None else public
+    m = config.controllers
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if trials > 1 and (message is not None or public.listening):
         raise ConfigError("a fixed message or a transcript needs a single session")
-    forward = QuantumChannel(name="alice->bob", noise=config.noise, loss=config.loss)
+    if withheld_controller is not None and not 0 <= withheld_controller < m:
+        raise ConfigError(f"withheld controller {withheld_controller} out of range for m={m}")
+    nodes = ["alice", *(f"controller_{c}" for c in range(m)), "bob"]
+    hops = [QuantumChannel(name=f"{a}->{b}", noise=config.noise, loss=config.loss)
+            for a, b in zip(nodes, nodes[1:])]
     back = QuantumChannel(name="bob->alice", noise=config.noise, loss=config.loss)
     if attack is not None:
-        attack.install(forward, back, public, rng)
+        attack.check_config(config)
+        attack.install(hops[0], back, public, rng)
 
     # Preparation: Alice's codes are her private record and the photons sent.
     labels = prepare_p_sequence(trials * config.n_photons, rng)
-    photons, origins = transmit_sequence(forward, labels, rng, public, "prepare")
-
-    # Receiver announces arrivals; both sides drop lost positions.
-    public.announce("bob", "arrived_forward", public.column(origins), stage="prepare")
-    turn = encoder_turn(config, photons, origins, message, rng, public, trials)
+    route = None if attack is None else attack.reroute(config, labels, hops, rng, public)
+    route = config.route(labels, hops, rng, public) if route is None else route
+    turn = encoder_turn(config, route.photons, route.origins, message, rng, public, trials)
 
     # Experiment instrumentation: a strategy may ask for secrets that the
     # protocol itself never discloses, to isolate what each one protects.
@@ -708,27 +820,11 @@ def run_sessions(
         attack.receive_secrets(turn, labels)
 
     receipt = turn.send_back(back, rng, public)
-
-    # Check disclosure: positions, their origins, and Bob's check ops --
-    # but only for check photons, the message order stays secret.
-    photons, rows = receipt.photons, receipt.check_items
-    positions, check_origins, ops = rows.T
-    payload = {"positions": public.column(positions), "origins": public.column(check_origins),
-               "ops": public.column(ops, OP_NAMES)}
-    public.announce("bob", "check_open", payload, stage="check")
-
-    # Alice measures every check photon, then every message photon of the
-    # sessions that passed, in its preparation basis.
-    measured = measure_at(photons, rows[:, 0], labels[rows[:, 1]] >> 1, rng, public, "check")
-    error_rates = run_check(labels, rows, measured, turn.starts)
-    aborted, order = decide_and_reveal(public, "alice", error_rates, config.error_threshold, receipt)
+    error_rates, aborted, order = route.check(config.error_threshold, receipt, rng, public)
     decoded = np.zeros(0, dtype=np.uint8)
     if np.count_nonzero(aborted) < trials:
-        measured = measure_at(photons, order[:, 0], labels[order[:, 1]] >> 1, rng, public, "reveal")
-        # The published order, decoded in ascending origin order: each
-        # outcome XOR the preparation bit (see reveal_order_and_decode).
-        positions, origins = by_origin(order, len(labels))
-        decoded = measured[positions] ^ (labels[origins] & 1)
+        records = route.release(withheld_controller, public)
+        decoded = frame_decode(labels, order, receipt.photons, records, rng, public)
     return turn.outcome(receipt, error_rates, aborted, decoded, public)
 
 
@@ -738,7 +834,7 @@ def run_session(
     message: Sequence[int] | None = None,
     transcript: Transcript | None = None,
 ) -> SessionOutcome:
-    """Run one full two-party session, seeded with ``config.seed``: the
-    batch of one (see ``run_sessions``)."""
+    """Run one full session, seeded with ``config.seed``: the batch of one
+    (see ``run_sessions``)."""
     rng = np.random.default_rng(config.seed)
     return run_sessions(config, 1, rng, attack, message, ClassicalChannel(transcript))[0]

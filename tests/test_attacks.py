@@ -258,6 +258,7 @@ class TestBypass:
             assert not out.aborted
             assert out.measured_error_rate == 0.0
             assert attack.report(out).message_guess_accuracy == 1.0
+            assert out == run_mc_session(config)
 
     def test_full_recovery_when_undetected(self):
         found = 0

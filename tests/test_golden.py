@@ -2,9 +2,9 @@
 
 Each digest is the SHA-256 of a run report (canonical JSON) followed by
 its transcript JSON Lines, of a withheld-controller session, or of a
-sweep CSV (qsdc points run as batches of sessions, mcqsdc points trial
-by trial). They pin the random stream end to end: an engine change that
-draws one number more, fewer or in another order moves them. When a
+sweep CSV (each point runs as batches of sessions, in both protocols).
+They pin the random stream end to end: an engine change that draws one
+number more, fewer or in another order moves them. When a
 change to the outputs is intended, recompute them with
 ``python tests/test_golden.py`` and say why in CHANGES.md.
 """
@@ -118,18 +118,18 @@ DIGESTS = {
     "qsdc_bit_flip": "f2893f36a8e4eaa85b2a8522988602926d1fa44106c8582c2ddd9d3a59330348",
     "qsdc_loss_bit_flip": "f695ac75c3e04990f3d69c7742c6778f33d1aa67797d982e5a229d7e3df98dcd",
     "qsdc_depolarizing": "704ed6f0b3eae66421e9a19438b21fe5e8f60ae9f3abb767bff4a3a4ff8166d4",
-    "mcqsdc_m3_loss": "40b549eca8a52261170b6821c778f4ed6e53cbcec304107c9fad0ffebbdc7de2",
+    "mcqsdc_m3_loss": "8cc40d1099f00fce984fabdfda33871272f8853a795cd2d788d78b327e153914",
     "mcqsdc_collusion_random": "6ea48afbb4bb2af2ad79ca75500a9ee814645a26e2529ed7f67f80b540caf157",
-    "mcqsdc_collusion_fixed": "cb88c766655036ae656aab80b36bd35d67beed01ae1cc656271e5d4e7a9a0fea",
+    "mcqsdc_collusion_fixed": "6013881f7cf4bc8092ab563765e8145f0c55e66998a6a20bab564551601466cd",
     "mcqsdc_bypass": "48d963efc97ac90579f9cb49edd907c73b3400733be2311972124e1bfaaba1d7",
     "mcqsdc_return_leg_tap_m1": "a34d8af7825d9429b13b10eeb85bc794c5c3fa4bef456127754a542302b97b3e",
-    "mcqsdc_withheld": "fe1dfba0eb17bd31ebbc57ec8c8af47a55764e9b167790d1e0848d80f5564ff0",
-    "mcqsdc_m0": "4f1cba3a4a014cbb9e9159a083485fd7bac1501e1f7d3a9b318e1b7269204edf",
-    "mcqsdc_m1_loss": "03337d81f9b45465b4afbbce76068ea4e1f96c4cba8e1fba4e6eb2a294bd0c44",
-    "mcqsdc_intercept_resend_aborted": "784f3cec355062c7152a6397f73746e76f84a17dd6a82b468a2dd8a6243973c2",
+    "mcqsdc_withheld": "61f001c4d51a41d942a197570f8f28156212ddb3d8699457d2c4714a77d9094e",
+    "mcqsdc_m0": "83785b2ee163aabb8133fa26481c89366a51b31f146dbe73932611f28eb5fabc",
+    "mcqsdc_m1_loss": "68565e86f39678b3ecf7c03aeed97f328f871ae0f19f8b41f0e58992518bbdf1",
+    "mcqsdc_intercept_resend_aborted": "26d0867bf6825f764e475abdf4f4036543373efea578ad9ef8685a5a8ac95232",
     "qsdc_heavy_loss": "6ef0ba67c1a222d5a102e655e7233d548548d8607649aa42184c4ec3fd4c26fe",
     "sweep_csv": "5c724633a642a05631da53858fb20ceae27656db19246a48d734dbd98ae524e5",
-    "mcqsdc_sweep_csv": "fb8c185815273e15560e15a0fd516e989f4e8e9fcdd7b95543a3c10537b176d8",
+    "mcqsdc_sweep_csv": "48fea07f2dd96711b74120eeb3b839a6a3f5b15ecf6bf3b3e27e3cfdbe0edf48",
     "qsdc_sweep_return_leg_tap": "9ebbf41c123659ffd213f454b0851ad1031ccc81a631e07fb181c79613519c61",
     "qsdc_sweep_return_leg_tap_disclosed": "c4c7633bb2fe8d35d1048d9ccf7a2f4d08b62a6cfdf31f3eec87b7f03f31e07f",
     "qsdc_one_message_bit": "fcbe9bd231635a64ead6955d6fd228232f7c290ae5cfee48d96739565bc7093f",

@@ -23,7 +23,8 @@ from qsdcsim.multiparty import (
     release_and_reconstruct,
     run_mc_session,
 )
-from qsdcsim.protocol import prepare_p_sequence
+from qsdcsim.attacks import build_attack
+from qsdcsim.protocol import SessionConfig, prepare_p_sequence, run_session
 from qsdcsim.quantum import (
     ATOL,
     CANONICAL_LABELS,
@@ -254,6 +255,23 @@ class TestReconstruction:
         out = run_mc_session(config)
         assert not out.aborted
         assert out.decoded_bits == out.message_sent
+
+    @pytest.mark.parametrize("attack", ["none", "intercept_resend", "return_leg_tap"])
+    @pytest.mark.parametrize("loss", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "noise", [NoiseModel.none(), NoiseModel.bit_flip(0.05), NoiseModel.depolarizing(0.1)]
+    )
+    def test_zero_controllers_are_the_two_party_session(self, noise, loss, attack):
+        """A chain of no controllers draws, checks and decodes what the
+        two-party session does, conjugate-basis reads of the reveal
+        included: the same decoded bits and the same attack report."""
+        common = dict(n_photons=33, noise=noise, loss=loss, error_threshold=1.0, seed=23)
+        two_party, controlled = build_attack(attack), build_attack(attack)
+        out = run_session(SessionConfig(**common), attack=two_party)
+        mc_out = run_mc_session(McSessionConfig(controllers=0, **common), attack=controlled)
+        assert not out.aborted
+        assert mc_out == out
+        assert controlled.report(mc_out) == two_party.report(out)
 
     def test_three_controllers_long_message(self):
         config = McSessionConfig(n_photons=288, check_count=32, controllers=3, seed=7)

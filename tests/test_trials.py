@@ -1,11 +1,11 @@
-"""The trials axis: a batch of two-party sessions run as one.
+"""The trials axis: a batch of sessions run as one.
 
-``run_sessions`` runs T sessions as one flat frame-code sequence, each
-session a row, with one draw per kind of random number for the whole
-batch. A row must behave exactly like an independent session: honest
-rows decode every bit that survives, attacked rows meet the closed forms,
-and neighbouring rows are uncorrelated. A qsdc sweep point runs its
-trials as consecutive batches of at most ``harness.BATCH_PHOTONS``
+``run_sessions`` runs T sessions of either protocol as one flat
+frame-code sequence, each session a row, with one draw per kind of random
+number for the whole batch. A row must behave exactly like an independent
+session: honest rows decode every bit that survives, attacked rows meet
+the closed forms, and neighbouring rows are uncorrelated. A sweep point
+runs its trials as consecutive batches of at most ``harness.BATCH_PHOTONS``
 photons drawn from one generator, and folds each batch as it finishes.
 """
 import itertools
@@ -19,10 +19,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsdcsim import harness, protocol
-from qsdcsim.attacks import Attack, build_attack, intercept_resend_detection
+from qsdcsim.attacks import (
+    Attack,
+    build_attack,
+    bypass_photon_pass_probability,
+    collusion_photon_detection,
+    intercept_resend_detection,
+)
 from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import ClassicalChannel, Transcript
-from qsdcsim.harness import ExperimentConfig, aggregate_trials, run_point, three_sigma_band
+from qsdcsim.harness import (
+    ExperimentConfig,
+    aggregate_trials,
+    derive_seed,
+    run_point,
+    sweep_csv,
+    three_sigma_band,
+)
+from qsdcsim.multiparty import McSessionConfig, run_mc_session
 from qsdcsim.protocol import (
     SessionConfig,
     rearrange,
@@ -51,10 +65,29 @@ def assert_decoded_positions_sound(out, exact):
 def test_batch_of_one_is_run_session(attack):
     for loss in (0.0, 0.2):
         config = SessionConfig(n_photons=40, loss=loss, error_threshold=0.3, seed=5)
-        mine, theirs = build_attack(attack), build_attack(attack)
-        (batched,) = run_sessions(config, 1, np.random.default_rng(5), mine)
-        assert batched == run_session(config, attack=theirs)
-        assert mine.report(batched, 0) == theirs.report(batched)
+        mc_config = McSessionConfig(
+            n_photons=40, loss=loss, error_threshold=0.3, controllers=2, seed=5
+        )
+        for session, run_one in ((config, run_session), (mc_config, run_mc_session)):
+            mine, theirs = build_attack(attack), build_attack(attack)
+            (batched,) = run_sessions(session, 1, np.random.default_rng(5), mine)
+            single = run_one(session, attack=theirs)
+            assert batched == single
+            assert mine.report(batched, 0) == theirs.report(single)
+
+
+@pytest.mark.parametrize(
+    "attack,params",
+    [("collusion", {}), ("collusion", {"schedule_variant": "fixed_order"}),
+     ("fake_sequence_bypass", {})],
+)
+def test_rerouted_batch_of_one_is_run_mc_session(attack, params):
+    config = McSessionConfig(n_photons=40, check_count=8, error_threshold=0.2, controllers=3, seed=6)
+    mine, theirs = build_attack(attack, params), build_attack(attack, params)
+    (batched,) = run_sessions(config, 1, np.random.default_rng(6), mine)
+    single = run_mc_session(config, attack=theirs)
+    assert batched == single
+    assert mine.report(batched, 0) == theirs.report(single)
 
 
 def test_honest_rows_decode_every_surviving_bit():
@@ -112,6 +145,57 @@ def test_intercept_resend_rows_meet_closed_forms_independently():
     reports = [attack.report(out, row) for row, out in enumerate(outcomes)]
     assert all(report.metadata["n_tapped"] == n_check + 5 for report in reports)
     assert [report.detected for report in reports] == detected.astype(bool).tolist()
+
+
+@pytest.mark.parametrize(
+    "attack,m,p",
+    [("collusion", 2, collusion_photon_detection(2)),
+     ("collusion", 3, collusion_photon_detection(3)),
+     ("fake_sequence_bypass", 2, 1.0 - bypass_photon_pass_probability())],
+)
+def test_controlled_rows_meet_closed_forms_independently(attack, m, p):
+    """Each row of a rerouted batch errs per check photon at the closed
+    form, and its session detection is the binomial tail of that."""
+    n_check, trials = 8, 1500
+    config = McSessionConfig(
+        n_photons=n_check + 4, check_count=n_check, error_threshold=0.0, controllers=m
+    )
+    outcomes = batch(config, trials, 12 + m, build_attack(attack))
+    assert all(out.n_check == n_check for out in outcomes)
+    errors = np.array([round(out.measured_error_rate * out.n_check) for out in outcomes])
+    photons = trials * n_check
+    assert abs(errors.sum() / photons - p) < three_sigma_band(p, photons)
+    # A row's error count is binomial: its variance tells rows that share
+    # their fate apart from independent ones.
+    spread = n_check * p * (1 - p)
+    assert abs(errors.var() - spread) < 0.15 * spread
+    detected = np.array([out.aborted for out in outcomes], dtype=float)
+    p_row = 1.0 - (1.0 - p) ** n_check
+    assert abs(detected.mean() - p_row) < three_sigma_band(p_row, trials)
+    assert abs(np.corrcoef(errors[:-1], errors[1:])[0, 1]) < 3 / np.sqrt(trials - 1)
+
+
+def test_fixed_order_collusion_rows_pass_and_read_everything():
+    config = McSessionConfig(n_photons=24, check_count=8, error_threshold=0.0, controllers=3)
+    attack = build_attack("collusion", {"schedule_variant": "fixed_order"})
+    outcomes = batch(config, 200, 15, attack)
+    assert not outcomes.aborted.any() and not outcomes.error_rate.any()
+    assert all(attack.report(out, row).message_guess_accuracy == 1.0
+               for row, out in enumerate(outcomes))
+
+
+def test_withheld_controller_is_checked_and_served_by_the_engine():
+    config = McSessionConfig(n_photons=40, check_count=8, error_threshold=0.0, controllers=3)
+    for withheld in (-1, 3):
+        with pytest.raises(ConfigError, match="out of range"):
+            run_sessions(config, 1, np.random.default_rng(0), withheld_controller=withheld)
+    with pytest.raises(ConfigError, match="out of range"):
+        run_sessions(SessionConfig(n_photons=40), 1, np.random.default_rng(0),
+                     withheld_controller=0)
+    # A batch decoded without one release reads its bits at coin-flip accuracy.
+    outcomes = run_sessions(config, 100, np.random.default_rng(1), withheld_controller=1)
+    hits, bits = outcomes.decode_hits.sum(), outcomes.decode_bits.sum()
+    assert bits == 100 * 32 and abs(hits / bits - 0.5) < three_sigma_band(0.5, bits)
 
 
 @pytest.mark.parametrize(
@@ -202,6 +286,23 @@ def test_batches_of_a_point_keep_its_statistics(monkeypatch):
         assert abs(stats.mean_error_rate - 0.25) < 3 * 0.22 / np.sqrt(config.trials)
     two_sample = np.sqrt(2) * three_sigma_band(p, config.trials)
     assert abs(chunked.detection_freq - whole.detection_freq) < two_sample
+
+
+def test_controlled_sweep_points_run_as_batches(monkeypatch):
+    """An mcqsdc sweep point draws its trials from ``derive_seed(seed,
+    point)`` in batches, as a qsdc point does."""
+    config = ExperimentConfig.from_dict(
+        {"protocol": "mcqsdc", "n_photons": 64, "check_count": 16, "error_threshold": 0.0,
+         "attack": {"name": "collusion"}, "trials": 300, "seed": 17,
+         "sweep": {"controllers": [2, 3]}}
+    )
+    seen = record_batches(monkeypatch)
+    rows = sweep_csv(config).splitlines()[1:]
+    assert [len(outcome) for outcome in seen] == [300, 300]
+    for index, (row, m) in enumerate(zip(rows, (2, 3))):
+        point = ExperimentConfig.from_dict(dict(config.to_dict(), controllers=m, sweep={}))
+        stats = run_point(point, derive_seed(17, index))
+        assert row.split(",")[2] == format(stats.detection_freq, ".6g")
 
 
 def test_one_row_per_batch_beyond_the_budget(monkeypatch):
