@@ -200,7 +200,8 @@ class SessionConfig:
     noise: NoiseModel = field(default_factory=NoiseModel.none)
     loss: float = 0.0
     seed: int = 0
-    #: The hops of the controller chain; ``McSessionConfig`` has a field.
+    #: The length of the controller chain: none in a two-party session;
+    #: ``McSessionConfig`` makes it a field.
     controllers: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
