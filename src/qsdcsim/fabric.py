@@ -466,9 +466,9 @@ class ClassicalChannel:
     to a no-op, so stage code logs without asking whether anyone listens.
     What only a transcript reads back (the check's dance, one batch with
     an announcement per photon and turn, the initial states disclosed for
-    the check, and the controllers' releases) is built only when
-    ``listening``; ``column`` gives an integer payload the form its
-    reader takes.
+    the check, the check decisions and the controllers' releases) is
+    built, and numbered, only when ``listening``; ``column`` gives an
+    integer payload the form its reader takes.
     """
 
     def __init__(self, transcript: Transcript | None = None) -> None:

@@ -44,7 +44,7 @@ from .protocol import (
     SessionConfig,
     SessionOutcome,
     decide_and_reveal,
-    frame_decode,
+    reveal_order_and_decode,
     row_rates,
     run_sessions,
     transmit_sequence,
@@ -220,8 +220,6 @@ class Chain(Route):
         if public.listening:
             states = Coded(labels[check_origins], STATE_TEXTS, keys=check_origins)
             public.announce("alice", "check_initial_states", states, stage="check")
-        else:
-            public.seq += 1
         schedule = self.schedule(len(rows), len(self.agents), rng)
         reporter = self.reporter(labels, receipt.photons, rng)
         _, mismatches = mc_check_round(labels, rows, schedule, reporter, self.agents, public)
@@ -271,7 +269,7 @@ def mc_check_round(
     if public.listening:
         columns = (positions, schedule.h_orders, schedule.iu_orders, h_bits, bases, outcomes)
         public.transcript.add(DanceBatch(public.seq, *columns, reports, flips))
-    public.seq += k * (2 * m + 1)
+        public.seq += k * (2 * m + 1)
     return int(np.count_nonzero(mismatches)) / k if k else 0.0, mismatches
 
 
@@ -294,7 +292,9 @@ def release_and_reconstruct(
     if missing:
         raise ProtocolError(f"reconstruction refused: missing release from controllers {sorted(missing)}")
     chain = [records[c] for c in range(n_controllers)]
-    return frame_decode(alice_labels, message_order, photons_by_position, chain, rng, public)
+    return reveal_order_and_decode(
+        alice_labels, message_order, photons_by_position, chain, rng, public
+    )
 
 
 def run_mc_session(

@@ -79,11 +79,6 @@ from .quantum import (
 if TYPE_CHECKING:
     from .attacks import Attack
 
-#: A measurement record's entry at a position Alice did not measure.
-UNMEASURED = 2
-#: The entry ``_recorded`` reads past the end of a record.
-_UNMEASURED_ENTRY = np.array([UNMEASURED], dtype=np.uint8)
-
 #: The JSON texts of the op names, by code.
 OP_TEXTS = json_texts(OP_NAMES)
 
@@ -215,6 +210,8 @@ class SessionConfig:
             raise ConfigError(f"loss must be in [0,1], got {self.loss}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.check_count is not None and not 1 <= self.check_count <= self.n_photons - 1:
+            raise ConfigError(f"check_count must be in [1, n_photons-1], got {self.check_count}")
         size = self.check_size(self.n_photons)
         if size < 1:
             raise ConfigError("configuration yields an empty check set")
@@ -225,8 +222,6 @@ class SessionConfig:
         """The check-set size of a sequence of n photons, elementwise over
         an array of lengths."""
         if self.check_count is not None:
-            if not 1 <= self.check_count <= self.n_photons - 1:
-                raise ConfigError(f"check_count must be in [1, n_photons-1], got {self.check_count}")
             return 0 * n + self.check_count
         return np.rint(self.check_fraction * n).astype(np.intp)
 
@@ -415,13 +410,12 @@ def rearrange(
 def run_check(
     alice_labels: np.ndarray,
     rows: np.ndarray,
-    alice_measurements: np.ndarray,
+    outcomes: np.ndarray,
     starts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate the eavesdropping check from the encoder's disclosed check
     rows (position, origin, op mask) plus Alice's preparation codes and
-    her measurement record (outcome by returned position, ``UNMEASURED``
-    where she did not measure).
+    her outcome for each row's photon.
 
     For each check photon the expected outcome is the initial bit XOR'd
     with the encoder's announced bit-flip. Returns the mismatch fraction
@@ -431,16 +425,14 @@ def run_check(
     if len(rows) == 0:
         raise ProtocolError("check announcement is empty")
     positions, origins, ops = np.asarray(rows).T
-    outcomes = _recorded(alice_measurements, positions)
-    n = len(alice_measurements)
-    measured = n - np.count_nonzero(alice_measurements == UNMEASURED)
-    if UNMEASURED in outcomes or measured != len(positions):
-        raise ProtocolError("measurements must cover exactly the announced check positions")
+    if len(outcomes) != len(positions):
+        raise ProtocolError("outcomes must align with the announced check rows")
     unknown = origins[(origins < 0) | (origins >= len(alice_labels))]
     if len(unknown):
         raise ProtocolError(f"check announcement references unknown origin {unknown[0]}")
     expected = (alice_labels[origins] ^ ops) & 1
-    return row_rates(np.array([0, n]) if starts is None else starts, positions, outcomes != expected)
+    starts = np.array([0, positions.max() + 1]) if starts is None else starts
+    return row_rates(starts, positions, outcomes != expected)
 
 
 def row_rates(starts: np.ndarray, positions: np.ndarray, mismatches: np.ndarray) -> np.ndarray:
@@ -448,13 +440,6 @@ def row_rates(starts: np.ndarray, positions: np.ndarray, mismatches: np.ndarray)
     read from its returned position (row r starts at ``starts[r]``)."""
     row, n_rows = row_of(starts, positions), len(starts) - 1
     return np.bincount(row[mismatches], minlength=n_rows) / np.bincount(row, minlength=n_rows)
-
-
-def _recorded(alice_measurements: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """The outcomes of a measurement record at ``positions``: ``UNMEASURED``
-    where nothing was measured, past the end of the record included."""
-    padded = np.concatenate((alice_measurements, _UNMEASURED_ENTRY))
-    return padded[np.minimum(positions, len(alice_measurements))]
 
 
 def origin_rank(origins: np.ndarray, n: int) -> np.ndarray:
@@ -469,50 +454,6 @@ def origin_rank(origins: np.ndarray, n: int) -> np.ndarray:
     if len(row) != len(origins):
         raise ProtocolError("message order repeats an origin")
     return row
-
-
-def reveal_order_and_decode(
-    alice_labels: np.ndarray,
-    message_order: np.ndarray,
-    alice_measurements: np.ndarray,
-    check_passed: bool,
-) -> list[int]:
-    """Decode the message once the secret order of the message positions
-    is published.
-
-    ``message_order`` rows pair each returned-sequence position with its
-    origin in the prepared order; the measurement record is indexed by
-    the former (``UNMEASURED`` where Alice did not measure). Bits come out in
-    ascending origin order: 0 when the outcome equals the initial bit, 1
-    when it is flipped.
-    """
-    if not check_passed:
-        raise ProtocolError("message order must not be consumed before the check decision")
-    order = np.asarray(message_order, dtype=np.intp).reshape(-1, 2)
-    positions, origins = order[origin_rank(order[:, 1], len(alice_labels))].T
-    outcomes = _recorded(alice_measurements, positions)
-    missing = positions[outcomes == UNMEASURED]
-    if len(missing):
-        raise ProtocolError(f"no measurement recorded for position {missing[0]}")
-    return (outcomes ^ (alice_labels[origins] & 1)).tolist()
-
-
-def measure_at(
-    photons: np.ndarray,
-    positions: np.ndarray,
-    bases: np.ndarray,
-    rng: RandomSource,
-    public: ClassicalChannel,
-    stage: str,
-) -> np.ndarray:
-    """Alice measures the photons at ``positions``, in that order and in
-    basis codes ``bases``, and logs each measurement. Returns her record
-    by position: the outcome, or ``UNMEASURED`` where she did not measure."""
-    outcomes = measure(photons[positions], bases, rng)
-    public.measured(stage, "alice", positions, bases, outcomes)
-    record = np.full(len(photons), UNMEASURED, dtype=np.uint8)
-    record[positions] = outcomes
-    return record
 
 
 def transmit_sequence(
@@ -674,8 +615,7 @@ def decide_and_reveal(
     passing check does the encoder publish the order of the message
     positions. Returns which sessions aborted and the order published:
     the message-order rows of the sessions that passed. The decisions
-    are built one by one only for a transcript; unheard, they just take
-    their sequence numbers."""
+    are built one by one only for a transcript."""
     rates = np.asarray(error_rates, dtype=np.float64)
     aborted = rates > threshold
     if public.listening:
@@ -683,8 +623,6 @@ def decide_and_reveal(
             decision = {"error_rate": rate, "aborted": stop, **payload}
             public.announce(sender, "check_decision", decision, stage="check")
             public.record("decision", "check", error_rate=rate, threshold=threshold, aborted=stop)
-    else:
-        public.seq += len(rates)
     order = receipt.message_order
     n_aborted = np.count_nonzero(aborted)
     if n_aborted == len(aborted):
@@ -695,7 +633,7 @@ def decide_and_reveal(
     return aborted, order
 
 
-def frame_decode(
+def reveal_order_and_decode(
     labels: np.ndarray,
     message_order: np.ndarray,
     photons_by_position: np.ndarray,
@@ -703,7 +641,8 @@ def frame_decode(
     rng: RandomSource,
     public: ClassicalChannel,
 ) -> np.ndarray:
-    """The reveal of both protocols, bits in ascending origin order: the
+    """Decode the message once the order of the message positions is
+    published, for both protocols, bits in ascending origin order: the
     receiver XORs the op masks of the controller ``records`` into each
     message photon's preparation code, measures the photons in the order
     published (ascending returned position) in the basis of the result,
@@ -748,8 +687,10 @@ class Route:
         payload = {"positions": public.column(positions), "origins": public.column(origins),
                    "ops": public.column(ops, OP_NAMES)}
         public.announce("bob", "check_open", payload, stage="check")
-        measured = measure_at(receipt.photons, positions, self.labels[origins] >> 1, rng, public, "check")
-        error_rates = run_check(self.labels, rows, measured, receipt.starts)
+        bases = self.labels[origins] >> 1
+        outcomes = measure(receipt.photons[positions], bases, rng)
+        public.measured("check", "alice", positions, bases, outcomes)
+        error_rates = run_check(self.labels, rows, outcomes, receipt.starts)
         return error_rates, *decide_and_reveal(public, "alice", error_rates, threshold, receipt)
 
     def release(self, withheld: int | None, public: ClassicalChannel) -> list[Any]:
@@ -825,7 +766,7 @@ def run_sessions(
     decoded = np.zeros(0, dtype=np.uint8)
     if np.count_nonzero(aborted) < trials:
         records = route.release(withheld_controller, public)
-        decoded = frame_decode(labels, order, receipt.photons, records, rng, public)
+        decoded = reveal_order_and_decode(labels, order, receipt.photons, records, rng, public)
     return turn.outcome(receipt, error_rates, aborted, decoded, public)
 
 

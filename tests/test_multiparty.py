@@ -18,13 +18,17 @@ from qsdcsim.multiparty import (
     HonestReporter,
     McSessionConfig,
     controller_pass,
-    frame_decode,
     mc_check_round,
     release_and_reconstruct,
     run_mc_session,
 )
 from qsdcsim.attacks import build_attack
-from qsdcsim.protocol import SessionConfig, prepare_p_sequence, run_session
+from qsdcsim.protocol import (
+    SessionConfig,
+    prepare_p_sequence,
+    reveal_order_and_decode,
+    run_session,
+)
 from qsdcsim.quantum import (
     ATOL,
     CANONICAL_LABELS,
@@ -299,7 +303,7 @@ class TestReconstruction:
         labels = codes([Z0])
         photon = label_of(apply_op(OpLabel.U, state_from_label(Z0)))  # encoder sent 1
         identity = ControllerRecord(np.array([0]), np.array([OP_MASK[OpLabel.I]], dtype=np.uint8))
-        bits = frame_decode(
+        bits = reveal_order_and_decode(
             labels, [(0, 0)], codes([photon]), [identity], rng(3), ClassicalChannel()
         )
         assert bits == [1]

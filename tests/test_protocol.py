@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amplitude_oracle import label_of
-from frame_codes import as_labels, codes, record
+from frame_codes import as_labels, codes
 from qsdcsim.attacks import build_attack
 from qsdcsim.errors import ConfigError, ProtocolError
-from qsdcsim.fabric import NoiseModel, Transcript
+from qsdcsim.fabric import ClassicalChannel, NoiseModel, Transcript
 from qsdcsim.multiparty import McSessionConfig, run_mc_session
 from qsdcsim.protocol import (
     CheckSet,
@@ -196,50 +196,49 @@ class TestRunCheck:
     def test_flip_announced_and_observed_matches(self):
         labels = [StateLabel(Basis.Z, 0)]
         rows = np.array([[0, 0, OP_MASK[OpLabel.U]]])
-        assert run_check(codes(labels), rows, record({0: 1})) == 0.0
+        assert run_check(codes(labels), rows, np.array([1])) == 0.0
 
     def test_identity_announced_matches(self):
         labels = [StateLabel(Basis.X, 1)]
         rows = np.array([[0, 0, OP_MASK[OpLabel.I]]])
-        assert run_check(codes(labels), rows, record({0: 1})) == 0.0
+        assert run_check(codes(labels), rows, np.array([1])) == 0.0
 
     def test_mismatch_counts(self):
         labels = [StateLabel(Basis.Z, 0), StateLabel(Basis.X, 0)]
         rows = np.array([[0, 0, OP_MASK[OpLabel.I]], [1, 1, OP_MASK[OpLabel.I]]])
-        assert run_check(codes(labels), rows, record({0: 1, 1: 0})) == 0.5
+        assert run_check(codes(labels), rows, np.array([1, 0])) == 0.5
 
     def test_unknown_origin_rejected(self):
         labels = [StateLabel(Basis.Z, 0)]
         rows = np.array([[0, 5, OP_MASK[OpLabel.I]]])
         with pytest.raises(ProtocolError):
-            run_check(codes(labels), rows, record({0: 0}))
+            run_check(codes(labels), rows, np.array([0]))
 
-    def test_measurements_must_cover_positions(self):
+    def test_outcomes_of_another_length_refused(self):
         labels = [StateLabel(Basis.Z, 0)]
         rows = np.array([[0, 0, OP_MASK[OpLabel.I]]])
-        with pytest.raises(ProtocolError):
-            run_check(codes(labels), rows, record({3: 0}))
+        for outcomes in ([], [0, 0]):
+            with pytest.raises(ProtocolError):
+                run_check(codes(labels), rows, np.array(outcomes, dtype=np.uint8))
 
 
 class TestDecode:
     def test_flip_on_x0_decodes_one(self):
         prepared = codes([StateLabel(Basis.X, 0)])
-        bits = reveal_order_and_decode(prepared, [(0, 0)], record({0: 1}), check_passed=True)
-        assert bits == [1]
-
-    def test_refuses_before_check_decision(self):
-        with pytest.raises(ProtocolError):
-            reveal_order_and_decode(
-                codes([StateLabel(Basis.Z, 0)]), [(0, 0)], record({0: 0}), check_passed=False
-            )
+        photons = codes([StateLabel(Basis.X, 1)])
+        rng = np.random.default_rng(0)
+        bits = reveal_order_and_decode(prepared, [(0, 0)], photons, [], rng, ClassicalChannel())
+        assert bits.tolist() == [1]
 
     def test_bits_ordered_by_origin(self):
         prepared = codes([StateLabel(Basis.Z, 0), StateLabel(Basis.Z, 1)])
-        # position 5 holds origin 1, position 2 holds origin 0
+        # position 5 holds origin 1, position 2 holds origin 0; both read 1
+        photons = codes([StateLabel(Basis.Z, 1)] * 6)
+        rng = np.random.default_rng(0)
         bits = reveal_order_and_decode(
-            prepared, [(5, 1), (2, 0)], record({5: 1, 2: 1}), check_passed=True
+            prepared, [(5, 1), (2, 0)], photons, [], rng, ClassicalChannel()
         )
-        assert bits == [1, 0]
+        assert bits.tolist() == [1, 0]
 
 
 class TestSessionConfig:
