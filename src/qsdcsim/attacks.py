@@ -517,7 +517,7 @@ def build_attack(name: str, params: Mapping[str, Any] | None = None) -> Attack:
         )
     if params is None:
         params = {}
-    if not isinstance(params, Mapping):
+    if type(params) is not dict and not isinstance(params, Mapping):
         raise ConfigError(f"attack params must be an object, got {params!r}")
     try:
         return ATTACK_REGISTRY[name](**params)

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .fabric import ClassicalChannel, Coded, DanceBatch, QuantumChannel, Transcript, json_texts
+from .fabric import BASIS_TEXTS, ClassicalChannel, Coded, QuantumChannel, Transcript, json_texts
 from .protocol import (
     OP_TEXTS,
     Receipt,
@@ -267,8 +267,12 @@ def mc_check_round(
     expected = (labels[origins] ^ (2 * h_parity + heard) ^ ops) & 1
     mismatches = reports != expected
     if public.listening:
-        columns = (positions, schedule.h_orders, schedule.iu_orders, h_bits, bases, outcomes)
-        public.transcript.add(DanceBatch(public.seq, *columns, reports, flips))
+        # One event for the whole dance, the bits by turn; its announcements
+        # are numbered on from ``seq`` as if made one by one.
+        h_turns = np.take_along_axis(h_bits, schedule.h_orders, axis=1)
+        public.record("dance", "check", seq=public.seq, positions=positions,
+                      h_order=schedule.h_orders, iu_order=schedule.iu_orders, h_bits=h_turns,
+                      bases=Coded(bases, BASIS_TEXTS), outcomes=outcomes, reports=reports, flips=flips)
         public.seq += k * (2 * m + 1)
     return int(np.count_nonzero(mismatches)) / k if k else 0.0, mismatches
 

@@ -55,6 +55,7 @@ transcript and a fixed message are accepted only for a single session.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Sequence
 
 import numpy as np
@@ -711,6 +712,14 @@ class Route:
         return [record for c, record in enumerate(records) if c != withheld]
 
 
+@lru_cache(maxsize=None)
+def _hop_names(m: int) -> tuple[str, ...]:
+    """The names of the forward legs through a chain of m controllers,
+    kept for each m a config allows (at most ``multiparty.MAX_CONTROLLERS``)."""
+    nodes = ["alice", *(f"controller_{c}" for c in range(m)), "bob"]
+    return tuple(f"{a}->{b}" for a, b in zip(nodes, nodes[1:]))
+
+
 def run_sessions(
     config: SessionConfig,
     trials: int,
@@ -742,9 +751,7 @@ def run_sessions(
         raise ConfigError("a fixed message or a transcript needs a single session")
     if withheld_controller is not None and not 0 <= withheld_controller < m:
         raise ConfigError(f"withheld controller {withheld_controller} out of range for m={m}")
-    nodes = ["alice", *(f"controller_{c}" for c in range(m)), "bob"]
-    hops = [QuantumChannel(name=f"{a}->{b}", noise=config.noise, loss=config.loss)
-            for a, b in zip(nodes, nodes[1:])]
+    hops = [QuantumChannel(name=name, noise=config.noise, loss=config.loss) for name in _hop_names(m)]
     back = QuantumChannel(name="bob->alice", noise=config.noise, loss=config.loss)
     if attack is not None:
         attack.check_config(config)

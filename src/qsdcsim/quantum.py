@@ -188,23 +188,6 @@ def measure(codes: np.ndarray, bases: np.ndarray, rng: RandomSource) -> np.ndarr
     return np.where((codes >> 1) == bases, codes & 1, r >= 0.5)
 
 
-def norm_sq(state: PhotonState) -> float:
-    return abs(state.alpha) ** 2 + abs(state.beta) ** 2
-
-
-def overlap(lhs: PhotonState, rhs: PhotonState) -> float:
-    """|<lhs|rhs>|: 1 when the states are equal up to a global phase."""
-    return abs(lhs.alpha.conjugate() * rhs.alpha + lhs.beta.conjugate() * rhs.beta)
-
-
-def is_canonical(state: PhotonState, atol: float = ATOL) -> bool:
-    """True when the state matches one of the four canonical states up to
-    a global phase (the state alphabet is closed under I, U, H)."""
-    return any(
-        abs(overlap(state, state_from_label(lbl)) - 1.0) < atol for lbl in CANONICAL_LABELS
-    )
-
-
 def random_codes(n: int, rng: RandomSource) -> np.ndarray:
     """n frame codes drawn independently and uniformly, one vectorized draw."""
     return rng.integers(0, 4, size=n).astype(np.uint8)

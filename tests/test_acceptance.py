@@ -13,6 +13,7 @@ import time
 
 from scipy.stats import binomtest
 
+from amplitude_oracle import norm_sq, overlap
 from qsdcsim.attacks import (
     CollusionAttack,
     FakeSequenceBypass,
@@ -39,8 +40,6 @@ from qsdcsim.quantum import (
     StateLabel,
     apply_op,
     apply_op_symbolic,
-    norm_sq,
-    overlap,
     state_from_label,
 )
 

@@ -1,13 +1,15 @@
 """Golden digests: the exact outputs of fixed seeded runs.
 
-Each digest is the SHA-256 of a run report (canonical JSON) followed by
-its transcript JSON Lines, of a withheld-controller session, or of a
-sweep CSV (each point runs as batches of sessions, in both protocols).
-They pin the random stream end to end: an engine change that draws one
-number more, fewer or in another order moves them. When a
-change to the outputs is intended, recompute them with
-``python tests/test_golden.py`` and say why in CHANGES.md.
+Each digest is the SHA-256 of one output: a run case's report (canonical
+JSON; for the withheld-controller session, its outcome fields), the same
+run's transcript JSON Lines, or a sweep CSV (each point runs as batches
+of sessions, in both protocols). They pin the random stream end to end:
+an engine change that draws one number more, fewer or in another order
+moves them. A change to the transcript's format alone moves only the
+transcript digests. When a change to the outputs is intended, recompute
+them with ``python tests/test_golden.py`` and say why in CHANGES.md.
 """
+import functools
 import hashlib
 import json
 
@@ -110,29 +112,53 @@ SWEEPS = {
     ),
 }
 
-DIGESTS = {
-    "qsdc_none": "9f29ce0a9d6efb8d9fb912f2b6984b6442cc8af5f531484013826306b68ce5f7",
-    "qsdc_intercept_resend": "4be827cae6477284c64ab8300a70721b0cb74c122011da07e5fdbcd06811384d",
-    "qsdc_return_leg_tap_disclosed": "e57738f9499f64f03b15eb5fd4d6488c9a32f2489270d455482b1ae2b4bb6f1d",
-    "qsdc_loss": "8f5468a9fd012a60079f01017a0fafd544c71f622a3299d732d57a82ea7e4d3b",
-    "qsdc_bit_flip": "f2893f36a8e4eaa85b2a8522988602926d1fa44106c8582c2ddd9d3a59330348",
-    "qsdc_loss_bit_flip": "f695ac75c3e04990f3d69c7742c6778f33d1aa67797d982e5a229d7e3df98dcd",
-    "qsdc_depolarizing": "704ed6f0b3eae66421e9a19438b21fe5e8f60ae9f3abb767bff4a3a4ff8166d4",
-    "mcqsdc_m3_loss": "8cc40d1099f00fce984fabdfda33871272f8853a795cd2d788d78b327e153914",
-    "mcqsdc_collusion_random": "6ea48afbb4bb2af2ad79ca75500a9ee814645a26e2529ed7f67f80b540caf157",
-    "mcqsdc_collusion_fixed": "6013881f7cf4bc8092ab563765e8145f0c55e66998a6a20bab564551601466cd",
-    "mcqsdc_bypass": "48d963efc97ac90579f9cb49edd907c73b3400733be2311972124e1bfaaba1d7",
-    "mcqsdc_return_leg_tap_m1": "a34d8af7825d9429b13b10eeb85bc794c5c3fa4bef456127754a542302b97b3e",
-    "mcqsdc_withheld": "61f001c4d51a41d942a197570f8f28156212ddb3d8699457d2c4714a77d9094e",
-    "mcqsdc_m0": "83785b2ee163aabb8133fa26481c89366a51b31f146dbe73932611f28eb5fabc",
-    "mcqsdc_m1_loss": "68565e86f39678b3ecf7c03aeed97f328f871ae0f19f8b41f0e58992518bbdf1",
-    "mcqsdc_intercept_resend_aborted": "26d0867bf6825f764e475abdf4f4036543373efea578ad9ef8685a5a8ac95232",
-    "qsdc_heavy_loss": "6ef0ba67c1a222d5a102e655e7233d548548d8607649aa42184c4ec3fd4c26fe",
+REPORT_DIGESTS = {
+    "qsdc_none": "cbf47a3ef2464fbfcddb330abe276ef50ebbd2c5cbc7a15cd0ee110ba0822450",
+    "qsdc_intercept_resend": "a1562d5165ac5d51e5b0a44f736098bbd75afb1741840ff119dd3ebce2b23952",
+    "qsdc_return_leg_tap_disclosed": "14e8a1fad8eed8d0c3cb0f2920a3ab2918c4e7808c4b9cda1dea6fb8e1e246de",
+    "qsdc_loss": "ecec9ab759fe778be9725d67a05267587c8eed8739d2c72c12750f100181dc31",
+    "qsdc_bit_flip": "63ff51c2711669378376a12e9ace59d5e5cbaadba9414f105a81a14ac4e2e00f",
+    "qsdc_loss_bit_flip": "e47664f69c43e4e257caf929c3bd31c146e8707d61e721503ce55941a3815631",
+    "qsdc_depolarizing": "c06f7e94d84483fedeef21cb2a352596e71248ac6c8f76996d3f7340bdd2e09b",
+    "mcqsdc_m3_loss": "67ecc0767f867968446212215525f4b45a5e5403e83a8c172a448268a4dec5df",
+    "mcqsdc_collusion_random": "a5bd03bf2fdd2e890f8bb10a20210a1e5a0876b9b4197295fe68b13d254a4bb3",
+    "mcqsdc_collusion_fixed": "d5f610668032dddcde273a4659c178aee5da2cf03f6d291405e5dabcbdf55d30",
+    "mcqsdc_bypass": "db6af41ff00b1b72e2d73a7a2516959e64e18651f49be972cf197f615085275a",
+    "mcqsdc_return_leg_tap_m1": "914b8824d56b19411ac160ed5a210b0ce8b9927f4f2574e37877e14ec6ad6770",
+    "mcqsdc_withheld": "515b4bd626c03a70e2831a617ebb456e6151c763d5fc1fa3625ab05b4302d3d0",
+    "mcqsdc_m0": "a0b2ba8d3c643b170d87f47358078fb4fb2a9ecb46dcdff5ba7ad09d2dac5352",
+    "mcqsdc_m1_loss": "42a7560d5bfe28dcb94fdf62094d7c37aa963e884f16db9f1cb513878d39ad22",
+    "mcqsdc_intercept_resend_aborted": "ca26ddde74439ba1bd0d2557b3da7a4aa2b1af5eb9c324157fbca2ee66918e74",
+    "qsdc_heavy_loss": "ab206b973ae144f91424e66ada18ddd55daf5e7cb551eb28dfec9eb29ab8dce5",
+    "qsdc_one_message_bit": "6df5248f57e9d9bdbb1093500d159eb68d7273a0359c0064b6dd4e00b8840dba",
+}
+
+TRANSCRIPT_DIGESTS = {
+    "qsdc_none": "1b259e3029bde6e37825cb142c2ad75e898f1b3c469ad760174a4919b7d7a078",
+    "qsdc_intercept_resend": "7db465cc191bd90d8e67305a9b0dd423996b451096adc54b40431530ba192343",
+    "qsdc_return_leg_tap_disclosed": "67dd8ebe93d90d25d60953598aa8827b71aa730cae7a29badc28a62fcc00d3e3",
+    "qsdc_loss": "e291d013a1d184427c0f7851243657e081a735b5dd9b3bd608d1542ffc8c2773",
+    "qsdc_bit_flip": "8ab2c90255a7f37168f8d2a4cc13bba79fcaddbe5dfdccdd4f2d4bac7ce8b0eb",
+    "qsdc_loss_bit_flip": "3e63c1889f07807a2045ed496f9642b17dd56c09dc2abbfb7cb88c25306ed980",
+    "qsdc_depolarizing": "bcd960dd35d1a276af48b67c179645bb18dec5a3ee4af27e2a9ca94ed068cb4e",
+    "mcqsdc_m3_loss": "5a7ce19755797b0018a7ddfa86596771f7b43266439725838679e504b5f80348",
+    "mcqsdc_collusion_random": "4ccce44582a741afe6430d3508e86001542e256d0c9368a2f4de55d6a7ab106c",
+    "mcqsdc_collusion_fixed": "74eacf2beff48e10045229717ac8cd6da2de578e6edde37b2250828e6531af22",
+    "mcqsdc_bypass": "e9de23c49ade442d526b74efba961a447763bf17993cbc149e2ce4e3aa518101",
+    "mcqsdc_return_leg_tap_m1": "11f0c88f9f1a5c8c92d97cf4a3c26ff208dd04edcb386158f1a33ee476996c5e",
+    "mcqsdc_withheld": "d21b7b52156cd0e6a9fc6a11ca694aee36907a56086da5fc1ec587b42fcbfa6c",
+    "mcqsdc_m0": "48cfd48437657c6c0917aacc789c41e88194497e2956692b2909c59ea5444268",
+    "mcqsdc_m1_loss": "17b59086d58dc321dd98d15556ad89e183224dc57ef0dc89635664068dca3dc8",
+    "mcqsdc_intercept_resend_aborted": "f335188c4c7285edb93beec0bf75432730099a21c96116b473a307b73b34ebb7",
+    "qsdc_heavy_loss": "fdfd84737afb059d1df598e460ec5ebdfd9d630b46adbaa8e1ae1480aad15407",
+    "qsdc_one_message_bit": "0ef3e2aae183d1e78874a960310d5aab06b51cf054bccb5a2bfa579bbf83f748",
+}
+
+SWEEP_DIGESTS = {
     "sweep_csv": "5c724633a642a05631da53858fb20ceae27656db19246a48d734dbd98ae524e5",
     "mcqsdc_sweep_csv": "48fea07f2dd96711b74120eeb3b839a6a3f5b15ecf6bf3b3e27e3cfdbe0edf48",
     "qsdc_sweep_return_leg_tap": "9ebbf41c123659ffd213f454b0851ad1031ccc81a631e07fb181c79613519c61",
     "qsdc_sweep_return_leg_tap_disclosed": "c4c7633bb2fe8d35d1048d9ccf7a2f4d08b62a6cfdf31f3eec87b7f03f31e07f",
-    "qsdc_one_message_bit": "fcbe9bd231635a64ead6955d6fd228232f7c290ae5cfee48d96739565bc7093f",
     "qsdc_sweep_one_message_bit": "1357a3dbe37d24ecca8b49a364db3bd318379bf3bfe1e7e4420c51d75751d514",
 }
 
@@ -141,26 +167,46 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def output_text(name: str) -> str:
-    """The bytes a golden digest is taken over."""
-    if name in SWEEPS:
-        return sweep_csv(ExperimentConfig.from_dict(SWEEPS[name]))
+@functools.lru_cache(maxsize=None)
+def run_outputs(name: str) -> tuple[str, str]:
+    """The report text and the transcript JSON Lines of a run case."""
     if name == "mcqsdc_withheld":
         config = McSessionConfig(n_photons=40, controllers=3, error_threshold=0.0, seed=16)
         out = run_mc_session(config, transcript=Transcript(), withheld_controller=1)
         fields = [out.aborted, out.measured_error_rate, out.message_sent,
                   out.decoded_bits, out.decoded_positions, out.n_check]
-        return json.dumps(fields) + "\n" + out.transcript.to_jsonl()
+        return json.dumps(fields), out.transcript.to_jsonl()
     transcript = Transcript()
     report = run_report(ExperimentConfig.from_dict(RUNS[name]), transcript=transcript)
-    return json.dumps(report, sort_keys=True) + "\n" + transcript.to_jsonl()
+    return json.dumps(report, sort_keys=True), transcript.to_jsonl()
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_golden_digest(name):
-    assert _sha(output_text(name)) == DIGESTS[name]
+def sweep_output(name: str) -> str:
+    return sweep_csv(ExperimentConfig.from_dict(SWEEPS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_digest(name):
+    assert _sha(run_outputs(name)[0]) == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPT_DIGESTS))
+def test_transcript_digest(name):
+    assert _sha(run_outputs(name)[1]) == TRANSCRIPT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_sweep_digest(name):
+    assert _sha(sweep_output(name)) == SWEEP_DIGESTS[name]
 
 
 if __name__ == "__main__":
-    for case in DIGESTS:
-        print(f'    "{case}": "{_sha(output_text(case))}",')
+    for table, part in (("REPORT_DIGESTS", 0), ("TRANSCRIPT_DIGESTS", 1)):
+        print(f"{table} = {{")
+        for case in REPORT_DIGESTS:
+            print(f'    "{case}": "{_sha(run_outputs(case)[part])}",')
+        print("}")
+    print("SWEEP_DIGESTS = {")
+    for case in SWEEP_DIGESTS:
+        print(f'    "{case}": "{_sha(sweep_output(case))}",')
+    print("}")

@@ -184,8 +184,11 @@ class TestRunReport:
         # bit, whoever routed the photons.
         measured = [ev for ev in first.events if ev["kind"] == "measurement"]
         assert all(ev["party"] == "alice" for ev in measured)
+        # A controlled check's measurements are columns of its dance.
+        measured += [ev for ev in first.events if ev["kind"] == "dance"]
         n_check = report["attack_report"]["metadata"]["n_check"]
-        assert len(measured) == n_check + len(report["message_decoded"] or "")
+        n_measured = sum(len(ev["positions"]) for ev in measured)
+        assert n_measured == n_check + len(report["message_decoded"] or "")
 
     def test_aggregate_accuracy_prefers_guesses(self):
         config = ExperimentConfig.from_dict(
@@ -486,7 +489,7 @@ class TestCli:
         run_report(ExperimentConfig.from_dict(config), transcript=transcript)
         written = out_path.read_text()
         assert written == transcript.to_jsonl() + "\n"
-        assert "flip_announce" in written
+        assert '"kind":"dance"' in written
         assert audit(written) == []
 
     def test_starved_encoder_turn_exit_one(self, tmp_path):

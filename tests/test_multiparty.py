@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from amplitude_oracle import label_of
+from amplitude_oracle import label_of, overlap
 from frame_codes import as_labels, codes
 from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import ClassicalChannel, NoiseModel, Transcript
@@ -39,7 +39,6 @@ from qsdcsim.quantum import (
     StateLabel,
     apply_op,
     apply_op_symbolic,
-    overlap,
     state_from_label,
 )
 
@@ -90,22 +89,21 @@ class TestControllerPass:
 def dance_one_photon(initial, agents, schedule, bob_op):
     """Run the check dance for one photon prepared as ``initial`` (and
     still in that state when measured) with a listening channel; returns
-    the dance's transcript events and the photon's mismatch flag."""
+    the dance's transcript event and the photon's mismatch flag."""
     reporter = HonestReporter(codes([initial]), codes([initial]), rng(42))
     rows = np.array([[0, 0, OP_MASK[bob_op]]])
     transcript = Transcript()
     _, mismatches = mc_check_round(
         codes([initial]), rows, schedule, reporter, agents, ClassicalChannel(transcript)
     )
-    return transcript.events, bool(mismatches[0])
+    (dance,) = transcript.events
+    return dance, bool(mismatches[0])
 
 
-def expected_label(events, mismatch):
+def expected_label(dance, mismatch):
     """The label the encoder expected, read off the dance: the basis the
     receiver measured in and the reported bit corrected by the verdict."""
-    (measured,) = [ev for ev in events if ev["kind"] == "measurement"]
-    (report,) = [ev["payload"]["outcome"] for ev in events if ev.get("label") == "check_report"]
-    return StateLabel(Basis(measured["basis"]), report ^ mismatch)
+    return StateLabel(Basis(dance["bases"][0]), dance["reports"][0] ^ mismatch)
 
 
 def expected_check_outcome(initial, controller_ops, bob_op):
@@ -163,19 +161,11 @@ class TestCheckPhotonRound:
         # into X, flip parity 0 leaves the expected bit at 0.
         agents = [ScriptedController(h=0, flip=1), ScriptedController(h=1, flip=1)]
         schedule = AnnouncementSchedule(np.array([[1, 0]]), np.array([[0, 1]]))
-        events, mismatch = dance_one_photon(Z0, agents, schedule, OpLabel.I)
-        spoken = [
-            (ev["sender"], ev["label"], ev["payload"].get("h", ev["payload"].get("flip")))
-            for ev in events
-            if ev.get("label") in ("h_announce", "flip_announce")
-        ]
-        assert spoken == [
-            ("controller_1", "h_announce", 1),
-            ("controller_0", "h_announce", 0),
-            ("controller_0", "flip_announce", 1),
-            ("controller_1", "flip_announce", 1),
-        ]
-        assert expected_label(events, mismatch) == StateLabel(Basis.X, 0)
+        dance, mismatch = dance_one_photon(Z0, agents, schedule, OpLabel.I)
+        # The dance line writes each round's speakers and bits turn by turn.
+        assert (dance["h_order"], dance["h_bits"]) == ([[1, 0]], [[1, 0]])
+        assert (dance["iu_order"], dance["flips"]) == ([[0, 1]], [[1, 1]])
+        assert expected_label(dance, mismatch) == StateLabel(Basis.X, 0)
 
 
 class TestMcCheckRound:
@@ -357,11 +347,11 @@ class TestMcSession:
         for bit, k in zip(out.decoded_bits, out.decoded_positions):
             assert bit == out.message_sent[k]
 
-    def test_transcript_contains_schedules_and_releases(self):
+    def test_transcript_contains_the_dance_and_releases(self):
         config = McSessionConfig(n_photons=16, check_count=4, controllers=2, seed=3)
         out = run_mc_session(config, transcript=Transcript())
-        kinds = {ev["kind"] for ev in out.transcript.events}
-        assert "schedule" in kinds
+        kinds = [ev["kind"] for ev in out.transcript.events]
+        assert kinds.count("dance") == 1
         labels = {
             ev.get("label") for ev in out.transcript.events if ev["kind"] == "announcement"
         }
@@ -372,10 +362,12 @@ class TestMcSession:
         through the public channel like the production decode."""
         config = McSessionConfig(n_photons=32, controllers=3, error_threshold=0.0, seed=5)
         out = run_mc_session(config, transcript=Transcript(), withheld_controller=1)
-        measured = [ev for ev in out.transcript.events if ev["kind"] == "measurement"]
-        assert all(ev["party"] == "alice" for ev in measured)
-        assert sum(ev["stage"] == "check" for ev in measured) == out.n_check
-        assert sum(ev["stage"] == "reveal" for ev in measured) == len(out.decoded_bits)
+        events = out.transcript.events
+        (dance,) = [ev for ev in events if ev["kind"] == "dance"]
+        (decode,) = [ev for ev in events if ev["kind"] == "measurement"]
+        assert decode["party"] == "alice" and decode["stage"] == "reveal"
+        assert len(dance["positions"]) == out.n_check
+        assert len(decode["positions"]) == len(out.decoded_bits)
 
     def test_deterministic(self):
         config = McSessionConfig(n_photons=48, controllers=3, seed=77)

@@ -6,11 +6,12 @@ gated label or CSV column changed, fails here rather than only in a
 benchmark run. The perfbench files are loaded read-only from their
 paths."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from qsdcsim import multiparty
+from qsdcsim import fabric, multiparty
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -69,3 +70,25 @@ def test_unreached_traced_names_are_pinned(tmp_path):
     summaries = [run_gated_and_traced(name, tmp_path) for name in sorted(workloads.WORKLOADS)]
     unreached = {span for span in summaries[0] if all(s[span]["calls"] == 0 for s in summaries)}
     assert unreached == UNREACHED
+
+
+def test_transcript_is_one_line_per_entry(tmp_path, monkeypatch):
+    """The ``mc_chain_transcript`` operation writes one line per transcript
+    entry, a few dozen in all, and its staging gate still refuses a copy
+    with the message order moved before the check decision."""
+    kinds = []
+    record = fabric.Transcript.record
+
+    def counted(self, kind, stage, **fields):
+        kinds.append(kind)
+        record(self, kind, stage, **fields)
+
+    monkeypatch.setattr(fabric.Transcript, "record", counted)
+    workload = workloads.build("mc_chain_transcript", 1, tmp_path)
+    _sessions, (_outcome, jsonl) = workload.run(workload.prepare())
+    lines = jsonl.split("\n")
+    assert len(lines) == len(kinds) <= 40
+    assert workloads.transcript_staging_errors(jsonl) is None
+    labels = [json.loads(line).get("label") for line in lines]
+    lines.insert(labels.index("check_decision"), lines.pop(labels.index("message_order")))
+    assert workloads.transcript_staging_errors("\n".join(lines)) is not None

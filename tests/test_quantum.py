@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from amplitude_oracle import label_of
+from amplitude_oracle import is_canonical, label_of, norm_sq, overlap
 from qsdcsim import attacks, fabric, multiparty, protocol
 from qsdcsim.quantum import (
     ATOL,
@@ -21,10 +21,7 @@ from qsdcsim.quantum import (
     apply_op,
     apply_op_symbolic,
     compose_effects,
-    is_canonical,
     measure,
-    norm_sq,
-    overlap,
     random_codes,
     state_from_label,
     unitary_matrix,

@@ -80,30 +80,39 @@ def test_untampered_copy_passes():
     assert audit(to_jsonl(controlled_transcript())) == []
 
 
-def test_swapped_h_announce_rejected():
+def dance_of(events: list[dict]) -> dict:
+    """The dance event of a controlled transcript."""
+    (dance,) = [ev for ev in events if ev["kind"] == "dance"]
+    return dance
+
+
+def test_non_permutation_row_rejected():
     events = controlled_transcript()
-    first = find(events, "h_announce")
-    assert "expected" in audit(to_jsonl(move(events, first, first + 1)))[0]
+    dance_of(events)["iu_order"][1] = [0, 0, 2]
+    assert audit(to_jsonl(events)) == [
+        f"event {events.index(dance_of(events))}: an iu_order row is no permutation of the controllers"
+    ]
 
 
-def test_swapped_flip_announce_rejected():
+def test_missing_check_position_rejected():
     events = controlled_transcript()
-    first = find(events, "flip_announce")
-    assert "expected" in audit(to_jsonl(move(events, first, first + 1)))[0]
+    dance = dance_of(events)
+    for name in ("positions", "h_order", "iu_order", "h_bits", "bases", "outcomes", "reports", "flips"):
+        dance[name].pop()
+    assert "the dance does not cover the check positions exactly once" in audit(to_jsonl(events))
 
 
-def test_report_before_h_round_completes_rejected():
+def test_misaligned_columns_rejected():
     events = controlled_transcript()
-    report = find(events, "check_report")
-    last_h = report - 2  # the H round's last voice, before Alice's measurement
-    assert events[last_h]["label"] == "h_announce"
-    assert "expected" in audit(to_jsonl(move(events, report, last_h)))[0]
+    dance_of(events)["reports"].pop()
+    assert "dance columns do not align" in audit(to_jsonl(events))[0]
 
 
-def test_flip_before_report_rejected():
+def test_dance_seq_off_by_one_rejected():
     events = controlled_transcript()
-    tampered = move(events, find(events, "flip_announce"), find(events, "check_report"))
-    assert "expected" in audit(to_jsonl(tampered))[0]
+    dance_of(events)["seq"] += 1
+    (problem,) = audit(to_jsonl(events))
+    assert "dance seq" in problem and "is due" in problem
 
 
 def test_message_order_before_decision_rejected():
@@ -115,15 +124,16 @@ def test_message_order_before_decision_rejected():
 
 def test_ops_disclosed_for_message_position_rejected():
     events = controlled_transcript()
-    decision = events[find(events, "check_decision")]
+    ops = events[find(events, "check_decision")]["payload"]["ops"]
     message_position = events[find(events, "message_order")]["payload"][0][0]
-    decision["payload"]["ops"][str(message_position)] = "I"
+    ops["keys"].append(message_position)
+    ops["values"].append("I")
     assert "non-check positions" in audit(to_jsonl(events))[0]
 
 
 def test_swapped_seq_rejected():
     events = controlled_transcript()
-    first, second = find(events, "h_announce"), find(events, "flip_announce")
+    first, second = find(events, "check_open"), find(events, "check_initial_states")
     events[first]["seq"], events[second]["seq"] = events[second]["seq"], events[first]["seq"]
     problems = audit(to_jsonl(events))
     assert [p.split(":")[0] for p in problems] == [f"event {first}", f"event {second}"]
