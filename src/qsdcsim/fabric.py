@@ -11,13 +11,15 @@ silent drop.
 
 The transcript writes each event as one line of canonical JSON. Its bulk
 fields, the measurements, the check dance and the integer payloads, are
-columns written from a bounded table of decimal strings.
+columns, written as bytes when every value is a digit or every text has
+one width, else from a bounded table of decimal strings.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Any, Protocol, Sequence
 
 import numpy as np
@@ -149,18 +151,16 @@ DECIMAL_CAP = 1 << 16
 _decimal_table = np.array([str(i) for i in range(1024)], dtype=object)
 
 
-def _decimals(values: np.ndarray) -> np.ndarray:
-    """The decimal strings of an integer array, as an object array of the
-    same shape."""
+def _decimals(values: np.ndarray, low: int, top: int) -> np.ndarray:
+    """The decimal strings of a non-empty integer array, least and greatest
+    values ``low`` and ``top``, as an object array of the same shape."""
     global _decimal_table
     values = np.asarray(values, dtype=np.int64)
-    if values.size == 0:
-        return np.empty(values.shape, dtype=object)
-    top, size = int(values.max()), len(_decimal_table)
+    size = len(_decimal_table)
     if size <= top and size < DECIMAL_CAP:
         size = min(DECIMAL_CAP, 1 << top.bit_length())
         _decimal_table = np.array([str(i) for i in range(size)], dtype=object)
-    if top < size and values.min() >= 0:
+    if top < size and low >= 0:
         return _decimal_table[values]
     out = np.empty(values.shape, dtype=object)
     small = (values >= 0) & (values < size)
@@ -170,15 +170,22 @@ def _decimals(values: np.ndarray) -> np.ndarray:
 
 
 def _int_json(values: np.ndarray) -> str:
-    """An integer array as JSON, a list or (2-D) a list of lists, written
-    in one join of its decimal strings."""
+    """An integer array as JSON, a list or (2-D) a list of lists: as bytes
+    when every value is one digit, else in one join of its decimal strings."""
+    if values.size == 0:
+        return "[" + ",".join(["[]"] * len(values) if values.ndim == 2 else []) + "]"
+    low, top = int(values.min()), int(values.max())
+    if low >= 0 and top <= 9:  # each row "[", its digits between commas, "]" and ","
+        grid = np.atleast_2d(values)
+        cells = np.full((len(grid), 2 * grid.shape[1] + 2), ord(","), dtype=np.uint8)
+        cells[:, 0], cells[:, -2], cells[:, 1:-2:2] = ord("["), ord("]"), grid + ord("0")
+        text = cells.ravel()[:-1].tobytes().decode()
+        return text if values.ndim == 1 else "[" + text + "]"
     if values.ndim == 1:
-        return "[" + ",".join(_decimals(values).tolist()) + "]"
+        return "[" + ",".join(_decimals(values, low, top).tolist()) + "]"
     rows, width = values.shape
-    if rows == 0 or width == 0:
-        return "[" + ",".join(["[]"] * rows) + "]"
     cells = np.full((rows, 2 * width), ",", dtype=object)
-    cells[:, 0::2] = _decimals(values)
+    cells[:, 0::2] = _decimals(values, low, top)
     cells[:, -1] = "],["
     return "[[" + "".join(cells.ravel()[:-1].tolist()) + "]]"
 
@@ -190,6 +197,16 @@ def json_texts(values: Sequence[Any]) -> tuple[str, ...]:
 
 #: The JSON texts of a basis, by code.
 BASIS_TEXTS = json_texts([basis.value for basis in BASES])
+
+
+@lru_cache(maxsize=16)
+def _text_table(texts: tuple[str, ...]) -> np.ndarray | None:
+    """The texts, each followed by a comma, as the rows of a byte table;
+    None unless they are all of one width."""
+    encoded = [text.encode() + b"," for text in texts]
+    if len({len(row) for row in encoded}) != 1:
+        return None
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8).reshape(len(encoded), -1)
 
 
 class Coded:
@@ -206,7 +223,10 @@ class Coded:
 
     def render(self) -> str:
         if self.keys is None:
-            return "[" + ",".join(np.array(self.texts, dtype=object)[self.codes].tolist()) + "]"
+            table = _text_table(self.texts)
+            if table is None:
+                return "[" + ",".join(np.array(self.texts, dtype=object)[self.codes].tolist()) + "]"
+            return "[" + table[self.codes].ravel()[:-1].tobytes().decode() + "]"
         order = np.argsort(self.keys)
         values = Coded(self.codes[order], self.texts).render()
         return '{"keys":' + _int_json(self.keys[order]) + ',"values":' + values + "}"
@@ -241,12 +261,14 @@ class Transcript:
 
     Events have a ``kind`` (quantum_send, quantum_deliver, announcement,
     measurement, dance, decision, and the shuffle's ``event``) and a
-    ``stage``; ``record`` appends one as a dict. Its bulk fields may be
-    integer arrays or ``Coded`` columns, kept as they are until written.
-    ``to_jsonl`` writes canonical JSON Lines, one line per event, equal to
-    ``_canonical`` of the event with its columns as lists, so identically
-    seeded sessions give byte-identical transcripts. ``events`` is a
-    read-only view: a fresh list of every event dict, parsed back.
+    ``stage``; ``record`` appends one as a dict. A leg logs photon counts,
+    and the receiver's announcement after it which photons arrived. Bulk
+    fields may be integer arrays or ``Coded`` columns, kept as they are
+    until written. ``to_jsonl`` writes canonical JSON Lines, one line per
+    event, equal to ``_canonical`` of the event with its columns as lists,
+    so identically seeded sessions give byte-identical transcripts.
+    ``events`` is a read-only view: a fresh list of every event dict,
+    parsed back.
     """
 
     def __init__(self) -> None:
@@ -308,10 +330,10 @@ class ClassicalChannel:
                         bases=Coded(bases, BASIS_TEXTS), outcomes=outcomes)
 
     def column(self, values: np.ndarray, names: Sequence[str] | None = None) -> Any:
-        """An integer array as an event field, or its codes as the
-        ``names`` they stand for: for a transcript the array itself or a
+        """An announced integer array as an event field, or its codes as
+        the ``names`` they stand for: for a transcript the array itself or a
         ``Coded`` column, rendered when the transcript is written; unheard,
-        plain lists. (Unheard sessions keep paying for those lists: the
+        plain lists. (Unheard announcements keep paying for those lists: the
         saving waits on ROADMAP item 1, since a faster session reads as a
         larger one in the benchmark's peak memory.)"""
         if self.listening:

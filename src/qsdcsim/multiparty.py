@@ -163,7 +163,7 @@ class HonestController:
         self._record = record
 
     def _ops(self, origins: np.ndarray) -> np.ndarray:
-        return self._record.ops[np.searchsorted(self._record.origins, origins)]
+        return self._record.ops[self._record.origins.searchsorted(origins)]
 
     def announce_h(self, origins: np.ndarray) -> np.ndarray:
         return (self._ops(origins) == OP_MASK[OpLabel.H]).astype(np.uint8)
@@ -246,7 +246,8 @@ def mc_check_round(
     receiver's preparation record, published for those origins. Every
     agent answers a round for all the photons it speaks for: the H round
     in one call, since no H announcement depends on another, the flip
-    round turn by turn, each voice hearing the parity of those before it.
+    round turn by turn, each voice hearing the parity of those before it:
+    every agent in chain order, for its photons of the turn in photon order.
     """
     k, m = len(rows), len(agents)
     if schedule.h_orders.shape != (k, m):
@@ -260,9 +261,12 @@ def mc_check_round(
     flips = np.zeros((k, m), dtype=np.uint8)
     heard = np.zeros(k, dtype=np.uint8)
     for turn in range(m):
-        for c, agent in enumerate(agents):
-            sel = np.flatnonzero(schedule.iu_orders[:, turn] == c)
-            flips[sel, turn] = agent.announce_flip(origins[sel], heard[sel], m - turn - 1)
+        speakers = schedule.iu_orders[:, turn]
+        by_speaker = np.argsort(speakers, kind="stable")
+        bounds = np.bincount(speakers, minlength=m).cumsum().tolist()
+        spoken, said, left = origins[by_speaker], heard[by_speaker], m - turn - 1
+        flips[by_speaker, turn] = np.concatenate([agent.announce_flip(spoken[lo:hi], said[lo:hi], left)
+                                                  for agent, lo, hi in zip(agents, [0, *bounds], bounds)])
         heard ^= flips[:, turn]
     expected = (labels[origins] ^ (2 * h_parity + heard) ^ ops) & 1
     mismatches = reports != expected

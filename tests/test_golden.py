@@ -3,11 +3,14 @@
 Each digest is the SHA-256 of one output: a run case's report (canonical
 JSON; for the withheld-controller session, its outcome fields), the same
 run's transcript JSON Lines, or a sweep CSV (each point runs as batches
-of sessions, in both protocols). They pin the random stream end to end:
-an engine change that draws one number more, fewer or in another order
+of sessions, in both protocols); one more pins the combined digest of
+``tests/output_corpus.py``. They pin the random stream end to end: an
+engine change that draws one number more, fewer or in another order
 moves them. A change to the transcript's format alone moves only the
-transcript digests. When a change to the outputs is intended, recompute
-them with ``python tests/test_golden.py`` and say why in CHANGES.md.
+transcript digests and the corpus digest; ``output_corpus.py`` run on
+both sides says which of its lines moved. When a change to the outputs
+is intended, recompute them with ``python tests/test_golden.py`` and say
+why in CHANGES.md.
 """
 import functools
 import hashlib
@@ -15,6 +18,7 @@ import json
 
 import pytest
 
+from output_corpus import combined_digest, lines
 from qsdcsim.fabric import Transcript
 from qsdcsim.harness import ExperimentConfig, run_report, sweep_csv
 from qsdcsim.multiparty import McSessionConfig, run_mc_session
@@ -134,24 +138,24 @@ REPORT_DIGESTS = {
 }
 
 TRANSCRIPT_DIGESTS = {
-    "qsdc_none": "1b259e3029bde6e37825cb142c2ad75e898f1b3c469ad760174a4919b7d7a078",
-    "qsdc_intercept_resend": "7db465cc191bd90d8e67305a9b0dd423996b451096adc54b40431530ba192343",
-    "qsdc_return_leg_tap_disclosed": "67dd8ebe93d90d25d60953598aa8827b71aa730cae7a29badc28a62fcc00d3e3",
-    "qsdc_loss": "e291d013a1d184427c0f7851243657e081a735b5dd9b3bd608d1542ffc8c2773",
-    "qsdc_bit_flip": "8ab2c90255a7f37168f8d2a4cc13bba79fcaddbe5dfdccdd4f2d4bac7ce8b0eb",
-    "qsdc_loss_bit_flip": "3e63c1889f07807a2045ed496f9642b17dd56c09dc2abbfb7cb88c25306ed980",
-    "qsdc_depolarizing": "bcd960dd35d1a276af48b67c179645bb18dec5a3ee4af27e2a9ca94ed068cb4e",
-    "mcqsdc_m3_loss": "5a7ce19755797b0018a7ddfa86596771f7b43266439725838679e504b5f80348",
-    "mcqsdc_collusion_random": "4ccce44582a741afe6430d3508e86001542e256d0c9368a2f4de55d6a7ab106c",
-    "mcqsdc_collusion_fixed": "74eacf2beff48e10045229717ac8cd6da2de578e6edde37b2250828e6531af22",
-    "mcqsdc_bypass": "e9de23c49ade442d526b74efba961a447763bf17993cbc149e2ce4e3aa518101",
-    "mcqsdc_return_leg_tap_m1": "11f0c88f9f1a5c8c92d97cf4a3c26ff208dd04edcb386158f1a33ee476996c5e",
-    "mcqsdc_withheld": "d21b7b52156cd0e6a9fc6a11ca694aee36907a56086da5fc1ec587b42fcbfa6c",
-    "mcqsdc_m0": "48cfd48437657c6c0917aacc789c41e88194497e2956692b2909c59ea5444268",
-    "mcqsdc_m1_loss": "17b59086d58dc321dd98d15556ad89e183224dc57ef0dc89635664068dca3dc8",
-    "mcqsdc_intercept_resend_aborted": "f335188c4c7285edb93beec0bf75432730099a21c96116b473a307b73b34ebb7",
-    "qsdc_heavy_loss": "fdfd84737afb059d1df598e460ec5ebdfd9d630b46adbaa8e1ae1480aad15407",
-    "qsdc_one_message_bit": "0ef3e2aae183d1e78874a960310d5aab06b51cf054bccb5a2bfa579bbf83f748",
+    "qsdc_none": "ef390e18534fa93b664942b895ee2a242ab69c2ddd8a21dd4436d31ab2ce5abd",
+    "qsdc_intercept_resend": "4be945514c108f31a75febc0fb689faf1c746b26dea67873ff98662dd85a1e87",
+    "qsdc_return_leg_tap_disclosed": "67b95daa63d9554668a6a3ac23d58bd751d078bbb93f249e39e0b80d0abde4c7",
+    "qsdc_loss": "d6aa2b0617676fd8440772291e70963a7a5dec84bdf8d92edfc7257b46530187",
+    "qsdc_bit_flip": "07a525958e5c1c4f4c9c9fa09ff768de4ecd27bcf2d521150fdc5cee6ee615d2",
+    "qsdc_loss_bit_flip": "34a5efbc47d25306f56d70ec522590444b1219cb6dc85f3d9cbb0e142bf91fbc",
+    "qsdc_depolarizing": "e6cfc7ff13d5444c6edc7aa4503086ae42169aeb7fe9e9dbd62d4d07412e48e3",
+    "mcqsdc_m3_loss": "b26dc41f84195b5c2e0c14e83deb001398f51512f4bc4d1f202aef84a0257946",
+    "mcqsdc_collusion_random": "f1477a07006904d17f38096df41a7fffe558bd34706c1392ecbcd15df6f2455f",
+    "mcqsdc_collusion_fixed": "f0ea7cce4d3d45af987d308adc9fb93c8cbd9cefec202922df615380aeea2df8",
+    "mcqsdc_bypass": "21ad8b82ced12fb2496c79d1a41db0312a2f471db27602354db5cb2d20fabf18",
+    "mcqsdc_return_leg_tap_m1": "d0c984fb43ff1e67a4afc1396d152510e4e7905fd6c652370e9a8cc8c91a6300",
+    "mcqsdc_withheld": "b2c4cdb3d900f38de0ceeeb52dc8f9b0dfc620ddac334a334e65f12afcf6303c",
+    "mcqsdc_m0": "e35192a8553d5d23663798872d0ae342150f5bef43ec40e4052268b40cccf0ab",
+    "mcqsdc_m1_loss": "6909cf15881b0034892f506955d72c2c26743649c14719e0460a57a2b058fba9",
+    "mcqsdc_intercept_resend_aborted": "4d1bb1bd5b4abaf2d2bd22f2f66fd9595816c7b52a0614799bbf9e6e00bef71f",
+    "qsdc_heavy_loss": "f97fc0d9753a053ca22c6237f3bf71ee72be0de65dfb9f02703dc8650b49719c",
+    "qsdc_one_message_bit": "43846172125c4157296e7cb21f62bd1d707e33756af07535eca1d18426e67c01",
 }
 
 SWEEP_DIGESTS = {
@@ -161,6 +165,8 @@ SWEEP_DIGESTS = {
     "qsdc_sweep_return_leg_tap_disclosed": "c4c7633bb2fe8d35d1048d9ccf7a2f4d08b62a6cfdf31f3eec87b7f03f31e07f",
     "qsdc_sweep_one_message_bit": "1357a3dbe37d24ecca8b49a364db3bd318379bf3bfe1e7e4420c51d75751d514",
 }
+
+CORPUS_DIGEST = "50b995c740a5145448a26f3a4455c1b4cbda7381a94b667cf6a442228f271c83"
 
 
 def _sha(text: str) -> str:
@@ -200,6 +206,10 @@ def test_sweep_digest(name):
     assert _sha(sweep_output(name)) == SWEEP_DIGESTS[name]
 
 
+def test_output_corpus_digest():
+    assert combined_digest(list(lines())) == CORPUS_DIGEST
+
+
 if __name__ == "__main__":
     for table, part in (("REPORT_DIGESTS", 0), ("TRANSCRIPT_DIGESTS", 1)):
         print(f"{table} = {{")
@@ -210,3 +220,4 @@ if __name__ == "__main__":
     for case in SWEEP_DIGESTS:
         print(f'    "{case}": "{_sha(sweep_output(case))}",')
     print("}")
+    print(f'CORPUS_DIGEST = "{combined_digest(list(lines()))}"')

@@ -22,7 +22,7 @@ from qsdcsim.multiparty import (
     release_and_reconstruct,
     run_mc_session,
 )
-from qsdcsim.attacks import build_attack
+from qsdcsim.attacks import ColluderAgent, build_attack
 from qsdcsim.protocol import (
     SessionConfig,
     prepare_p_sequence,
@@ -209,6 +209,77 @@ class TestMcCheckRound:
         rows = np.array([[0, 0, OP_MASK[OpLabel.I]], [1, 0, OP_MASK[OpLabel.I]]])
         with pytest.raises(ProtocolError):
             mc_check_round(codes([Z0]), rows, schedule, reporter, [], ClassicalChannel())
+
+
+class Recording:
+    """Passes an agent's answers through, logging each flip call: the
+    speaker's index in a log shared by all agents, and its own calls as
+    (turn, origins, heard, remaining, answers), plain lists."""
+
+    def __init__(self, agent, index, log):
+        self.agent, self.index, self.log, self.calls = agent, index, log, []
+
+    def announce_h(self, origins):
+        return self.agent.announce_h(origins)
+
+    def announce_flip(self, origins, heard, remaining):
+        flips = self.agent.announce_flip(origins, heard, remaining)
+        turn = sum(1 for index in self.log if index == self.index)
+        self.log.append(self.index)
+        self.calls.append((turn, origins.tolist(), heard.tolist(), remaining, flips.tolist()))
+        return flips
+
+
+def reference_flip_calls(origins, iu_orders, answers, m):
+    """The flip calls each agent should get, photon by photon: in turn t
+    agent c speaks for the photons whose ``iu_orders[j][t]`` is c, in
+    photon order, each having heard the XOR of the answers before it."""
+    calls = [[(t, [], [], m - t - 1) for t in range(m)] for _ in range(m)]
+    for j, origin in enumerate(origins):
+        heard = 0
+        for t in range(m):
+            _, spoken, said, _ = calls[iu_orders[j][t]][t]
+            spoken.append(origin)
+            said.append(heard)
+            heard ^= answers[t, origin]
+    return calls
+
+
+class TestFlipTurnContract:
+    """Beyond m = 3: every agent, honest or the colluder, is called once
+    per flip turn in chain order, with the origins it speaks for in photon
+    order, the parity each of them has heard and the voices remaining."""
+
+    @pytest.mark.parametrize("m", [4, 16])
+    @pytest.mark.parametrize("k", [0, 1, 7, 40])
+    def test_calls_match_per_photon_reference(self, m, k):
+        gen = rng(100 * m + k)
+        n = 64
+        labels = prepare_p_sequence(n, gen)
+        origins = gen.choice(n, size=k, replace=False)
+        rows = np.column_stack((np.arange(k), origins, gen.integers(0, 2, size=k)))
+        log = []
+        inner = [HonestController(ControllerRecord(np.arange(n), gen.integers(0, 3, size=n)))
+                 for _ in range(m - 1)] + [ColluderAgent(rng(7))]
+        agents = [Recording(agent, c, log) for c, agent in enumerate(inner)]
+        schedule = AnnouncementSchedule.draw(k, m, gen)
+        reporter = HonestReporter(labels, labels[origins], gen)
+        transcript = Transcript()
+        mc_check_round(labels, rows, schedule, reporter, agents, ClassicalChannel(transcript))
+
+        assert log == [c for _ in range(m) for c in range(m)]
+        answers = {
+            (turn, origin): flip
+            for agent in agents
+            for turn, spoken, _, _, flips in agent.calls
+            for origin, flip in zip(spoken, flips)
+        }
+        assert len(answers) == k * m
+        expected = reference_flip_calls(origins.tolist(), schedule.iu_orders.tolist(), answers, m)
+        for agent, calls in zip(agents, expected):
+            assert [call[:4] for call in agent.calls] == calls
+        (dance,) = transcript.events
+        assert dance["flips"] == [[answers[t, origin] for t in range(m)] for origin in origins.tolist()]
 
 
 class TestSchedule:

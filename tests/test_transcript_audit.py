@@ -115,6 +115,27 @@ def test_dance_seq_off_by_one_rejected():
     assert "dance seq" in problem and "is due" in problem
 
 
+def test_delivery_count_off_by_one_rejected():
+    """Every hop of the chain and the return leg: a count that is not the
+    length of the arrival list announced after it is refused."""
+    events = controlled_transcript()
+    deliveries = [i for i, ev in enumerate(events) if ev["kind"] == "quantum_deliver"]
+    assert len(deliveries) == 5
+    for i in deliveries:
+        tampered = list(events)
+        tampered[i] = dict(events[i], count=events[i]["count"] + 1)
+        (problem,) = audit(to_jsonl(tampered))
+        assert problem.startswith(f"event {i}: ") and "photons delivered where" in problem
+
+
+def test_delivery_without_arrival_list_rejected():
+    events = controlled_transcript()
+    last = max(i for i, ev in enumerate(events) if ev["kind"] == "quantum_deliver")
+    assert audit(to_jsonl(events[: last + 1])) == [
+        f"event {last}: delivery with no arrival list after it"
+    ]
+
+
 def test_message_order_before_decision_rejected():
     events = controlled_transcript()
     tampered = move(events, find(events, "message_order"), find(events, "check_decision"))

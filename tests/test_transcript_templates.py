@@ -168,31 +168,59 @@ def test_dance_line(dance):
     assert unfold(transcript.events[0]) == dance_events(seq, photons)
 
 
+#: Values crossing 9 -> 10, 99 -> 100, the decimal table's bound and up to
+#: the photon cap.
+WIDE_VALUES = np.array([*range(13), 99, 100, DECIMAL_CAP - 1, DECIMAL_CAP, DECIMAL_CAP + 1, 1 << 24])
+
+
+@st.composite
+def int_arrays(draw, ndim):
+    """An integer array: 1-D, or 2-D up to the controller cap wide, as the
+    dance's (k, m) columns are; its values all single digits (then
+    perhaps uint8) or of mixed widths; perhaps a non-contiguous view, a
+    column of a wider array as ``rows.T`` gives."""
+    if ndim == 1:
+        shape = (draw(st.integers(0, 40)),)
+    else:
+        shape = (draw(st.integers(0, 12)), draw(st.integers(0, 4) | st.integers(0, MAX_CONTROLLERS)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        array = gen.integers(0, 10, size=shape).astype(draw(st.sampled_from([np.int64, np.uint8])))
+    else:
+        array = gen.choice(WIDE_VALUES, size=shape)
+    if draw(st.booleans()):
+        array = np.stack([array + 1, array, array], axis=-1)[..., 1]
+    return array
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(ints, max_size=40), st.lists(st.tuples(ints, ints), max_size=20), texts)
-def test_int_list_payloads(values, pairs, stage):
-    """The arrival lists, the receipt and the message order: a 1-D and a
-    2-D integer array, empty and single ones included."""
+@given(int_arrays(1), int_arrays(2), st.lists(st.tuples(ints, ints), max_size=20), texts)
+def test_int_list_payloads(array, grid, pairs, stage):
+    """A leg's delivered count, the receipt, the message order and a
+    dance column: 1-D and 2-D integer arrays, empty and single ones,
+    single-digit and non-contiguous ones included."""
     transcript = Transcript()
     public = ClassicalChannel(transcript)
-    array = np.array(values, dtype=np.int64)
     order = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    public.record("quantum_deliver", stage, leg="alice->bob", arrived=public.column(array))
+    public.record("quantum_deliver", stage, leg="alice->bob", count=len(array))
     public.announce("alice", "receipt", public.column(array), stage=stage)
     public.announce("bob", "message_order", public.column(order), stage=stage)
+    public.record("dance", stage, flips=grid)
     events = [
-        {"kind": "quantum_deliver", "stage": stage, "leg": "alice->bob", "arrived": values},
-        announcement(0, "alice", "receipt", values, stage),
+        {"kind": "quantum_deliver", "stage": stage, "leg": "alice->bob", "count": len(array)},
+        announcement(0, "alice", "receipt", array.tolist(), stage),
         announcement(1, "bob", "message_order", [list(pair) for pair in pairs], stage),
+        {"kind": "dance", "stage": stage, "flips": grid.tolist()},
     ]
     assert_stands_for(transcript, events)
 
 
 @settings(max_examples=300, deadline=None)
-@given(keys, st.data())
-def test_keyed_payloads(key_set, data):
+@given(keys, st.lists(st.text(), min_size=4, max_size=4), st.data())
+def test_keyed_payloads(key_set, words, data):
     """Keyed payloads, the releases, the initial states and the decision's
-    ops, are aligned key and value arrays, the keys ascending."""
+    ops, are aligned key and value arrays, the keys ascending; codes stand
+    for texts of one width or, here as ``words``, of several."""
     key_list = data.draw(st.permutations(sorted(key_set)))
     codes = data.draw(st.lists(st.integers(0, 3), min_size=len(key_list), max_size=len(key_list)))
     states = [{"basis": b, "bit": bit} for b in BASIS_NAMES for bit in (0, 1)]
@@ -204,6 +232,8 @@ def test_keyed_payloads(key_set, data):
     public.announce("alice", "check_initial_states", initial)
     public.announce("bob", "check_decision", {"error_rate": 0.25, "aborted": False, "ops": ops})
     public.announce("bob", "check_open", {"ops": public.column(code_array % 3, OP_NAMES)})
+    public.announce("bob", "words", {"keyed": Coded(code_array, json_texts(words), keys=key_array),
+                                     "listed": public.column(code_array, words)})
     by_key = sorted(zip(key_list, codes))
     events = [
         announcement(0, "alice", "check_initial_states",
@@ -213,6 +243,9 @@ def test_keyed_payloads(key_set, data):
                       "ops": {"keys": [k for k, _ in by_key],
                               "values": [OP_NAMES[c % 3] for _, c in by_key]}}, ""),
         announcement(2, "bob", "check_open", {"ops": [OP_NAMES[c % 3] for c in codes]}, ""),
+        announcement(3, "bob", "words",
+                     {"keyed": {"keys": [k for k, _ in by_key], "values": [words[c] for _, c in by_key]},
+                      "listed": [words[c] for c in codes]}, ""),
     ]
     assert_stands_for(transcript, events)
 

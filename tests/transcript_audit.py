@@ -22,6 +22,10 @@ The rules:
   staging     ``message_order`` and ``release`` come only after a
               ``check_decision`` with ``aborted: false``.
   disclosure  The check ops disclosed cover only check positions.
+  delivery    Each ``quantum_deliver`` count equals the length of the
+              arrival list announced next: ``arrived`` or
+              ``arrived_forward`` after a forward hop, the ``receipt``
+              after the return leg. Every delivery is followed by one.
   sequence    Announcements carry ``seq`` 0, 1, 2, ... in event order. A
               dance of k photons among m controllers carries the ``seq``
               of its first announcement and stands for k(2m + 1) of them.
@@ -32,6 +36,7 @@ import json
 
 ROWS = ("h_order", "iu_order", "h_bits", "flips")
 COLUMNS = ("positions", "bases", "outcomes", "reports")
+ARRIVALS = ("arrived", "arrived_forward", "receipt")
 
 
 def _controllers(dance: dict) -> int:
@@ -66,8 +71,17 @@ def audit(jsonl: str) -> list[str]:
     check_measured: list[int] = []
     reveal_measured: list[int] = []
     announced = 0
+    delivered: list[tuple[int, int]] = []  # (event, count) awaiting their arrival list
     for i, ev in enumerate(events):
         kind, label, payload = ev["kind"], ev.get("label"), ev.get("payload")
+        if kind == "quantum_deliver":
+            delivered.append((i, ev["count"]))
+        elif label in ARRIVALS:
+            problems += [
+                f"event {j}: {count} photons delivered where {label} lists {len(payload)}"
+                for j, count in delivered if count != len(payload)
+            ]
+            delivered = []
         if kind == "dance":
             problems += [f"event {i}: {problem}" for problem in _dance_problems(ev)]
             if ev["seq"] != announced:
@@ -101,6 +115,7 @@ def audit(jsonl: str) -> list[str]:
             if ev["seq"] != announced:
                 problems.append(f"event {i}: seq {ev['seq']} where {announced} is due")
             announced += 1
+    problems += [f"event {j}: delivery with no arrival list after it" for j, _ in delivered]
     if check_positions is not None:
         if sorted(check_measured) != sorted(check_positions):
             problems.append("check measurements do not cover the check positions exactly once")
