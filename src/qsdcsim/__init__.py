@@ -39,8 +39,6 @@ from .multiparty import (
     run_mc_session,
 )
 from .protocol import (
-    CheckSet,
-    Permutation,
     SessionBatch,
     SessionConfig,
     SessionOutcome,

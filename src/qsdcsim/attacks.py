@@ -118,8 +118,9 @@ class Attack:
       install          before any photon flies: register taps on the first
                        and return legs, keep a handle on the public log.
       receive_secrets  after the shuffle: the encoder's turn, whose
-                       permutation, ascending origins and check set the
-                       protocol never discloses, and the preparation codes;
+                       read-only shuffle ``mapping`` and check mask
+                       ``is_check`` and ascending ``origins`` the protocol
+                       never discloses, and the preparation codes;
                        row r of the batch starts at ``turn.starts[r]``. A
                        strategy reads no other field of the turn.
       check_config     when a config loads and when a batch starts: raise
@@ -261,8 +262,10 @@ class ReturnLegTap(Attack):
         each row in her tap record, which holds the returned photons."""
         self._starts = turn.starts
         if self.disclose_permutation:
-            srcs = np.flatnonzero(~turn.check.mask(len(turn.origins)))
-            self._true_positions = turn.perm.inverse().mapping[srcs]
+            srcs = np.flatnonzero(~turn.is_check)
+            position = np.empty_like(turn.mapping)
+            position[turn.mapping] = np.arange(len(turn.mapping))
+            self._true_positions = position[srcs]
             self._true_origins = turn.origins[srcs]
         if self.disclose_initial_states:
             self._labels = labels.copy()

@@ -23,7 +23,7 @@ import numpy as np
 from .attacks import Attack, BatchReport, build_attack
 from .errors import ConfigError
 from .fabric import NoiseKind, NoiseModel, Transcript
-from .multiparty import McSessionConfig, run_mc_session
+from .multiparty import McSessionConfig
 from .protocol import SessionBatch, SessionConfig, SessionOutcome, run_session, run_sessions
 from .quantum import (
     ATOL,
@@ -349,7 +349,10 @@ def _point_config(config: ExperimentConfig, point: Mapping[str, Any]) -> Experim
     }
     if "noise_p" in overrides and config.noise_kind == "none" and overrides["noise_p"] > 0:
         raise ConfigError("sweeping noise_p requires a non-'none' noise kind")
-    return replace(config, sweep={}, **overrides)
+    point_config = replace(config, sweep={}, **overrides)
+    if "check_fraction" in overrides and point_config.check_count is not None:
+        raise ConfigError("sweeping check_fraction requires no check_count, which overrides it")
+    return point_config
 
 
 def run_point(config: ExperimentConfig, seed: int) -> AggregateStats:
@@ -407,38 +410,6 @@ def _format_value(value: Any) -> str:
     if isinstance(value, float):
         return format(value, ".6g")
     return str(value)
-
-
-def control_property_accuracy(
-    m: int,
-    total_bits: int,
-    seed: int,
-    withheld: int | None,
-    n_photons: int = 536,
-    check_count: int = 24,
-) -> tuple[float, int]:
-    """Measure the receiver's per-bit decode accuracy over at least
-    ``total_bits`` message bits of honest controlled sessions, optionally
-    withholding one controller's release (the control property)."""
-    hits = 0
-    bits = 0
-    trial = 0
-    while bits < total_bits:
-        session = McSessionConfig(
-            n_photons=n_photons,
-            check_count=check_count,
-            error_threshold=0.0,
-            controllers=m,
-            seed=derive_seed(seed, m, 0 if withheld is None else withheld + 1, trial),
-        )
-        outcome = run_mc_session(session, withheld_controller=withheld)
-        if outcome.aborted or outcome.decoded_bits is None:
-            raise RuntimeError("honest noiseless session unexpectedly aborted")
-        session_hits, session_bits = outcome.decode_hits()
-        hits += session_hits
-        bits += session_bits
-        trial += 1
-    return hits / bits, bits
 
 
 # --- Self-test -------------------------------------------------------------

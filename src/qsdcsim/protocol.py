@@ -37,7 +37,7 @@ whole batch in ascending (row, position) order:
      draws and then its controller's ops, hop after hop;
   3. one ``permuted`` draw of T rows over the widest row's survivors, the
      check sets: row r's are the first ``size[r]`` of its entries below
-     its own survivor count n_r, sorted;
+     its own survivor count n_r;
   4. the message bits of all rows;
   5. the check ops of all rows;
   6. a second such ``permuted`` draw, the shuffles: row r keeps its
@@ -116,67 +116,6 @@ def _firsts(sizes: np.ndarray) -> np.ndarray:
     """The flat index of each row's first entry, rows of ``sizes`` laid
     end to end."""
     return sizes.cumsum() - sizes
-
-
-@dataclass(frozen=True, eq=False)
-class CheckSet:
-    """Positions sacrificed to the eavesdropping check, ascending, within
-    the sequence being encoded (flat over a batch's rows)."""
-
-    positions: np.ndarray
-    _mask: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        positions = np.array(self.positions, dtype=np.intp)
-        positions.sort()
-        if len(positions) == 0:
-            raise ConfigError("check set must be nonempty")
-        if np.count_nonzero(positions[1:] == positions[:-1]):
-            raise ProtocolError("check positions must be distinct")
-        object.__setattr__(self, "positions", positions)
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def mask(self, n: int) -> np.ndarray:
-        """The check positions as a boolean mask over n positions, built
-        once per length and shared, read-only, by the stages."""
-        mask = self._mask
-        if mask is None or len(mask) != n:
-            mask = np.zeros(n, dtype=bool)
-            mask[self.positions] = True
-            mask.flags.writeable = False
-            object.__setattr__(self, "_mask", mask)
-        return mask
-
-
-@dataclass(frozen=True, eq=False)
-class Permutation:
-    """Bijection on sequence positions, an index array: ``mapping[j]`` is
-    the source index of the element placed at position j."""
-
-    mapping: np.ndarray
-
-    def __post_init__(self) -> None:
-        mapping = np.asarray(self.mapping, dtype=np.intp)
-        n = len(mapping)
-        # Mark each entry's slot; an entry out of [0, n), read unsigned,
-        # marks the spare slot n instead.
-        hit = np.zeros(n + 1, dtype=bool)
-        hit[np.minimum(mapping.view(np.uintp), n).astype(np.intp)] = True
-        if np.count_nonzero(hit[:n]) != n:
-            raise ProtocolError(f"not a permutation of [0,{n}): {self.mapping}")
-        object.__setattr__(self, "mapping", mapping)
-
-    def apply(self, items: Sequence[Any]) -> np.ndarray:
-        if len(items) != len(self.mapping):
-            raise ProtocolError("sequence length does not match permutation size")
-        return np.asarray(items)[self.mapping]
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.mapping)
-        inv[self.mapping] = np.arange(len(self.mapping))
-        return Permutation(inv)
 
 
 @dataclass(frozen=True)
@@ -351,11 +290,12 @@ def prepare_p_sequence(n: int, rng: RandomSource) -> np.ndarray:
 
 def select_check_positions(
     n: int | Sequence[int], size: int | Sequence[int], rng: RandomSource
-) -> CheckSet:
-    """Uniformly random check subset of an explicit size. Over a batch,
-    ``n`` and ``size`` hold one entry per row: row r gets the first
-    ``size[r]`` entries of its order from one ``_row_draw``, and
-    the positions, ascending, are flat over the rows laid end to end."""
+) -> np.ndarray:
+    """Uniformly random check subset of an explicit size, as a read-only
+    mask over the sequence. Over a batch, ``n`` and ``size`` hold one
+    entry per row: row r checks the first ``size[r]`` entries of its
+    order from one ``_row_draw``, and the mask is flat over the rows laid
+    end to end."""
     ns, sizes = np.array(n, ndmin=1), np.array(size, ndmin=1)
     bad = (sizes < 1) | (sizes > ns)
     row = bad.argmax()
@@ -365,31 +305,34 @@ def select_check_positions(
                           "check set would be empty")
     draw, keep = _row_draw(ns, rng)
     take = keep & (keep.cumsum(axis=1) <= sizes[:, None])
-    return CheckSet((draw + _firsts(ns)[:, None])[take])
+    is_check = np.zeros(ns.sum(), dtype=bool)
+    is_check[(draw + _firsts(ns)[:, None])[take]] = True
+    is_check.flags.writeable = False
+    return is_check
 
 
 def encode(
-    photons: np.ndarray, check: CheckSet | None, message: Sequence[int], rng: RandomSource
+    photons: np.ndarray, is_check: np.ndarray, message: Sequence[int], rng: RandomSource
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the encoder's operations to a code sequence.
 
-    Check positions receive an independently uniform draw from {I, U},
-    drawn in ascending position order and recorded privately. The
-    remaining positions carry the message bits in ascending position
-    order (0 -> I, 1 -> U). Returns the transformed codes and the op mask
-    of every position (0 for I, 1 for U).
+    Check positions, those the mask ``is_check`` marks, receive an
+    independently uniform draw from {I, U}, drawn in ascending position
+    order and recorded privately. The remaining positions carry the
+    message bits in ascending position order (0 -> I, 1 -> U). Returns the
+    transformed codes and the op mask of every position (0 for I, 1 for U).
     """
     n = len(photons)
-    n_check = 0 if check is None else len(check.positions)
-    if n_check and check.positions[-1] >= n:
-        raise ProtocolError("check set references a position beyond the sequence")
+    is_check = np.asarray(is_check, dtype=bool)
+    if len(is_check) != n:
+        raise ProtocolError(f"check mask of {len(is_check)} positions != sequence of {n}")
+    n_check = np.count_nonzero(is_check)
     if len(message) != n - n_check:
         raise ProtocolError(f"message length {len(message)} != {n} - {n_check} free positions")
     bits = np.asarray(message)
     bad = bits[(bits != 0) & (bits != 1)].tolist()
     if bad:
         raise ProtocolError(f"message bits must be 0/1, got {bad[0]!r}")
-    is_check = check.mask(n) if check is not None else np.zeros(n, dtype=bool)
     ops = np.zeros(n, dtype=np.uint8)
     ops[is_check] = rng.integers(0, 2, size=n_check)
     ops[~is_check] = bits
@@ -398,14 +341,17 @@ def encode(
 
 def rearrange(
     photons: np.ndarray, rng: RandomSource, sizes: np.ndarray | None = None
-) -> tuple[np.ndarray, Permutation]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Reorder each row of the sequence by its own uniformly random secret
     permutation, all rows from one ``_row_draw``; ``sizes`` are
-    the row lengths (one row by default)."""
+    the row lengths (one row by default). Returns the reordered sequence
+    and the read-only ``mapping``: ``mapping[j]`` is the index of the
+    photon placed at position j."""
     sizes = np.array([len(photons)]) if sizes is None else sizes
     draw, keep = _row_draw(sizes, rng)
-    perm = Permutation((draw + _firsts(sizes)[:, None])[keep])
-    return perm.apply(photons), perm
+    mapping = (draw + _firsts(sizes)[:, None])[keep]
+    mapping.flags.writeable = False
+    return photons[mapping], mapping
 
 
 def run_check(
@@ -492,17 +438,18 @@ class Receipt:
 @dataclass(frozen=True)
 class EncoderTurn:
     """The encoder's private state once it has encoded and shuffled the
-    photons it received: ``origins[i]`` (ascending, as legs keep the order)
-    and ``ops[i]`` are the prepared-order index and op mask of the i-th.
+    photons it received: ``origins[i]`` (ascending, as legs keep the order),
+    ``is_check[i]`` and ``ops[i]`` are the prepared-order index, check mark
+    and op mask of the i-th, and ``shuffled[j]`` is the ``mapping[j]``-th.
     Row r of the batch holds the photons from ``starts[r]`` on, before and
     after the shuffle, and its message bits follow the row before it in
     ``message_bits``."""
 
     origins: np.ndarray
     message_bits: np.ndarray
-    check: CheckSet
+    is_check: np.ndarray
     ops: np.ndarray
-    perm: Permutation
+    mapping: np.ndarray
     shuffled: np.ndarray
     starts: np.ndarray
 
@@ -514,8 +461,8 @@ class EncoderTurn:
         and message photons."""
         returned, arrived = transmit_sequence(back, self.shuffled, rng, public, "return")
         public.announce("alice", "receipt", public.column(arrived), stage="receipt")
-        src = self.perm.mapping[arrived]
-        is_check = self.check.mask(len(self.shuffled))[src]
+        src = self.mapping[arrived]
+        is_check = self.is_check[src]
         columns = np.array((arrived, self.origins[src], self.ops[src]))
         check_items = columns.compress(is_check, axis=1).T
         n_check = _counts(check_items[:, 0].searchsorted(self.starts))
@@ -540,9 +487,9 @@ class EncoderTurn:
         # Which sent-message indices did the decoded bits land on? Bit k of
         # a row rode on its k-th non-check photon: those that came back.
         back = np.zeros(len(self.shuffled), dtype=bool)
-        back[self.perm.mapping[receipt.message_order[:, 0]]] = True
-        landed = back[~self.check.mask(len(back))].nonzero()[0]
-        slots = self.starts - self.check.positions.searchsorted(self.starts)
+        back[self.mapping[receipt.message_order[:, 0]]] = True
+        landed = back[~self.is_check].nonzero()[0]
+        slots = self.starts - np.flatnonzero(self.is_check).searchsorted(self.starts)
         row = row_of(slots, landed)
         kept = ~aborted[row]
         landed, row = landed[kept], row[kept]
@@ -589,19 +536,19 @@ def encoder_turn(
         if sizes[row] < 1:
             raise ProtocolError("too few photons survived to form a nonempty check set")
         raise ProtocolError("check set would leave no message positions after loss")
-    check = select_check_positions(n_alive, sizes, rng)
-    n_message = len(photons) - len(check.positions)
+    is_check = select_check_positions(n_alive, sizes, rng)
+    n_message = len(photons) - int(sizes.sum())
     if message is None:
         message = rng.integers(0, 2, size=n_message)
     elif len(message) != n_message:
         raise ConfigError(f"message length {len(message)} != {n_message} free positions")
-    encoded, ops = encode(photons, check, message, rng)
+    encoded, ops = encode(photons, is_check, message, rng)
 
     # Shuffle: the permutation exists only in Bob's head at this point.
-    shuffled, perm = rearrange(encoded, rng, n_alive)
+    shuffled, mapping = rearrange(encoded, rng, n_alive)
     public.record("event", "shuffle", party="bob", count=len(shuffled))
     message_bits = np.asarray(message, dtype=np.uint8)
-    return EncoderTurn(origins, message_bits, check, ops, perm, shuffled, starts)
+    return EncoderTurn(origins, message_bits, is_check, ops, mapping, shuffled, starts)
 
 
 def decide_and_reveal(

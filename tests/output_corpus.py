@@ -1,9 +1,14 @@
 """A corpus of seeded outputs, one SHA-256 digest per case, for checking
 that a change leaves the program's outputs byte-identical.
 
-Run it on two checkouts and compare the printed lines:
+Run it on one checkout, then compare another checkout's outputs with
+the printed lines:
 
     PYTHONPATH=src python tests/output_corpus.py > corpus.txt
+    PYTHONPATH=src python tests/output_corpus.py --against corpus.txt
+
+The comparison prints each case whose digest moved, or that only one side
+has, counts them per output kind, and exits 1 if any line differs.
 
 Each line is ``<case> <output> <digest>``; the output is ``report`` (the
 run report as canonical JSON), ``transcript`` (the same run's JSON Lines)
@@ -17,9 +22,11 @@ which ``tests/test_golden.py`` pins.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from itertools import product
 
 from qsdcsim.attacks import ATTACK_REGISTRY
@@ -130,11 +137,45 @@ def combined_digest(corpus: list[str]) -> str:
     return digest("".join(line + "\n" for line in corpus))
 
 
-def main() -> int:
+def compare(corpus: list[str], reference: list[str]) -> tuple[list[str], int]:
+    """The report of ``corpus`` against the ``reference`` lines of an
+    earlier run, and its exit status: 1 if a case's digest moved or a case
+    is on one side only."""
+    ours, theirs = (dict(line.rsplit(" ", 1) for line in side if not line.startswith("combined "))
+                    for side in (corpus, reference))
+    out = []
+    tally = {kind: Counter() for kind in ("report", "transcript", "sweep", "total")}
+    for key in [*ours, *(key for key in theirs if key not in ours)]:
+        change = ("missing" if key not in ours else "new" if key not in theirs
+                  else "moved" if ours[key] != theirs[key] else "same")
+        for kind in (key.rsplit(" ", 1)[1], "total"):
+            tally[kind]["cases"] += key in ours
+            tally[kind][change] += 1
+        if change != "same":
+            out.append(f"{change} {key}")
+    status = int(bool(out))
+    for kind, counts in tally.items():
+        out.append(f"{kind}: {counts['moved']} of {counts['cases']} moved, "
+                   f"{counts['missing']} missing, {counts['new']} new")
+    old = next((line.split()[1] for line in reference if line.startswith("combined ")), None)
+    out.append(f"combined {combined_digest(corpus)} (reference {old})")
+    return out, status
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Print the output corpus, or compare it.")
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with the corpus an earlier run printed to FILE")
+    args = parser.parse_args(argv)
     corpus = list(lines())
-    print("\n".join(corpus))
-    print(f"combined {combined_digest(corpus)}")
-    return 0
+    if args.against is None:
+        print("\n".join(corpus))
+        print(f"combined {combined_digest(corpus)}")
+        return 0
+    with open(args.against, encoding="utf-8") as handle:
+        report, status = compare(corpus, handle.read().splitlines())
+    print("\n".join(report))
+    return status
 
 
 if __name__ == "__main__":

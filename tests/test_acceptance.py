@@ -14,6 +14,7 @@ import time
 from scipy.stats import binomtest
 
 from amplitude_oracle import norm_sq, overlap
+from control_property import control_property_accuracy
 from qsdcsim.attacks import (
     CollusionAttack,
     FakeSequenceBypass,
@@ -24,7 +25,6 @@ from qsdcsim.attacks import (
 )
 from qsdcsim.harness import (
     ExperimentConfig,
-    control_property_accuracy,
     derive_seed,
     sweep_csv,
     run_report,

@@ -39,7 +39,7 @@ from qsdcsim.multiparty import (
     controller_pass,
     run_mc_session,
 )
-from qsdcsim.protocol import CheckSet, SessionOutcome, encode
+from qsdcsim.protocol import SessionOutcome, encode
 from qsdcsim.quantum import (
     ATOL,
     BASES,
@@ -155,10 +155,11 @@ def test_encoding_matches_oracle_and_scalar_draws(data, values, seed):
     positions = data.draw(st.sets(st.integers(0, n - 1)))
     free = n - len(positions)
     message = data.draw(st.lists(st.integers(0, 1), min_size=free, max_size=free))
-    check = CheckSet(tuple(positions)) if positions else None
+    is_check = np.zeros(n, dtype=bool)
+    is_check[list(positions)] = True
     batched_rng = np.random.default_rng(seed)
     scalar_rng = np.random.default_rng(seed)
-    out, ops = encode(as_codes(values), check, message, batched_rng)
+    out, ops = encode(as_codes(values), is_check, message, batched_rng)
     # Check ops are drawn one by one in ascending position order.
     drawn = [int(scalar_rng.integers(0, 2)) for _ in sorted(positions)]
     assert ops[sorted(positions)].tolist() == drawn

@@ -7,10 +7,10 @@ of sessions, in both protocols); one more pins the combined digest of
 ``tests/output_corpus.py``. They pin the random stream end to end: an
 engine change that draws one number more, fewer or in another order
 moves them. A change to the transcript's format alone moves only the
-transcript digests and the corpus digest; ``output_corpus.py`` run on
-both sides says which of its lines moved. When a change to the outputs
-is intended, recompute them with ``python tests/test_golden.py`` and say
-why in CHANGES.md.
+transcript digests and the corpus digest; ``output_corpus.py --against``
+the other side's corpus says which of its lines moved. When a change to
+the outputs is intended, recompute them with ``python
+tests/test_golden.py`` and say why in CHANGES.md.
 """
 import functools
 import hashlib
@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+import output_corpus
 from output_corpus import combined_digest, lines
 from qsdcsim.fabric import Transcript
 from qsdcsim.harness import ExperimentConfig, run_report, sweep_csv
@@ -206,8 +207,43 @@ def test_sweep_digest(name):
     assert _sha(sweep_output(name)) == SWEEP_DIGESTS[name]
 
 
+@functools.lru_cache(maxsize=None)
+def corpus() -> tuple[str, ...]:
+    return tuple(lines())
+
+
 def test_output_corpus_digest():
-    assert combined_digest(list(lines())) == CORPUS_DIGEST
+    assert combined_digest(list(corpus())) == CORPUS_DIGEST
+
+
+def test_output_corpus_against_a_copy(tmp_path, monkeypatch, capsys):
+    """``output_corpus.py --against FILE`` names each case whose digest
+    moved or that only the file has, counts them per output kind, and
+    exits 1 if any line differs."""
+    ours = list(corpus())
+    monkeypatch.setattr(output_corpus, "lines", lambda: iter(ours))
+    path = tmp_path / "corpus.txt"
+
+    def against(reference):
+        path.write_text("".join(line + "\n" for line in reference))
+        status = output_corpus.main(["--against", str(path)])
+        return status, capsys.readouterr().out.splitlines()
+
+    combined = f"combined {combined_digest(ours)}"
+    status, out = against([*ours, combined])
+    assert status == 0
+    assert out[-2:] == [f"total: 0 of {len(ours)} moved, 0 missing, 0 new",
+                        f"{combined} (reference {combined.split()[1]})"]
+    key, digest = ours[1].rsplit(" ", 1)
+    kind = key.rsplit(" ", 1)[1]
+    n_kind = sum(line.rsplit(" ", 2)[1] == kind for line in ours)
+    changed = [*ours, "gone/case sweep 00", combined]
+    changed[1] = f"{key} {digest[::-1]}"
+    status, out = against(changed)
+    assert status == 1
+    assert out[:2] == [f"moved {key}", "missing gone/case sweep"]
+    assert f"{kind}: 1 of {n_kind} moved, 0 missing, 0 new" in out
+    assert f"total: 1 of {len(ours)} moved, 1 missing, 0 new" in out
 
 
 if __name__ == "__main__":

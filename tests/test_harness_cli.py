@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from control_property import control_property_accuracy
 from qsdcsim import cli as qsdcsim_cli
 from qsdcsim import harness
 from qsdcsim.attacks import ATTACK_REGISTRY, build_attack
@@ -16,7 +17,6 @@ from qsdcsim.fabric import Transcript
 from qsdcsim.harness import (
     ExperimentConfig,
     aggregate_trials,
-    control_property_accuracy,
     derive_seed,
     load_config,
     run_report,
@@ -437,6 +437,21 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "sweep, check_count",
+        [({"check_fraction": [0.1, 0.5]}, 8), ({"check_fraction": [0.1, 0.5], "check_count": [4, 8]}, None)],
+        ids=["check_count_fixed", "check_count_axis"],
+    )
+    def test_check_fraction_axis_under_check_count_exit_two(self, tmp_path, sweep, check_count):
+        """A check count overrides the check fraction, so a fraction axis
+        would label rows that all ran the same check set size."""
+        config = {"protocol": "qsdc", "n_photons": 64, "check_count": check_count, "trials": 200,
+                  "attack": {"name": "intercept_resend"}, "sweep": sweep}
+        proc = cli("sweep", config=config, tmp_path=tmp_path)
+        assert proc.returncode == 2
+        assert "check_fraction" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_seed_flag_overrides(self, tmp_path):
         base = cli("run", config=HONEST_QSDC, tmp_path=tmp_path)

@@ -16,8 +16,6 @@ from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import ClassicalChannel, NoiseModel, Transcript
 from qsdcsim.multiparty import McSessionConfig, run_mc_session
 from qsdcsim.protocol import (
-    CheckSet,
-    Permutation,
     SessionConfig,
     encode,
     prepare_p_sequence,
@@ -71,14 +69,13 @@ class TestPrepare:
 
 class TestCheckSet:
     def test_requested_size(self):
-        cs = select_check_positions(10, 3, rng(0))
-        assert len(cs) == 3
-        assert all(0 <= p < 10 for p in cs.positions)
-        assert len(set(cs.positions)) == 3
+        is_check = select_check_positions(10, 3, rng(0))
+        assert is_check.dtype == bool and len(is_check) == 10
+        assert np.count_nonzero(is_check) == 3
 
     def test_boundary_single_position(self):
-        cs = select_check_positions(2, 1, rng(0))
-        assert len(cs) == 1
+        is_check = select_check_positions(2, 1, rng(0))
+        assert np.count_nonzero(is_check) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
@@ -91,53 +88,47 @@ class TestCheckSet:
             select_check_positions(10, 11, rng(0))
         with pytest.raises(ConfigError):
             select_check_positions([10, 4], [3, 5], rng(0))
-        assert len(select_check_positions(10, 10, rng(0))) == 10
-
-    def test_mask_built_once_and_read_only(self):
-        check = CheckSet((4, 1))
-        mask = check.mask(6)
-        assert mask.tolist() == [False, True, False, False, True, False]
-        assert check.mask(6) is mask
-        with pytest.raises(ValueError):
-            mask[0] = True
-        assert check.mask(5).tolist() == [False, True, False, False, True]
+        assert np.count_nonzero(select_check_positions(10, 10, rng(0))) == 10
 
     def test_uniform_coverage(self):
-        counts = [0] * 10
+        counts = np.zeros(10)
         draws = 20_000
         r = rng(17)
         for _ in range(draws):
-            for p in select_check_positions(10, 3, r).positions:
-                counts[p] += 1
+            counts += select_check_positions(10, 3, r)
         for c in counts:
             assert abs(c / draws - 0.3) < 0.02
+
+
+def no_check(n):
+    return np.zeros(n, dtype=bool)
 
 
 class TestEncode:
     def test_bit_one_flips_plus_to_minus(self):
         photons = [StateLabel(Basis.X, 0)]
-        out, ops = encode(codes(photons), None, [1], rng(0))
+        out, ops = encode(codes(photons), no_check(1), [1], rng(0))
         assert [OPS[op] for op in ops] == [OpLabel.U]
         assert as_labels(out)[0] == StateLabel(Basis.X, 1)
 
     def test_bit_zero_leaves_state(self):
         for label in CANONICAL_LABELS:
             photons = [label]
-            out, _ops = encode(codes(photons), None, [0], rng(0))
+            out, _ops = encode(codes(photons), no_check(1), [0], rng(0))
             assert as_labels(out)[0] == photons[0]
 
     def test_all_zero_message_without_check_is_identity(self):
         photons = list(CANONICAL_LABELS)
-        out, ops = encode(codes(photons), None, [0, 0, 0, 0], rng(0))
+        out, ops = encode(codes(photons), no_check(4), [0, 0, 0, 0], rng(0))
         assert as_labels(out) == photons
         assert [OPS[op] for op in ops] == [OpLabel.I] * 4
 
     def test_check_positions_get_recorded_ops(self):
         photons = [CANONICAL_LABELS[0]] * 6
-        check = CheckSet((1, 4))
-        _out, masks = encode(codes(photons), check, [0, 1, 0, 1], rng(2))
+        is_check = np.array([False, True, False, False, True, False])
+        _out, masks = encode(codes(photons), is_check, [0, 1, 0, 1], rng(2))
         ops = [OPS[op] for op in masks]
-        assert all(ops[p] in (OpLabel.I, OpLabel.U) for p in check.positions)
+        assert all(ops[p] in (OpLabel.I, OpLabel.U) for p in (1, 4))
         # message ops follow the bits in ascending free-position order
         assert [ops[i] for i in (0, 2, 3, 5)] == [
             OpLabel.I,
@@ -147,15 +138,17 @@ class TestEncode:
         ]
 
     def test_length_mismatch_rejected(self):
-        photons = [CANONICAL_LABELS[0]] * 4
+        photons = codes([CANONICAL_LABELS[0]] * 4)
         with pytest.raises(ProtocolError):
-            encode(codes(photons), CheckSet((0,)), [1, 0], rng(0))
+            encode(photons, np.array([True, False, False, False]), [1, 0], rng(0))
+        with pytest.raises(ProtocolError):
+            encode(photons, np.array([True, False, False]), [1, 0, 1], rng(0))
 
     def test_closure_under_encoding(self):
         seq = prepare_p_sequence(40, rng(5))
-        check = select_check_positions(40, 10, rng(6))
+        is_check = select_check_positions(40, 10, rng(6))
         bits = [int(b) for b in rng(7).integers(0, 2, size=30)]
-        out, ops = encode(seq, check, bits, rng(8))
+        out, ops = encode(seq, is_check, bits, rng(8))
         for photon, op, encoded in zip(as_labels(seq), ops, as_labels(out)):
             assert encoded == label_of(apply_op(OPS[op], state_from_label(photon)))
 
@@ -163,33 +156,26 @@ class TestEncode:
 class TestRearrange:
     def test_single_element_identity(self):
         items = [CANONICAL_LABELS[0]]
-        out, perm = rearrange(codes(items), rng(0))
-        assert perm.mapping.tolist() == [0]
+        out, mapping = rearrange(codes(items), rng(0))
+        assert mapping.tolist() == [0]
         assert as_labels(out) == items
 
     def test_inverse_restores_order(self):
         items = list(range(12))
-        shuffled, perm = rearrange(np.array(items), rng(4))
-        assert perm.inverse().apply(shuffled).tolist() == items
+        shuffled, mapping = rearrange(np.array(items), rng(4))
+        assert shuffled[mapping.argsort()].tolist() == items
 
     def test_permutations_uniform_for_n3(self):
         counts: dict[tuple, int] = {}
         draws = 30_000
         r = rng(21)
         for _ in range(draws):
-            _out, perm = rearrange(np.array([0, 1, 2]), r)
-            mapping = tuple(perm.mapping.tolist())
+            _out, mapping = rearrange(np.array([0, 1, 2]), r)
+            mapping = tuple(mapping.tolist())
             counts[mapping] = counts.get(mapping, 0) + 1
         assert len(counts) == 6
         for c in counts.values():
             assert abs(c / draws - 1 / 6) < 0.02
-
-    def test_invalid_mapping_rejected(self):
-        # A repeat, a negative entry, one past the end, and one far past it
-        # (refused without allocating anything of its size).
-        for mapping in ((0, 0, 2), (-1, 0, 1), (0, 1, 3), (0, 1, 10**12)):
-            with pytest.raises(ProtocolError):
-                Permutation(mapping)
 
 
 class TestRunCheck:

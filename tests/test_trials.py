@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdcsim import harness, protocol
+from qsdcsim import harness
 from qsdcsim.attacks import (
     Attack,
     build_attack,
@@ -348,9 +348,9 @@ def test_stream_v3_shuffles_of_three_are_uniform_in_ragged_batches():
     rng = np.random.default_rng(31)
     sizes = ragged_sizes(rng, 30_000, 5, 0.35)
     assert len(set(sizes.tolist())) > 2 and (sizes == 3).sum() > 3000
-    _shuffled, perm = rearrange(np.zeros(sizes.sum(), dtype=np.uint8), rng, sizes)
+    _shuffled, mapping = rearrange(np.zeros(sizes.sum(), dtype=np.uint8), rng, sizes)
     orders = Counter(
-        tuple(row.tolist()) for row in rows_of(perm.mapping, sizes) if len(row) == 3
+        tuple(row.tolist()) for row in rows_of(mapping, sizes) if len(row) == 3
     )
     assert sorted(orders) == sorted(itertools.permutations(range(3)))
     assert chi_square(orders.values()) < CHI2_999[5]
@@ -361,11 +361,11 @@ def test_stream_v3_check_subsets_are_uniform_in_ragged_batches():
     n = ragged_sizes(rng, 30_000, 7, 0.3)
     k = np.where(n == 5, 2, n // 2)
     assert len(set(n.tolist())) > 2 and (n == 5).sum() > 3000
-    check = select_check_positions(n, k, rng)
-    # Positions are flat over the rows of n photons: rebase each onto its row.
-    local = check.positions - (np.cumsum(n) - n).repeat(k)
+    is_check = select_check_positions(n, k, rng)
+    # The mask is flat over the rows of n photons: read each row's own.
     subsets = Counter(
-        tuple(local[lo:lo + 2].tolist()) for lo, m in zip(np.cumsum(k) - k, n) if m == 5
+        tuple(np.flatnonzero(is_check[lo:lo + m]).tolist())
+        for lo, m in zip(np.cumsum(n) - n, n) if m == 5
     )
     assert sorted(subsets) == sorted(itertools.combinations(range(5), 2))
     assert chi_square(subsets.values()) < CHI2_999[9]
@@ -378,35 +378,62 @@ class SecretsSpy(Attack):
         self.turn = turn
 
 
+#: (n_photons, check_count, loss, trials, seed): batches whose rows all
+#: keep two photons or more, down to rows of two.
+LOSSY_TURNS = [
+    (40, None, 0.2, 300, 33),
+    (40, None, 0.2, 1, 36),
+    (16, None, 0.3, 64, 33),
+    (4, 1, 0.1, 40, 34),
+    (3, 1, 0.05, 100, 35),
+]
+
+
 def test_stream_v3_draws_stay_inside_each_lossy_row():
-    config = SessionConfig(n_photons=40, loss=0.2, error_threshold=1.0)
-    spy = SecretsSpy()
-    outcome = run_sessions(config, 300, np.random.default_rng(33), spy)
-    turn = spy.turn
-    n = np.diff(turn.starts)
-    assert len(set(n.tolist())) > 5
-    expected_sizes = config.check_size(n)
-    check_row = protocol.row_of(turn.starts, turn.check.positions)
-    assert np.bincount(check_row, minlength=len(n)).tolist() == expected_sizes.tolist()
-    for lo, hi in zip(turn.starts[:-1], turn.starts[1:]):
-        assert sorted(turn.perm.mapping[lo:hi].tolist()) == list(range(lo, hi))
-    assert all(len(out.message_sent) == m - k for out, m, k in zip(outcome, n, expected_sizes))
+    """Each row of the encoder's turn shuffles and checks only its own
+    photons: its ``mapping`` is a permutation of its own range, and its
+    ``is_check`` marks exactly ``check_size(n_r)`` of its positions. The
+    turn hands a strategy both read-only."""
+    smallest = []
+    for n_photons, check_count, loss, trials, seed in LOSSY_TURNS:
+        config = SessionConfig(n_photons=n_photons, check_count=check_count, loss=loss,
+                               error_threshold=1.0)
+        spy = SecretsSpy()
+        try:
+            outcome = run_sessions(config, trials, np.random.default_rng(seed), spy)
+        except ProtocolError as exc:  # the turn was handed over before the return leg
+            assert "return transmission" in str(exc)
+            outcome = None
+        turn = spy.turn
+        n = np.diff(turn.starts)
+        smallest.append(n.min())
+        expected_sizes = config.check_size(n)
+        assert len(turn.is_check) == len(turn.mapping) == turn.starts[-1]
+        for lo, hi, k in zip(turn.starts[:-1], turn.starts[1:], expected_sizes):
+            assert sorted(turn.mapping[lo:hi].tolist()) == list(range(lo, hi))
+            assert np.count_nonzero(turn.is_check[lo:hi]) == k
+        for secret in (turn.is_check, turn.mapping):
+            with pytest.raises(ValueError):
+                secret[0] = secret[-1]
+        if outcome is not None:
+            assert [len(out.message_sent) for out in outcome] == (n - expected_sizes).tolist()
+    assert min(smallest) == 2
 
 
 def test_stream_v3_one_row_is_todays_draw():
     """One row shuffles as ``permutation(n)`` does, and equal rows as one
     ``permutation(n)`` each, row after row; the check set of one row is
-    the first entries of a permutation, sorted."""
-    _out, perm = rearrange(np.zeros(12, dtype=np.uint8), np.random.default_rng(4))
-    assert perm.mapping.tolist() == np.random.default_rng(4).permutation(12).tolist()
+    the first entries of a permutation."""
+    _out, mapping = rearrange(np.zeros(12, dtype=np.uint8), np.random.default_rng(4))
+    assert mapping.tolist() == np.random.default_rng(4).permutation(12).tolist()
     sizes = np.array([6, 6, 6])
-    _out, perm = rearrange(np.zeros(18, dtype=np.uint8), np.random.default_rng(5), sizes)
+    _out, mapping = rearrange(np.zeros(18, dtype=np.uint8), np.random.default_rng(5), sizes)
     reference = np.random.default_rng(5)
     expected = [reference.permutation(6) + 6 * r for r in range(3)]
-    assert perm.mapping.tolist() == np.concatenate(expected).tolist()
-    check = select_check_positions(12, 5, np.random.default_rng(6))
+    assert mapping.tolist() == np.concatenate(expected).tolist()
+    is_check = select_check_positions(12, 5, np.random.default_rng(6))
     first = np.random.default_rng(6).permutation(12)[:5]
-    assert check.positions.tolist() == sorted(first.tolist())
+    assert np.flatnonzero(is_check).tolist() == sorted(first.tolist())
 
 
 MEMORY_PROBE = """
