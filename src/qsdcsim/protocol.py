@@ -348,10 +348,12 @@ def rearrange(
     and the read-only ``mapping``: ``mapping[j]`` is the index of the
     photon placed at position j."""
     sizes = np.array([len(photons)]) if sizes is None else sizes
+    if sizes.sum() != len(photons):
+        raise ProtocolError(f"sequence of {len(photons)} != rows of {sizes.sum()} photons")
     draw, keep = _row_draw(sizes, rng)
     mapping = (draw + _firsts(sizes)[:, None])[keep]
     mapping.flags.writeable = False
-    return photons[mapping], mapping
+    return np.asarray(photons)[mapping], mapping
 
 
 def run_check(

@@ -165,6 +165,15 @@ class TestRearrange:
         shuffled, mapping = rearrange(np.array(items), rng(4))
         assert shuffled[mapping.argsort()].tolist() == items
 
+    def test_list_input_shuffled(self):
+        shuffled, mapping = rearrange(list(range(5)), rng(4))
+        assert shuffled.tolist() == mapping.tolist()
+
+    def test_sizes_must_cover_the_sequence(self):
+        for sizes in ([4], [3, 3], [2, 2, 2]):
+            with pytest.raises(ProtocolError):
+                rearrange(np.arange(5), rng(0), np.array(sizes))
+
     def test_permutations_uniform_for_n3(self):
         counts: dict[tuple, int] = {}
         draws = 30_000

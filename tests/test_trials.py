@@ -378,14 +378,17 @@ class SecretsSpy(Attack):
         self.turn = turn
 
 
-#: (n_photons, check_count, loss, trials, seed): batches whose rows all
-#: keep two photons or more, down to rows of two.
+#: (n_photons, check_count, loss, trials, seed, lengths, completes):
+#: batches whose rows all keep two photons or more, down to rows of two,
+#: with at least ``lengths`` distinct row lengths. A batch that does not
+#: complete loses every check photon of some row on the return leg, after
+#: the encoder's turn was handed over.
 LOSSY_TURNS = [
-    (40, None, 0.2, 300, 33),
-    (40, None, 0.2, 1, 36),
-    (16, None, 0.3, 64, 33),
-    (4, 1, 0.1, 40, 34),
-    (3, 1, 0.05, 100, 35),
+    (40, None, 0.2, 300, 33, 6, True),
+    (40, None, 0.2, 1, 36, 1, True),
+    (16, None, 0.3, 64, 33, 6, True),
+    (4, 1, 0.1, 40, 34, 3, False),
+    (3, 1, 0.05, 100, 35, 2, False),
 ]
 
 
@@ -395,17 +398,18 @@ def test_stream_v3_draws_stay_inside_each_lossy_row():
     ``is_check`` marks exactly ``check_size(n_r)`` of its positions. The
     turn hands a strategy both read-only."""
     smallest = []
-    for n_photons, check_count, loss, trials, seed in LOSSY_TURNS:
+    for n_photons, check_count, loss, trials, seed, lengths, completes in LOSSY_TURNS:
         config = SessionConfig(n_photons=n_photons, check_count=check_count, loss=loss,
                                error_threshold=1.0)
         spy = SecretsSpy()
-        try:
+        if completes:
             outcome = run_sessions(config, trials, np.random.default_rng(seed), spy)
-        except ProtocolError as exc:  # the turn was handed over before the return leg
-            assert "return transmission" in str(exc)
-            outcome = None
+        else:
+            with pytest.raises(ProtocolError, match="return transmission"):
+                run_sessions(config, trials, np.random.default_rng(seed), spy)
         turn = spy.turn
         n = np.diff(turn.starts)
+        assert len(set(n.tolist())) >= lengths
         smallest.append(n.min())
         expected_sizes = config.check_size(n)
         assert len(turn.is_check) == len(turn.mapping) == turn.starts[-1]
@@ -415,7 +419,7 @@ def test_stream_v3_draws_stay_inside_each_lossy_row():
         for secret in (turn.is_check, turn.mapping):
             with pytest.raises(ValueError):
                 secret[0] = secret[-1]
-        if outcome is not None:
+        if completes:
             assert [len(out.message_sent) for out in outcome] == (n - expected_sizes).tolist()
     assert min(smallest) == 2
 
