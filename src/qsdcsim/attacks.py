@@ -26,7 +26,6 @@ from .multiparty import (
     AnnouncementSchedule,
     Chain,
     ControllerRecord,
-    HonestController,
     HonestReporter,
     McSessionConfig,
     controller_pass,
@@ -131,7 +130,7 @@ class Attack:
       guesses          after a batch: per row, the message bits the
                        adversary guessed right and guessed, or None.
       report           the ``AttackReport`` of one row of a finished batch,
-                       read from the batch's ``columns``.
+                       read from the ``columns`` of the row's own batch.
 
     One instance serves one batch of sessions, in either protocol; its
     taps and reroutes see the whole batch, row after row.
@@ -177,9 +176,9 @@ class Attack:
             self._columns = BatchReport(self.name, outcome, outcome.aborted, *guess)
         return self._columns
 
-    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
-        """The report on row ``row`` of the batch ``outcome`` belongs to."""
-        return self.columns(outcome.batch).row(row)
+    def report(self, outcome: SessionOutcome) -> AttackReport:
+        """The report on ``outcome``, read from its own row of its batch."""
+        return self.columns(outcome.batch).row(outcome.row)
 
 
 #: No adversary. Exists so experiment configs always name a strategy and
@@ -207,10 +206,10 @@ class InterceptResend(Attack):
     ) -> None:
         forward.taps.append(self.tap)
 
-    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
+    def report(self, outcome: SessionOutcome) -> AttackReport:
         # Every row's prepared photons all passed the tap.
         n_tapped = len(self.tap.outcomes) // len(outcome.batch)
-        return self.columns(outcome.batch).row(row, n_tapped=n_tapped)
+        return self.columns(outcome.batch).row(outcome.row, n_tapped=n_tapped)
 
 
 class ReturnLegTap(Attack):
@@ -298,11 +297,11 @@ class ReturnLegTap(Attack):
         hits = np.bincount(row[guesses == sent[bit]], minlength=len(outcome))
         return hits, np.bincount(row, minlength=len(outcome))
 
-    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
+    def report(self, outcome: SessionOutcome) -> AttackReport:
         columns = self.columns(outcome.batch)
         return columns.row(
-            row,
-            n_guessed=int(columns.guessed[row]),
+            outcome.row,
+            n_guessed=int(columns.guessed[outcome.row]),
             disclose_permutation=self.disclose_permutation,
             disclose_initial_states=self.disclose_initial_states,
         )
@@ -354,7 +353,7 @@ def _decoy_chain(
     agents = []
     for c in range(n_decoy):
         decoys, ops = controller_pass(decoys, rng)
-        agents.append(HonestController(ControllerRecord(origins, ops)))
+        agents.append(ControllerRecord(origins, ops))
     photons = labels
     for leg in legs:
         photons, _arrived = transmit_sequence(leg, photons, rng, public, "chain")
@@ -478,9 +477,8 @@ class CollusionAttack(Attack):
 
     guesses = FakeSequenceBypass.guesses
 
-    def report(self, outcome: SessionOutcome, row: int = 0) -> AttackReport:
-        columns = self.columns(outcome.batch)
-        return columns.row(row, schedule_variant=self.schedule_variant)
+    def report(self, outcome: SessionOutcome) -> AttackReport:
+        return self.columns(outcome.batch).row(outcome.row, schedule_variant=self.schedule_variant)
 
 
 def intercept_resend_detection(n_check: int) -> float:

@@ -63,24 +63,9 @@ class NoiseModel:
         return cls(NoiseKind.DEPOLARIZING, p)
 
 
-class Lost:
-    """The loss marker of single-photon delivery. No channel delivers it
-    any more (``transmit`` reports the positions that arrived); it stays
-    because ``perfbench/tracing.py`` compares ``transmit`` results with
-    ``LOST``."""
-
-    _instance: "Lost | None" = None
-
-    def __new__(cls) -> "Lost":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "LOST"
-
-
-LOST = Lost()
+# A loss marker no channel returns; it stays because perfbench compares
+# ``transmit`` results with it.
+LOST = object()
 
 
 class Tap(Protocol):

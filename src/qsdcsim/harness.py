@@ -24,7 +24,7 @@ from .attacks import Attack, BatchReport, build_attack
 from .errors import ConfigError
 from .fabric import NoiseKind, NoiseModel, Transcript
 from .multiparty import McSessionConfig
-from .protocol import SessionBatch, SessionConfig, SessionOutcome, run_session, run_sessions
+from .protocol import SessionConfig, SessionOutcome, run_session, run_sessions
 from .quantum import (
     ATOL,
     CANONICAL_LABELS,
@@ -292,15 +292,17 @@ def _sum(values: np.ndarray) -> float:
     return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
-def aggregate_trials(batches: Iterable[tuple[SessionBatch, BatchReport]]) -> AggregateStats:
+def aggregate_trials(reports: Iterable[BatchReport]) -> AggregateStats:
     """Fold a point's trials, batch by batch as they come, into its
-    statistics; a batch is dropped once folded. What outlives it is one
+    statistics from each batch's report, which holds the batch as
+    ``outcome``; a batch is dropped once folded. What outlives it is one
     float64 error rate and at most one accuracy per trial: sums run in
     trial order, and the sample variance takes two passes over the error
     rates."""
     detected = 0
     rates, accuracies = [], []
-    for outcome, report in batches:
+    for report in reports:
+        outcome = report.outcome
         detected += int(np.count_nonzero(report.detected))
         rates.append(outcome.error_rate)
         # The adversary's guess accuracy where it has one, else the
@@ -364,13 +366,13 @@ def run_point(config: ExperimentConfig, seed: int) -> AggregateStats:
     session = config.session  # its seed is not read: the batches draw from rng
     per_batch = max(1, BATCH_PHOTONS // config.n_photons)
 
-    def batches() -> Iterator[tuple[SessionBatch, BatchReport]]:
+    def reports() -> Iterator[BatchReport]:
         for done in range(0, config.trials, per_batch):
             attack = build_attack(config.attack_name, config.attack_params)
             outcome = run_sessions(session, min(per_batch, config.trials - done), rng, attack)
-            yield outcome, attack.columns(outcome)
+            yield attack.columns(outcome)
 
-    return aggregate_trials(batches())
+    return aggregate_trials(reports())
 
 
 def run_sweep(config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:

@@ -102,7 +102,7 @@ class McSessionConfig(SessionConfig):
             if c < len(hops) - 1:
                 public.announce(f"controller_{c}", "arrived", public.column(origins), stage="chain")
                 photons, ops = controller_pass(photons, rng)
-                agents.append(HonestController(ControllerRecord(origins, ops)))
+                agents.append(ControllerRecord(origins, ops))
         public.announce("bob", "arrived_forward", public.column(origins), stage="chain")
         return Chain(labels, photons, origins, agents)
 
@@ -110,10 +110,24 @@ class McSessionConfig(SessionConfig):
 @dataclass(frozen=True)
 class ControllerRecord:
     """One controller's private operations: ``ops[k]`` is the op mask it
-    applied to the photon of prepared-order index ``origins[k]``."""
+    applied to the photon of prepared-order index ``origins[k]``. As an
+    honest controller it answers each announcement round truthfully for an
+    array of origins at once, and releases itself after a passing check."""
 
     origins: np.ndarray
     ops: np.ndarray
+
+    def _ops(self, origins: np.ndarray) -> np.ndarray:
+        return self.ops[self.origins.searchsorted(origins)]
+
+    def announce_h(self, origins: np.ndarray) -> np.ndarray:
+        return (self._ops(origins) == OP_MASK[OpLabel.H]).astype(np.uint8)
+
+    def announce_flip(self, origins: np.ndarray, heard: np.ndarray, remaining: int) -> np.ndarray:
+        return (self._ops(origins) == OP_MASK[OpLabel.U]).astype(np.uint8)
+
+    def release(self, origins: np.ndarray) -> "ControllerRecord":
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,27 +166,6 @@ def controller_pass(photons: np.ndarray, rng: RandomSource) -> tuple[np.ndarray,
     which the controller retains privately."""
     ops = rng.integers(0, 3, size=len(photons)).astype(np.uint8)
     return photons ^ ops, ops
-
-
-class HonestController:
-    """Answers announcement rounds truthfully from its private record,
-    and releases the whole record after a passing check. Each round asks
-    about an array of origins at once."""
-
-    def __init__(self, record: ControllerRecord):
-        self._record = record
-
-    def _ops(self, origins: np.ndarray) -> np.ndarray:
-        return self._record.ops[self._record.origins.searchsorted(origins)]
-
-    def announce_h(self, origins: np.ndarray) -> np.ndarray:
-        return (self._ops(origins) == OP_MASK[OpLabel.H]).astype(np.uint8)
-
-    def announce_flip(self, origins: np.ndarray, heard: np.ndarray, remaining: int) -> np.ndarray:
-        return (self._ops(origins) == OP_MASK[OpLabel.U]).astype(np.uint8)
-
-    def release(self, origins: np.ndarray) -> ControllerRecord:
-        return self._record
 
 
 class HonestReporter:
@@ -222,7 +215,7 @@ class Chain(Route):
             public.announce("alice", "check_initial_states", states, stage="check")
         schedule = self.schedule(len(rows), len(self.agents), rng)
         reporter = self.reporter(labels, receipt.photons, rng)
-        _, mismatches = mc_check_round(labels, rows, schedule, reporter, self.agents, public)
+        mismatches = mc_check_round(labels, rows, schedule, reporter, self.agents, public)
         error_rates = row_rates(receipt.starts, positions, mismatches)
         # The check ops by position, rendered only if a transcript is written.
         disclosed = Coded(masks, OP_TEXTS, keys=positions)
@@ -236,10 +229,9 @@ def mc_check_round(
     reporter: Any,
     agents: Sequence[Any],
     public: ClassicalChannel,
-) -> tuple[float, np.ndarray]:
+) -> np.ndarray:
     """Run the two-round announcement dance over every check photon at
-    once and return the encoder's measured error rate plus the mismatch
-    of each photon.
+    once and return whether each photon's report mismatched.
 
     ``rows`` are the check photons' (position, origin, op mask) rows, the
     op being the encoder's private check operation; ``labels`` is the
@@ -278,7 +270,7 @@ def mc_check_round(
                       h_order=schedule.h_orders, iu_order=schedule.iu_orders, h_bits=h_turns,
                       bases=Coded(bases, BASIS_TEXTS), outcomes=outcomes, reports=reports, flips=flips)
         public.seq += k * (2 * m + 1)
-    return int(np.count_nonzero(mismatches)) / k if k else 0.0, mismatches
+    return mismatches
 
 
 def release_and_reconstruct(

@@ -212,71 +212,42 @@ class SessionBatch:
     def __getitem__(self, row: int) -> "SessionOutcome":
         if not 0 <= row < len(self):
             raise IndexError(f"batch has no row {row}")
-        return SessionOutcome(self, row)
+        aborted = bool(self.aborted[row])
+        lo, hi = self.message_starts[row:row + 2]
+        decoded = None if aborted else slice(*self.decoded_starts[row:row + 2])
+        return SessionOutcome(
+            aborted, float(self.error_rate[row]), self.message_bits[lo:hi].tolist(),
+            None if decoded is None else self.decoded_bits[decoded].tolist(),
+            None if decoded is None else self.decoded_positions[decoded].tolist(),
+            int(self.n_check[row]), self.transcript, self, row,
+        )
 
     def __iter__(self) -> Iterator["SessionOutcome"]:
-        return (SessionOutcome(self, row) for row in range(len(self)))
+        return (self[row] for row in range(len(self)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SessionOutcome:
-    """Result of one session, row ``row`` of its batch, read as plain
-    values. ``decoded_bits`` is present exactly when the session was not
-    aborted; under loss it is the sent message restricted to surviving
+    """Result of one session as plain values, built once from row ``row``
+    of its batch. ``decoded_bits`` is present exactly when the session was
+    not aborted; under loss it is the sent message restricted to surviving
     positions, with ``decoded_positions`` giving the indices into the sent
     message that each decoded bit corresponds to."""
 
-    batch: SessionBatch
-    row: int
-
-    #: The values a row reads, the fields of a session's result.
-    FIELDS = ("aborted", "measured_error_rate", "message_sent", "decoded_bits",
-              "decoded_positions", "n_check", "transcript")
-
-    @property
-    def aborted(self) -> bool:
-        return bool(self.batch.aborted[self.row])
-
-    @property
-    def measured_error_rate(self) -> float:
-        return float(self.batch.error_rate[self.row])
-
-    @property
-    def message_sent(self) -> list[int]:
-        lo, hi = self.batch.message_starts[self.row:self.row + 2]
-        return self.batch.message_bits[lo:hi].tolist()
-
-    def _decoded(self, column: np.ndarray) -> list[int] | None:
-        if self.aborted:
-            return None
-        lo, hi = self.batch.decoded_starts[self.row:self.row + 2]
-        return column[lo:hi].tolist()
-
-    @property
-    def decoded_bits(self) -> list[int] | None:
-        return self._decoded(self.batch.decoded_bits)
-
-    @property
-    def decoded_positions(self) -> list[int] | None:
-        return self._decoded(self.batch.decoded_positions)
-
-    @property
-    def n_check(self) -> int:
-        return int(self.batch.n_check[self.row])
-
-    @property
-    def transcript(self) -> Transcript | None:
-        return self.batch.transcript
+    aborted: bool
+    measured_error_rate: float
+    message_sent: list[int]
+    decoded_bits: list[int] | None
+    decoded_positions: list[int] | None
+    n_check: int
+    transcript: Transcript | None
+    batch: SessionBatch = field(compare=False, repr=False)
+    row: int = field(compare=False)
 
     def decode_hits(self) -> tuple[int, int]:
         """(hits, bits): how many decoded bits equal the sent bit they
         carry, out of all decoded bits; (0, 0) when nothing was decoded."""
         return int(self.batch.decode_hits[self.row]), int(self.batch.decode_bits[self.row])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SessionOutcome):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.FIELDS)
 
 
 def prepare_p_sequence(n: int, rng: RandomSource) -> np.ndarray:

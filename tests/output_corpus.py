@@ -11,29 +11,36 @@ The comparison prints each case whose digest moved, or that only one side
 has, counts them per output kind, and exits 1 if any line differs.
 
 Each line is ``<case> <output> <digest>``; the output is ``report`` (the
-run report as canonical JSON), ``transcript`` (the same run's JSON Lines)
-or ``sweep`` (a sweep CSV); a session the program refuses reports its
-error. The run cases cover every registry attack and
-its flags in every protocol it supports, with controller chains of 0, 1,
-3 and 16, loss, both noise kinds, a passing and an aborting threshold, and
-withheld releases. The sweeps cover both protocols with points of several
-batches each. The last line is the digest of all the lines before it,
-which ``tests/test_golden.py`` pins.
+run report as canonical JSON), ``transcript`` (the same run's JSON Lines),
+``sweep`` (a sweep CSV) or ``rows`` (one row of a batch: its outcome
+fields and its row of the strategy's report columns, as canonical JSON);
+a session the program refuses reports its error. The run cases cover
+every registry attack and its flags in every protocol it supports, with
+controller chains of 0, 1, 3 and 16, loss, both noise kinds, a passing
+and an aborting threshold, and withheld releases. The sweeps cover both
+protocols with points of several batches each. The row cases run a batch
+of ``ROW_TRIALS`` sessions for every registry attack and its flags in
+every protocol it supports, with and without loss. The last line is the
+digest of all the lines before it, which ``tests/test_golden.py`` pins.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 from collections import Counter
 from itertools import product
 
-from qsdcsim.attacks import ATTACK_REGISTRY
+import numpy as np
+
+from qsdcsim.attacks import ATTACK_REGISTRY, build_attack
 from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import Transcript
 from qsdcsim.harness import BATCH_PHOTONS, ExperimentConfig, run_report, sweep_csv
 from qsdcsim.multiparty import McSessionConfig, run_mc_session
+from qsdcsim.protocol import run_sessions
 
 #: Attack parameters beyond the defaults, by attack name.
 FLAGS = {
@@ -49,6 +56,9 @@ N_PHOTONS = 120
 #: Points of three batches each at this size.
 SWEEP_PHOTONS = 2048
 SWEEP_TRIALS = 2 * (BATCH_PHOTONS // SWEEP_PHOTONS) + 5
+#: The batch size and generator seed of the row cases.
+ROW_TRIALS = 7
+ROW_SEED = 50
 
 
 def attacks() -> list[tuple[str, str, dict]]:
@@ -103,6 +113,39 @@ def sweep_cases() -> list[tuple[str, dict]]:
     ]
 
 
+def row_cases() -> list[tuple[str, dict]]:
+    """The batch configs of the row cases: small check sets under noise
+    and a zero threshold, so that rows of one batch abort or pass apart."""
+    cases = []
+    for (protocol, name, params), loss in product(attacks(), (0.0, 0.1)):
+        raw = {"protocol": protocol, "n_photons": 40, "check_count": 4, "error_threshold": 0.0,
+               "noise": {"kind": "bit_flip", "p": 0.05}, "loss": loss,
+               "attack": {"name": name, "params": params}}
+        if protocol == "mcqsdc":
+            raw["controllers"] = 3
+        flags = ",".join(f"{key}={value}" for key, value in sorted(params.items()))
+        cases.append((f"rows/{protocol}/{name}[{flags}]/loss={loss}", raw))
+    return cases
+
+
+def row_lines(case: str, raw: dict):
+    """The ``rows`` lines of one batch, row by row."""
+    try:
+        config = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return  # a config the attack refuses (loss)
+    attack = build_attack(config.attack_name, config.attack_params)
+    rng = np.random.default_rng(ROW_SEED)
+    batch = run_sessions(config.session_config(ROW_SEED), ROW_TRIALS, rng, attack)
+    columns = attack.columns(batch)
+    for r in range(len(batch)):
+        out = batch[r]
+        fields = [out.aborted, out.measured_error_rate, out.message_sent, out.decoded_bits,
+                  out.decoded_positions, out.n_check, list(out.decode_hits())]
+        row = [fields, dataclasses.asdict(columns.row(r))]
+        yield f"{case}/row={r} rows {digest(json.dumps(row, sort_keys=True))}"
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -130,6 +173,8 @@ def lines():
         yield f"{case} transcript {digest(out.transcript.to_jsonl())}"
     for case, raw in sweep_cases():
         yield f"{case} sweep {digest(sweep_csv(ExperimentConfig.from_dict(raw)))}"
+    for case, raw in row_cases():
+        yield from row_lines(case, raw)
 
 
 def combined_digest(corpus: list[str]) -> str:
@@ -144,7 +189,7 @@ def compare(corpus: list[str], reference: list[str]) -> tuple[list[str], int]:
     ours, theirs = (dict(line.rsplit(" ", 1) for line in side if not line.startswith("combined "))
                     for side in (corpus, reference))
     out = []
-    tally = {kind: Counter() for kind in ("report", "transcript", "sweep", "total")}
+    tally = {kind: Counter() for kind in ("report", "transcript", "sweep", "rows", "total")}
     for key in [*ours, *(key for key in theirs if key not in ours)]:
         change = ("missing" if key not in ours else "new" if key not in theirs
                   else "moved" if ours[key] != theirs[key] else "same")

@@ -167,7 +167,7 @@ SWEEP_DIGESTS = {
     "qsdc_sweep_one_message_bit": "1357a3dbe37d24ecca8b49a364db3bd318379bf3bfe1e7e4420c51d75751d514",
 }
 
-CORPUS_DIGEST = "50b995c740a5145448a26f3a4455c1b4cbda7381a94b667cf6a442228f271c83"
+CORPUS_DIGEST = "4829f3b7243f9e06dd1db1e96dc6862a846c5cc6d7874364c13ac82e1bee642d"
 
 
 def _sha(text: str) -> str:

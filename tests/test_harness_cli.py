@@ -204,10 +204,10 @@ class TestRunReport:
         session = config.session_config(3)
         attack = build_attack("return_leg_tap")
         outcome = run_sessions(session, 5, np.random.default_rng(3), attack)
-        stats = aggregate_trials([(outcome, attack.columns(outcome))])
+        stats = aggregate_trials([attack.columns(outcome)])
         # Every row aborts, so only Eve's guesses have an accuracy.
         assert outcome.aborted.all()
-        guesses = [attack.report(row, r).message_guess_accuracy for r, row in enumerate(outcome)]
+        guesses = [attack.report(row).message_guess_accuracy for row in outcome]
         assert stats.accuracy == pytest.approx(sum(guesses) / len(guesses))
 
 

@@ -14,7 +14,6 @@ from qsdcsim.fabric import ClassicalChannel, NoiseModel, Transcript
 from qsdcsim.multiparty import (
     AnnouncementSchedule,
     ControllerRecord,
-    HonestController,
     HonestReporter,
     McSessionConfig,
     controller_pass,
@@ -93,7 +92,7 @@ def dance_one_photon(initial, agents, schedule, bob_op):
     reporter = HonestReporter(codes([initial]), codes([initial]), rng(42))
     rows = np.array([[0, 0, OP_MASK[bob_op]]])
     transcript = Transcript()
-    _, mismatches = mc_check_round(
+    mismatches = mc_check_round(
         codes([initial]), rows, schedule, reporter, agents, ClassicalChannel(transcript)
     )
     (dance,) = transcript.events
@@ -110,7 +109,7 @@ def expected_check_outcome(initial, controller_ops, bob_op):
     """The encoder's expected outcome for a check photon through the
     honest chain ``controller_ops`` and its own ``bob_op``."""
     agents = [
-        HonestController(ControllerRecord(np.array([0]), np.array([OP_MASK[op]])))
+        ControllerRecord(np.array([0]), np.array([OP_MASK[op]]))
         for op in controller_ops
     ]
     schedule = AnnouncementSchedule.draw(1, len(agents), rng(43))
@@ -177,7 +176,7 @@ class TestMcCheckRound:
         state = apply_op(bob_op, state)
         m = len(controller_ops)
         agents = [
-            HonestController(ControllerRecord(np.array([0]), np.array([OP_MASK[op]])))
+            ControllerRecord(np.array([0]), np.array([OP_MASK[op]]))
             for op in controller_ops
         ]
         reporter = HonestReporter(codes([initial]), codes([label_of(state)]), rng(42))
@@ -189,8 +188,8 @@ class TestMcCheckRound:
     def test_two_controller_example(self):
         # Chain [H, U] on (Z,0): announced H parity 1, so the receiver
         # measures in X; the symbolic expectation matches deterministically.
-        error_rate, mismatches = self.run_worked_example([OpLabel.H, OpLabel.U], OpLabel.I, Z0)
-        assert error_rate == 0.0 and mismatches.tolist() == [False]
+        mismatches = self.run_worked_example([OpLabel.H, OpLabel.U], OpLabel.I, Z0)
+        assert mismatches.mean() == 0.0 and mismatches.tolist() == [False]
 
     def test_honest_runs_all_chain_lengths(self):
         """Every chain of length <= 3, both encoder ops and every initial
@@ -200,8 +199,8 @@ class TestMcCheckRound:
             for chain in itertools.product(list(OpLabel), repeat=m):
                 for bob_op in (OpLabel.I, OpLabel.U):
                     for initial in CANONICAL_LABELS:
-                        error_rate, _ = self.run_worked_example(list(chain), bob_op, initial)
-                        assert error_rate == 0.0
+                        mismatches = self.run_worked_example(list(chain), bob_op, initial)
+                        assert mismatches.mean() == 0.0
 
     def test_schedule_must_cover_photons(self):
         schedule = AnnouncementSchedule.draw(1, 2, rng(0))
@@ -259,7 +258,7 @@ class TestFlipTurnContract:
         origins = gen.choice(n, size=k, replace=False)
         rows = np.column_stack((np.arange(k), origins, gen.integers(0, 2, size=k)))
         log = []
-        inner = [HonestController(ControllerRecord(np.arange(n), gen.integers(0, 3, size=n)))
+        inner = [ControllerRecord(np.arange(n), gen.integers(0, 3, size=n))
                  for _ in range(m - 1)] + [ColluderAgent(rng(7))]
         agents = [Recording(agent, c, log) for c, agent in enumerate(inner)]
         schedule = AnnouncementSchedule.draw(k, m, gen)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from qsdcsim import harness
 from qsdcsim.attacks import (
+    ATTACK_REGISTRY,
     Attack,
     build_attack,
     bypass_photon_pass_probability,
@@ -27,7 +28,7 @@ from qsdcsim.attacks import (
     intercept_resend_detection,
 )
 from qsdcsim.errors import ConfigError, ProtocolError
-from qsdcsim.fabric import ClassicalChannel, Transcript
+from qsdcsim.fabric import ClassicalChannel, NoiseModel, Transcript
 from qsdcsim.harness import (
     ExperimentConfig,
     aggregate_trials,
@@ -73,7 +74,7 @@ def test_batch_of_one_is_run_session(attack):
             (batched,) = run_sessions(session, 1, np.random.default_rng(5), mine)
             single = run_one(session, attack=theirs)
             assert batched == single
-            assert mine.report(batched, 0) == theirs.report(single)
+            assert mine.report(batched) == theirs.report(single)
 
 
 @pytest.mark.parametrize(
@@ -87,7 +88,43 @@ def test_rerouted_batch_of_one_is_run_mc_session(attack, params):
     (batched,) = run_sessions(config, 1, np.random.default_rng(6), mine)
     single = run_mc_session(config, attack=theirs)
     assert batched == single
-    assert mine.report(batched, 0) == theirs.report(single)
+    assert mine.report(batched) == theirs.report(single)
+
+
+def own_metadata(attack, columns, row, n_photons):
+    """The metadata a strategy adds to a row's report, beside its check
+    count, as the strategy defines it."""
+    if attack.name == "intercept_resend":
+        return {"n_tapped": n_photons}
+    if attack.name == "return_leg_tap":
+        return {"n_guessed": int(columns.guessed[row]),
+                "disclose_permutation": attack.disclose_permutation,
+                "disclose_initial_states": attack.disclose_initial_states}
+    if attack.name == "collusion":
+        return {"schedule_variant": attack.schedule_variant}
+    return {}
+
+
+@pytest.mark.parametrize(
+    "protocol,name",
+    [(protocol, name) for name, cls in sorted(ATTACK_REGISTRY.items()) for protocol in cls.protocols],
+)
+def test_each_row_reports_on_itself(protocol, name):
+    """``report(out)`` reads the row ``out`` was built from, in a batch
+    whose rows abort or pass apart: its detection is that row's abort
+    decision and its check error rate that row's measured rate."""
+    common = dict(n_photons=9, check_count=4, error_threshold=0.0, noise=NoiseModel.bit_flip(0.1))
+    config = (McSessionConfig(controllers=3, **common) if protocol == "mcqsdc"
+              else SessionConfig(**common))
+    attack = build_attack(name)
+    outcomes = batch(config, 40, 3, attack)
+    columns = attack.columns(outcomes)
+    assert 0 < np.count_nonzero(outcomes.aborted) < len(outcomes)
+    for out in outcomes:
+        report = attack.report(out)
+        assert report == columns.row(out.row, **own_metadata(attack, columns, out.row, 9))
+        assert report.detected == out.aborted
+        assert report.check_error_rate == out.measured_error_rate
 
 
 def test_honest_rows_decode_every_surviving_bit():
@@ -142,7 +179,7 @@ def test_intercept_resend_rows_meet_closed_forms_independently():
     band = 3 / np.sqrt(trials - 1)
     assert abs(np.corrcoef(detected[:-1], detected[1:])[0, 1]) < band
     assert abs(np.corrcoef(errors[:-1], errors[1:])[0, 1]) < band
-    reports = [attack.report(out, row) for row, out in enumerate(outcomes)]
+    reports = [attack.report(out) for out in outcomes]
     assert all(report.metadata["n_tapped"] == n_check + 5 for report in reports)
     assert [report.detected for report in reports] == detected.astype(bool).tolist()
 
@@ -180,8 +217,7 @@ def test_fixed_order_collusion_rows_pass_and_read_everything():
     attack = build_attack("collusion", {"schedule_variant": "fixed_order"})
     outcomes = batch(config, 200, 15, attack)
     assert not outcomes.aborted.any() and not outcomes.error_rate.any()
-    assert all(attack.report(out, row).message_guess_accuracy == 1.0
-               for row, out in enumerate(outcomes))
+    assert all(attack.report(out).message_guess_accuracy == 1.0 for out in outcomes)
 
 
 def test_withheld_controller_is_checked_and_served_by_the_engine():
@@ -211,8 +247,8 @@ def test_return_leg_tap_rows_meet_accuracy_bands(flags, expected):
     attack = build_attack("return_leg_tap", flags)
     outcomes = batch(config, 60, 205, attack)
     hits = total = 0
-    for row, out in enumerate(outcomes):
-        report = attack.report(out, row)
+    for out in outcomes:
+        report = attack.report(out)
         hits += round(report.message_guess_accuracy * report.metadata["n_guessed"])
         total += report.metadata["n_guessed"]
     assert abs(hits / total - expected) < three_sigma_band(expected, total)
@@ -270,7 +306,7 @@ def test_point_runs_consecutive_batches_from_one_generator(monkeypatch):
         attack = build_attack("intercept_resend")
         outcome = run_sessions(config.session_config(99), size, rng, attack)
         assert list(outcome) == list(ran)
-        expected.append((outcome, attack.columns(outcome)))
+        expected.append(attack.columns(outcome))
     assert aggregate_trials(expected) == stats
 
 
