@@ -18,7 +18,8 @@ a session the program refuses reports its error. The run cases cover
 every registry attack and its flags in every protocol it supports, with
 controller chains of 0, 1, 3 and 16, loss, both noise kinds, a passing
 and an aborting threshold, and withheld releases. The sweeps cover both
-protocols with points of several batches each. The row cases run a batch
+protocols with points of several batches each, and one small sweep
+covers the axes the others leave out. The row cases run a batch
 of ``ROW_TRIALS`` sessions for every registry attack and its flags in
 every protocol it supports, with and without loss. The last line is the
 digest of all the lines before it, which ``tests/test_golden.py`` pins.
@@ -110,6 +111,11 @@ def sweep_cases() -> list[tuple[str, dict]]:
         ("sweep/mcqsdc/collusion", dict(
             base, protocol="mcqsdc", seed=34, controllers=3, attack={"name": "collusion"},
             sweep={"check_count": [2, 16]})),
+        ("sweep/qsdc/session_axes", dict(
+            protocol="qsdc", n_photons=33, trials=12, seed=35, attack={"name": "intercept_resend"},
+            noise={"kind": "depolarizing", "p": 0.0},
+            sweep={"n_photons": [16, 33], "check_fraction": [0.25, 0.5],
+                   "error_threshold": [0.0, 0.2], "noise_p": [0.0, 0.1]})),
     ]
 
 

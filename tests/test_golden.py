@@ -167,7 +167,7 @@ SWEEP_DIGESTS = {
     "qsdc_sweep_one_message_bit": "1357a3dbe37d24ecca8b49a364db3bd318379bf3bfe1e7e4420c51d75751d514",
 }
 
-CORPUS_DIGEST = "4829f3b7243f9e06dd1db1e96dc6862a846c5cc6d7874364c13ac82e1bee642d"
+CORPUS_DIGEST = "a7ae7fa77804e5d9414de14b2b7babcfb57e3a0aafb763ba1544c361e9dde3ba"
 
 
 def _sha(text: str) -> str:
