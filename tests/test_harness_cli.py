@@ -48,6 +48,64 @@ HONEST_QSDC = {
     "seed": 5,
 }
 
+SMALL_QSDC = {"protocol": "qsdc", "n_photons": 16, "trials": 2, "seed": 1}
+SMALL_MC = dict(SMALL_QSDC, protocol="mcqsdc", controllers=2)
+#: (base config, key, bad value, error text) for each session key at the
+#: top level of a config, where ``noise`` is the object of its two keys.
+TOP_LEVEL_ERRORS = [
+    (SMALL_QSDC, "n_photons", "x", "n_photons must be an integer, got 'x'"),
+    (SMALL_QSDC, "n_photons", 2.5, "n_photons must be an integer, got 2.5"),
+    (SMALL_QSDC, "n_photons", 0, "n_photons must be in [1, 16777216], got 0"),
+    (SMALL_QSDC, "check_fraction", "x", "check_fraction must be a number, got 'x'"),
+    (SMALL_QSDC, "check_fraction", 1.0, "check_fraction must be in (0,1), got 1.0"),
+    (SMALL_QSDC, "check_fraction", 0.01, "configuration yields an empty check set"),
+    (SMALL_QSDC, "check_count", "x", "check_count must be an integer, got 'x'"),
+    (SMALL_QSDC, "check_count", 16, "check_count must be in [1, n_photons-1], got 16"),
+    (SMALL_QSDC, "error_threshold", True, "error_threshold must be a number, got True"),
+    (SMALL_QSDC, "error_threshold", 1.5, "error_threshold must be in [0,1], got 1.5"),
+    (SMALL_QSDC, "noise", {"kind": "bit_flip", "p": "x"}, "noise_p must be a number, got 'x'"),
+    (SMALL_QSDC, "noise", {"kind": "bit_flip", "p": 1.5},
+     "noise probability must be in [0,1], got 1.5"),
+    (SMALL_QSDC, "noise", {"kind": "pink"}, "unknown noise kind 'pink'"),
+    (SMALL_QSDC, "noise", {"kind": "none", "p": 0.1}, "noise kind 'none' requires p = 0"),
+    (SMALL_QSDC, "loss", None, "loss must be a number, got None"),
+    (SMALL_QSDC, "loss", -0.1, "loss must be in [0,1], got -0.1"),
+    (SMALL_QSDC, "controllers", "x", "controllers must be an integer, got 'x'"),
+    (SMALL_QSDC, "controllers", 2, "controllers are only meaningful for mcqsdc"),
+    (SMALL_MC, "controllers", 65, "controllers must be in [0, 64], got 65"),
+    (SMALL_QSDC, "seed", "x", "seed must be an integer, got 'x'"),
+    (SMALL_QSDC, "seed", -1, "seed must be >= 0, got -1"),
+]
+#: The same for one point of a sweep axis.
+AXIS_ERRORS = [
+    (SMALL_QSDC, "n_photons", "x", "n_photons must be an integer, got 'x'"),
+    (SMALL_QSDC, "n_photons", 0, "n_photons must be in [1, 16777216], got 0"),
+    (SMALL_QSDC, "check_fraction", "x", "check_fraction must be a number, got 'x'"),
+    (SMALL_QSDC, "check_fraction", 1.0, "check_fraction must be in (0,1), got 1.0"),
+    (dict(SMALL_QSDC, check_count=4), "check_fraction", 0.5,
+     "sweeping check_fraction requires no check_count, which overrides it"),
+    (SMALL_QSDC, "check_count", "x", "check_count must be an integer, got 'x'"),
+    (SMALL_QSDC, "check_count", 16, "check_count must be in [1, n_photons-1], got 16"),
+    (SMALL_QSDC, "error_threshold", "x", "error_threshold must be a number, got 'x'"),
+    (SMALL_QSDC, "error_threshold", 2, "error_threshold must be in [0,1], got 2.0"),
+    (SMALL_QSDC, "noise_p", "x", "noise_p must be a number, got 'x'"),
+    (SMALL_QSDC, "noise_p", 0.1, "sweeping noise_p requires a non-'none' noise kind"),
+    (dict(SMALL_QSDC, noise={"kind": "bit_flip"}), "noise_p", 1.5,
+     "noise probability must be in [0,1], got 1.5"),
+    (SMALL_QSDC, "loss", "x", "loss must be a number, got 'x'"),
+    (SMALL_QSDC, "loss", 1.5, "loss must be in [0,1], got 1.5"),
+    (SMALL_QSDC, "controllers", "x", "controllers must be an integer, got 'x'"),
+    (SMALL_QSDC, "controllers", 2, "controllers are only meaningful for mcqsdc"),
+    (SMALL_MC, "controllers", 65, "controllers must be in [0, 64], got 65"),
+    (SMALL_QSDC, "seed", 2, "unknown sweep axis 'seed'; known: ('n_photons', 'check_fraction', "
+     "'check_count', 'error_threshold', 'noise_p', 'loss', 'controllers')"),
+]
+BAD_SESSION_VALUES = [
+    pytest.param(place, *case, id=f"{place}-{case[0]['protocol']}-{case[1]}={case[2]!r}")
+    for place, cases in (("top", TOP_LEVEL_ERRORS), ("axis", AXIS_ERRORS))
+    for case in cases
+]
+
 
 class TestExperimentConfig:
     def test_defaults_fill_in(self):
@@ -87,6 +145,17 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"protocol": "qsdc", "n_photons": 24.5})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"protocol": "qsdc", "n_photons": True})
+
+    @pytest.mark.parametrize("place,base,key,value,message", BAD_SESSION_VALUES)
+    def test_bad_session_value_error_text(self, place, base, key, value, message):
+        """A bad session value is refused with its own text, at the top
+        level of a config and at a sweep point alike."""
+        with pytest.raises(ConfigError) as exc:
+            if place == "top":
+                ExperimentConfig.from_dict(dict(base, **{key: value}))
+            else:
+                sweep_csv(ExperimentConfig.from_dict(dict(base, sweep={key: [value]})))
+        assert str(exc.value) == message
 
 
 CORRUPT = {"protocol": "mcqsdc", "n_photons": 64, "controllers": 3}
