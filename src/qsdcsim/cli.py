@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 from functools import lru_cache
 from typing import TextIO
 
@@ -67,10 +66,10 @@ def open_output(path: str) -> TextIO:
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config.session_config(args.seed)  # refuse a bad seed before the transcript opens
     with open_output(args.transcript) if args.transcript else nullcontext() as fh:
         transcript = None if fh is None else Transcript()
-        report = run_report(config, transcript=transcript)
+        report = run_report(config, seed_override=args.seed, transcript=transcript)
         print(json.dumps(report, sort_keys=True, indent=2))
         if transcript is not None:
             fh.write(transcript.to_jsonl())

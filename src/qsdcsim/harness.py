@@ -40,15 +40,12 @@ from .quantum import (
 )
 
 PROTOCOLS = ("qsdc", "mcqsdc")
-SWEEP_AXES = (
-    "n_photons",
-    "check_fraction",
-    "check_count",
-    "error_threshold",
-    "noise_p",
-    "loss",
-    "controllers",
-)
+#: The annotation of each session field of either protocol, in declaration
+#: order; a two-party session holds ``controllers`` at 0.
+SESSION_FIELDS = {f.name: f.type for f in fields(McSessionConfig)}
+#: Every session field but the seed, with ``noise_p`` for the noise
+#: probability.
+SWEEP_AXES = tuple("noise_p" if f == "noise" else f for f in SESSION_FIELDS if f != "seed")
 
 #: The photon budget of one batch of a sweep point: a fixed part of
 #: the seeding rule of sweep CSVs, which bounds a batch's memory.
@@ -84,41 +81,39 @@ def _as_float(key: str, value: Any) -> float:
     return float(value)
 
 
-def _check_keys(key: str, value: Any, allowed: tuple[str, ...]) -> None:
-    """A nested config object may hold only the ``allowed`` keys."""
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{key} must be an object with keys {allowed}")
-    unknown = sorted(set(value) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {key} key {unknown[0]!r}; known: {allowed}")
+def _coerce(key: str, value: Any) -> Any:
+    """The JSON value of a session field or sweep axis, coerced by the
+    field's annotation (int, float, or either or None); ``noise_p`` is a float."""
+    kind = "float" if key == "noise_p" else SESSION_FIELDS[key]
+    if value is None and kind.endswith(" | None"):
+        return None
+    return _as_int(key, value) if kind.startswith("int") else _as_float(key, value)
+
+
+def _with(session: SessionConfig, values: Mapping[str, Any]) -> SessionConfig:
+    """``session`` with the JSON ``values`` of some of its fields or sweep
+    axes in place, checked like any session."""
+    changes = {key: _coerce(key, value) for key, value in values.items()}
+    if "noise_p" in changes:
+        changes["noise"] = NoiseModel(session.noise.kind, changes.pop("noise_p"))
+    if not isinstance(session, McSessionConfig) and changes.pop("controllers", 0):
+        raise ConfigError("controllers are only meaningful for mcqsdc")
+    return replace(session, **changes)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: protocol choice, session parameters, the attack,
-    trial count, master seed, and optional sweep axes."""
+    """One experiment: the session parameters, whose class is the protocol
+    and whose seed is the master seed, the attack, the trial count and
+    optional sweep axes."""
 
-    protocol: str = "qsdc"
-    n_photons: int = 64
-    check_fraction: float = 0.25
-    check_count: int | None = None
-    error_threshold: float = 0.05
-    noise_kind: str = "none"
-    noise_p: float = 0.0
-    loss: float = 0.0
-    controllers: int = 0
+    session: SessionConfig = field(default_factory=SessionConfig)
     attack_name: str = "none"
     attack_params: dict[str, Any] = field(default_factory=dict)
     trials: int = 1
-    seed: int = 0
     sweep: dict[str, list[Any]] = field(default_factory=dict)
-    #: The session parameters at ``seed``, built and checked with the
-    #: experiment itself.
-    session: SessionConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         attack = build_attack(self.attack_name, self.attack_params)
@@ -126,8 +121,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"attack {self.attack_name!r} requires the {' or '.join(attack.protocols)} protocol"
             )
-        if self.protocol == "qsdc" and self.controllers:
-            raise ConfigError("controllers are only meaningful for mcqsdc")
         if not isinstance(self.sweep, Mapping):
             raise ConfigError("sweep must be an object mapping axes to lists of values")
         for axis, values in self.sweep.items():
@@ -137,80 +130,66 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep axis {axis!r} must be a list of values")
             if not values:
                 raise ConfigError(f"sweep axis {axis!r} has no values")
-        # Validate the session parameters eagerly so bad configs fail fast,
-        # and the attack against them. A sweep runs its points instead, and
-        # each point is checked as it is built, before the first trial.
-        session = self.session_config(self.seed)
-        object.__setattr__(self, "session", session)
+        # A sweep checks the attack against each point instead, as the
+        # point is built, before the first trial.
         if not self.sweep:
-            attack.check_config(session)
+            attack.check_config(self.session)
+
+    @property
+    def protocol(self) -> str:
+        return "mcqsdc" if isinstance(self.session, McSessionConfig) else "qsdc"
+
+    @property
+    def seed(self) -> int:
+        return self.session.seed
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ExperimentConfig":
         data = dict(raw)
-        noise = data.pop("noise", None)
-        kwargs: dict[str, Any] = {}
-        if noise is not None:
-            _check_keys("noise", noise, ("kind", "p"))
-            kwargs["noise_kind"] = noise.get("kind", "none")
-            kwargs["noise_p"] = noise.get("p", 0.0)
-        attack = data.pop("attack", None)
-        if attack is not None:
-            _check_keys("attack", attack, ("name", "params"))
-            kwargs["attack_name"] = attack.get("name", "none")
-            kwargs["attack_params"] = attack.get("params", {})
-        known = {f.name for f in fields(cls) if f.init}
-        for key, value in data.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            kwargs[key] = value
-        for key in ("n_photons", "check_count", "controllers", "trials", "seed"):
-            if key in kwargs and not (key == "check_count" and kwargs[key] is None):
-                kwargs[key] = _as_int(key, kwargs[key])
-        for key in ("check_fraction", "error_threshold", "loss", "noise_p"):
-            if key in kwargs:
-                kwargs[key] = _as_float(key, kwargs[key])
+        # The nested objects read as flat keys: ``noise_p`` for ``noise.p``, and so on.
+        for key, parts in (("noise", ("kind", "p")), ("attack", ("name", "params"))):
+            nested = data.pop(key, None)
+            if nested is not None:
+                if not isinstance(nested, Mapping):
+                    raise ConfigError(f"{key} must be an object with keys {parts}")
+                unknown = sorted(set(nested) - set(parts))
+                if unknown:
+                    raise ConfigError(f"unknown {key} key {unknown[0]!r}; known: {parts}")
+                flat = {f"{key}_{part}": nested[part] for part in parts if part in nested}
+                data = {**flat, **data}
+        protocol = data.pop("protocol", "qsdc")
+        if protocol not in PROTOCOLS:
+            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+        kind = data.pop("noise_kind", "none")
         try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+            noise = NoiseModel(NoiseKind(kind))
+        except ValueError as exc:
+            raise ConfigError(f"unknown noise kind {kind!r}") from exc
+        kwargs = {key: data.pop(key) for key in ("attack_name", "attack_params", "sweep")
+                  if key in data}
+        if "trials" in data:
+            kwargs["trials"] = _as_int("trials", data.pop("trials"))
+        unknown = [key for key in data if key != "seed" and key not in SWEEP_AXES]
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
+        # A controlled session in a config has no controllers unless set.
+        session_cls = McSessionConfig if protocol == "mcqsdc" else SessionConfig
+        return cls(_with(session_cls(noise=noise), {"controllers": 0, **data}), **kwargs)
 
     def to_dict(self) -> dict[str, Any]:
+        noise = self.session.noise
         return {
             "protocol": self.protocol,
-            "n_photons": self.n_photons,
-            "check_fraction": self.check_fraction,
-            "check_count": self.check_count,
-            "error_threshold": self.error_threshold,
-            "noise": {"kind": self.noise_kind, "p": self.noise_p},
-            "loss": self.loss,
-            "controllers": self.controllers,
+            **{name: getattr(self.session, name) for name in SESSION_FIELDS},
+            "noise": {"kind": noise.kind.value, "p": noise.p},
             "attack": {"name": self.attack_name, "params": dict(self.attack_params or {})},
             "trials": self.trials,
-            "seed": self.seed,
             "sweep": {k: list(v) for k, v in self.sweep.items()},
         }
 
-    def noise_model(self) -> NoiseModel:
-        try:
-            kind = NoiseKind(self.noise_kind)
-        except ValueError as exc:
-            raise ConfigError(f"unknown noise kind {self.noise_kind!r}") from exc
-        return NoiseModel(kind, self.noise_p)
-
     def session_config(self, seed: int) -> SessionConfig:
-        common = dict(
-            n_photons=self.n_photons,
-            check_fraction=self.check_fraction,
-            check_count=self.check_count,
-            error_threshold=self.error_threshold,
-            noise=self.noise_model(),
-            loss=self.loss,
-            seed=seed,
-        )
-        if self.protocol == "mcqsdc":
-            return McSessionConfig(controllers=self.controllers, **common)
-        return SessionConfig(**common)
+        """The session parameters at ``seed``."""
+        return replace(self.session, seed=seed)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -251,11 +230,10 @@ def run_report(
     """Single-session JSON report: the resolved config, the outcome, and
     the embedded attack report."""
     seed = config.seed if seed_override is None else seed_override
-    effective = replace(config, seed=seed)
-    outcome, attack = run_trial(effective, seed, transcript=transcript)
+    outcome, attack = run_trial(config, seed, transcript=transcript)
     report = attack.report(outcome)
     return {
-        "config": effective.to_dict(),
+        "config": dict(config.to_dict(), seed=seed),
         "seed": seed,
         "attack_name": report.attack,
         "aborted": outcome.aborted,
@@ -344,17 +322,13 @@ def sweep_points(config: ExperimentConfig) -> list[dict[str, Any]]:
 
 def _point_config(config: ExperimentConfig, point: Mapping[str, Any]) -> ExperimentConfig:
     """The experiment at one sweep point, validated like any config."""
-    overrides = {
-        key: _as_int(key, value) if key in ("n_photons", "check_count", "controllers")
-        else _as_float(key, value)
-        for key, value in point.items()
-    }
-    if "noise_p" in overrides and config.noise_kind == "none" and overrides["noise_p"] > 0:
+    noise_p = _coerce("noise_p", point.get("noise_p", 0.0))
+    if noise_p > 0 and config.session.noise.kind is NoiseKind.NONE:
         raise ConfigError("sweeping noise_p requires a non-'none' noise kind")
-    point_config = replace(config, sweep={}, **overrides)
-    if "check_fraction" in overrides and point_config.check_count is not None:
+    session = _with(config.session, point)
+    if "check_fraction" in point and session.check_count is not None:
         raise ConfigError("sweeping check_fraction requires no check_count, which overrides it")
-    return point_config
+    return replace(config, session=session, sweep={})
 
 
 def run_point(config: ExperimentConfig, seed: int) -> AggregateStats:
@@ -364,7 +338,7 @@ def run_point(config: ExperimentConfig, seed: int) -> AggregateStats:
     with a fresh strategy instance and folded as soon as it finishes."""
     rng = np.random.default_rng(seed)
     session = config.session  # its seed is not read: the batches draw from rng
-    per_batch = max(1, BATCH_PHOTONS // config.n_photons)
+    per_batch = max(1, BATCH_PHOTONS // session.n_photons)
 
     def reports() -> Iterator[BatchReport]:
         for done in range(0, config.trials, per_batch):
@@ -391,7 +365,7 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
             _format_value(stats.detection_freq),
             _format_value(stats.mean_error_rate),
             _format_value(stats.stderr),
-            _format_value(stats.accuracy) if stats.accuracy is not None else "",
+            _format_value(stats.accuracy),
         ]
         rows.append(row)
     return header, rows
@@ -407,6 +381,8 @@ def sweep_csv(config: ExperimentConfig) -> str:
 
 
 def _format_value(value: Any) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):

@@ -83,9 +83,9 @@ if TYPE_CHECKING:
 #: The JSON texts of the op names, by code.
 OP_TEXTS = json_texts(OP_NAMES)
 
-#: The policy cap on a session's photon count. A session peaks at about
-#: 340 bytes per photon (measured at N = 2^19), so the cap keeps one
-#: session within about 6 GB.
+#: The policy cap on a session's photon count. A qsdc session peaks at
+#: 277 bytes per photon and a controlled one (m = 3) at 342 (tracemalloc,
+#: N = 2^16 and 2^18), so the cap keeps one session within about 6 GB.
 MAX_PHOTONS = 1 << 24
 
 
@@ -128,7 +128,7 @@ class SessionConfig:
     the measured rate exceeds it.
     """
 
-    n_photons: int
+    n_photons: int = 64
     check_fraction: float = 0.25
     check_count: int | None = None
     error_threshold: float = 0.05

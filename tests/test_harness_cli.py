@@ -1,5 +1,7 @@
 """Experiment harness and command-line interface: config validation,
 reproducibility contracts, CSV schema, self-test, and exit codes."""
+import copy
+import dataclasses
 import json
 import subprocess
 import sys
@@ -106,6 +108,19 @@ BAD_SESSION_VALUES = [
     for case in cases
 ]
 
+#: A controlled config in which every session field can be nudged off its value.
+ROUND_TRIP_BASE = {"protocol": "mcqsdc", "n_photons": 24, "controllers": 1,
+                   "noise": {"kind": "bit_flip"}, "attack": {"name": "intercept_resend"},
+                   "trials": 20, "seed": 6}
+
+
+def nudged(value):
+    """A valid value of a session field away from ``value``, its JSON
+    value in ``ROUND_TRIP_BASE``."""
+    if value is None:
+        return 5
+    return value + 1 if isinstance(value, int) else value + 0.125
+
 
 class TestExperimentConfig:
     def test_defaults_fill_in(self):
@@ -140,7 +155,7 @@ class TestExperimentConfig:
 
     def test_integral_floats_accepted_fractional_rejected(self):
         config = ExperimentConfig.from_dict({"protocol": "qsdc", "n_photons": 24.0})
-        assert config.n_photons == 24
+        assert config.session.n_photons == 24
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"protocol": "qsdc", "n_photons": 24.5})
         with pytest.raises(ConfigError):
@@ -156,6 +171,30 @@ class TestExperimentConfig:
             else:
                 sweep_csv(ExperimentConfig.from_dict(dict(base, sweep={key: [value]})))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(McSessionConfig) if f.name != "seed"]
+    )
+    def test_session_field_round_trips_and_sweeps(self, name):
+        """Every session field but the seed survives ``from_dict``,
+        ``to_dict`` and ``from_dict`` again, and one sweep point of it gives
+        the row of the same value set at the top level."""
+        base = ExperimentConfig.from_dict(ROUND_TRIP_BASE).to_dict()
+        raw = copy.deepcopy(base)
+        if name == "noise":
+            axis = "noise_p"
+            value = raw["noise"]["p"] = nudged(base["noise"]["p"])
+        else:
+            axis = name
+            value = raw[name] = nudged(base[name])
+        config = ExperimentConfig.from_dict(raw)
+        assert config != ExperimentConfig.from_dict(base)
+        assert config.to_dict() == raw
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        other = "loss" if axis != "loss" else "error_threshold"
+        swept = sweep_csv(ExperimentConfig.from_dict(dict(base, sweep={axis: [value]})))
+        fixed = sweep_csv(ExperimentConfig.from_dict(dict(raw, sweep={other: [base[other]]})))
+        assert swept.splitlines()[1].split(",")[1:] == fixed.splitlines()[1].split(",")[1:]
 
 
 CORRUPT = {"protocol": "mcqsdc", "n_photons": 64, "controllers": 3}
@@ -304,6 +343,19 @@ class TestSweep:
         config = ExperimentConfig.from_dict(HONEST_QSDC)
         with pytest.raises(ConfigError):
             sweep_csv(config)
+
+    def test_null_check_count_point_uses_the_check_fraction(self):
+        """A null ``check_count`` point loads as a null top-level
+        ``check_count`` does: its row is the row of the default check
+        fraction, with an empty axis cell."""
+        base = {"protocol": "qsdc", "n_photons": 24, "trials": 30, "seed": 8,
+                "attack": {"name": "intercept_resend"}}
+        counts = sweep_csv(ExperimentConfig.from_dict(dict(base, sweep={"check_count": [None, 8]})))
+        fractions = sweep_csv(ExperimentConfig.from_dict(dict(base, sweep={"check_fraction": [0.25]})))
+        null_row = counts.splitlines()[1].split(",")
+        fraction_row = fractions.splitlines()[1].split(",")
+        assert null_row[0] == "" and fraction_row[0] == "0.25"
+        assert null_row[1:] == fraction_row[1:]
 
     def test_detection_column_tracks_closed_form(self):
         config = ExperimentConfig.from_dict(
@@ -533,6 +585,16 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_negative_seed_flag_leaves_the_transcript_file(self, tmp_path):
+        """A bad ``--seed`` is refused before the transcript path is opened,
+        so a file already there keeps its contents."""
+        out_path = tmp_path / "session.jsonl"
+        out_path.write_text("earlier\n")
+        proc = cli("run", "--seed", "-2", "--transcript", str(out_path), config=HONEST_QSDC,
+                   tmp_path=tmp_path)
+        assert proc.returncode == 2
+        assert out_path.read_text() == "earlier\n"
 
     def test_unwritable_transcript_path_exit_two(self, tmp_path):
         out_path = tmp_path / "missing" / "session.jsonl"

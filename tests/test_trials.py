@@ -293,7 +293,7 @@ def record_batches(monkeypatch):
 
 def test_point_runs_consecutive_batches_from_one_generator(monkeypatch):
     config = intercept_point(4100)
-    per_batch = harness.BATCH_PHOTONS // config.n_photons
+    per_batch = harness.BATCH_PHOTONS // config.session.n_photons
     sizes = [per_batch, per_batch, config.trials - 2 * per_batch]
     assert sizes[-1] > 0
     seen = record_batches(monkeypatch)
@@ -313,7 +313,7 @@ def test_point_runs_consecutive_batches_from_one_generator(monkeypatch):
 def test_batches_of_a_point_keep_its_statistics(monkeypatch):
     config = intercept_point(4100)
     chunked = run_point(config, 7)
-    monkeypatch.setattr(harness, "BATCH_PHOTONS", config.trials * config.n_photons)
+    monkeypatch.setattr(harness, "BATCH_PHOTONS", config.trials * config.session.n_photons)
     whole = run_point(config, 7)
     p = intercept_resend_detection(4)
     for stats in (chunked, whole):
