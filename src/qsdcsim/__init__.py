@@ -30,7 +30,6 @@ from .harness import (
     sweep_csv,
 )
 from .multiparty import (
-    AnnouncementSchedule,
     ControllerRecord,
     McSessionConfig,
     controller_pass,
@@ -53,7 +52,6 @@ from .protocol import (
 )
 from .quantum import (
     Basis,
-    FrameEffect,
     OpLabel,
     PhotonState,
     StateLabel,

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConfigError
 from .fabric import ClassicalChannel, QuantumChannel
 from .multiparty import (
-    AnnouncementSchedule,
     Chain,
     ControllerRecord,
     HonestReporter,
@@ -91,22 +90,14 @@ class MeasureResendTap:
     original states are surrendered to the measurement."""
 
     def __init__(self) -> None:
-        self._bases: list[np.ndarray] = [np.zeros(0, dtype=np.uint8)]
-        self._outcomes: list[np.ndarray] = [np.zeros(0, dtype=np.uint8)]
-
-    @property
-    def bases(self) -> np.ndarray:
-        return np.concatenate(self._bases)
-
-    @property
-    def outcomes(self) -> np.ndarray:
-        return np.concatenate(self._outcomes)
+        self.bases = np.zeros(0, dtype=np.uint8)
+        self.outcomes = np.zeros(0, dtype=np.uint8)
 
     def relay(self, codes: np.ndarray, rng: RandomSource) -> np.ndarray:
         bases = rng.integers(0, 2, size=len(codes)).astype(np.uint8)
         outcomes = measure(codes, bases, rng)
-        self._bases.append(bases)
-        self._outcomes.append(outcomes)
+        self.bases = np.concatenate([self.bases, bases])
+        self.outcomes = np.concatenate([self.outcomes, outcomes])
         return 2 * bases + outcomes
 
 
@@ -471,8 +462,7 @@ class CollusionAttack(Attack):
         direct = QuantumChannel(name="alice=>colluder", noise=config.noise)
         chain = _decoy_chain(labels, m - 1, [direct, hops[m]], CollusionReporter, rng, public)
         chain.agents.append(ColluderAgent(rng))
-        if self.schedule_variant == "fixed_order":
-            chain.schedule = lambda n_check, m, _rng: AnnouncementSchedule.chain_order(n_check, m)
+        chain.fixed_order = self.schedule_variant == "fixed_order"
         return chain
 
     guesses = FakeSequenceBypass.guesses

@@ -146,7 +146,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ExperimentConfig":
         data = dict(raw)
-        # The nested objects read as flat keys: ``noise_p`` for ``noise.p``, and so on.
+        objects = []
         for key, parts in (("noise", ("kind", "p")), ("attack", ("name", "params"))):
             nested = data.pop(key, None)
             if nested is not None:
@@ -155,26 +155,27 @@ class ExperimentConfig:
                 unknown = sorted(set(nested) - set(parts))
                 if unknown:
                     raise ConfigError(f"unknown {key} key {unknown[0]!r}; known: {parts}")
-                flat = {f"{key}_{part}": nested[part] for part in parts if part in nested}
-                data = {**flat, **data}
+            objects.append(nested or {})
+        noise, attack = objects
         protocol = data.pop("protocol", "qsdc")
         if protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-        kind = data.pop("noise_kind", "none")
+        kind = noise.get("kind", "none")
         try:
-            noise = NoiseModel(NoiseKind(kind))
+            model = NoiseModel(NoiseKind(kind))
         except ValueError as exc:
             raise ConfigError(f"unknown noise kind {kind!r}") from exc
-        kwargs = {key: data.pop(key) for key in ("attack_name", "attack_params", "sweep")
-                  if key in data}
+        kwargs = {f"attack_{part}": attack[part] for part in ("name", "params") if part in attack}
+        if "sweep" in data:
+            kwargs["sweep"] = data.pop("sweep")
         if "trials" in data:
             kwargs["trials"] = _as_int("trials", data.pop("trials"))
-        unknown = [key for key in data if key != "seed" and key not in SWEEP_AXES]
+        unknown = [key for key in data if key not in SESSION_FIELDS]
         if unknown:
             raise ConfigError(f"unknown config key {unknown[0]!r}")
-        # A controlled session in a config has no controllers unless set.
         session_cls = McSessionConfig if protocol == "mcqsdc" else SessionConfig
-        return cls(_with(session_cls(noise=noise), {"controllers": 0, **data}), **kwargs)
+        values = {"noise_p": noise["p"], **data} if "p" in noise else data
+        return cls(_with(session_cls(noise=model), values), **kwargs)
 
     def to_dict(self) -> dict[str, Any]:
         noise = self.session.noise
@@ -458,7 +459,7 @@ def run_selftest(
                     norm_bad += 1
                     break
             else:
-                if compose_effects(seq).apply(start) != label:
+                if CANONICAL_LABELS[start.code ^ compose_effects(seq)] != label:
                     effect_bad += 1
             total += 1
     checks.append(

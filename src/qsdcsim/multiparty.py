@@ -31,7 +31,7 @@ is the batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class McSessionConfig(SessionConfig):
     """Session configuration with a controller chain of length
     ``controllers`` between the preparer and the encoder."""
 
-    controllers: int = 1
+    controllers: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -130,34 +130,20 @@ class ControllerRecord:
         return self
 
 
-@dataclass(frozen=True, eq=False)
-class AnnouncementSchedule:
-    """The controller orders of the check, one row per check photon:
-    ``h_orders[i]`` for its H round and an independent ``iu_orders[i]``
-    for its flip round, each a (photons, m) array of controller indices."""
-
-    h_orders: np.ndarray
-    iu_orders: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.h_orders.shape != self.iu_orders.shape:
-            raise ProtocolError("schedule rounds must cover the same photons")
-
-    @classmethod
-    def draw(cls, n_check: int, m: int, rng: RandomSource) -> "AnnouncementSchedule":
-        """Fresh uniform orderings, independent across photons and rounds:
-        one ``permuted`` draw per round, which shuffles row after row as
-        ``n_check`` calls of ``permutation(m)`` would."""
-        orders = np.tile(np.arange(m), (n_check, 1))
-        return cls(rng.permuted(orders, axis=1), rng.permuted(orders, axis=1))
-
-    @classmethod
-    def chain_order(cls, n_check: int, m: int) -> "AnnouncementSchedule":
-        """Degenerate schedule announcing in fixed chain order for every
-        photon (the flawed variant: the last controller always speaks
-        last). Kept as a negative control."""
-        orders = np.tile(np.arange(m), (n_check, 1))
-        return cls(orders, orders)
+def announcement_orders(
+    n_check: int, m: int, rng: RandomSource, fixed: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The controller orders of the check, one row per check photon: the
+    (n_check, m) orders of its H round and of its flip round. Fresh
+    uniform orderings, independent across photons and rounds, take one
+    ``permuted`` draw per round, which shuffles row after row as
+    ``n_check`` calls of ``permutation(m)`` would. ``fixed`` announces in
+    chain order for every photon and draws nothing (the flawed variant:
+    the last controller always speaks last, kept as a negative control)."""
+    orders = np.tile(np.arange(m), (n_check, 1))
+    if fixed:
+        return orders, orders
+    return rng.permuted(orders, axis=1), rng.permuted(orders, axis=1)
 
 
 def controller_pass(photons: np.ndarray, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
@@ -192,11 +178,11 @@ class Chain(Route):
     """A controlled batch's forward leg: what the controller chain
     delivered to the encoder, and who speaks for it at the check.
     ``reporter`` is the receiver's check behavior, built on the returned
-    photons, and ``schedule`` draws the announcement orders as
-    ``schedule(n_check, m, rng)``."""
+    photons, and ``fixed_order`` announces the check in chain order
+    instead of a random order per photon (see ``announcement_orders``)."""
 
     reporter: type[HonestReporter] = HonestReporter
-    schedule: Callable[[int, int, RandomSource], AnnouncementSchedule] = AnnouncementSchedule.draw
+    fixed_order: bool = False
 
     def check(
         self, threshold: float, receipt: Receipt, rng: RandomSource, public: ClassicalChannel
@@ -213,9 +199,9 @@ class Chain(Route):
         if public.listening:
             states = Coded(labels[check_origins], STATE_TEXTS, keys=check_origins)
             public.announce("alice", "check_initial_states", states, stage="check")
-        schedule = self.schedule(len(rows), len(self.agents), rng)
+        orders = announcement_orders(len(rows), len(self.agents), rng, self.fixed_order)
         reporter = self.reporter(labels, receipt.photons, rng)
-        mismatches = mc_check_round(labels, rows, schedule, reporter, self.agents, public)
+        mismatches = mc_check_round(labels, rows, *orders, reporter, self.agents, public)
         error_rates = row_rates(receipt.starts, positions, mismatches)
         # The check ops by position, rendered only if a transcript is written.
         disclosed = Coded(masks, OP_TEXTS, keys=positions)
@@ -225,7 +211,8 @@ class Chain(Route):
 def mc_check_round(
     labels: np.ndarray,
     rows: np.ndarray,
-    schedule: AnnouncementSchedule,
+    h_orders: np.ndarray,
+    iu_orders: np.ndarray,
     reporter: Any,
     agents: Sequence[Any],
     public: ClassicalChannel,
@@ -235,14 +222,16 @@ def mc_check_round(
 
     ``rows`` are the check photons' (position, origin, op mask) rows, the
     op being the encoder's private check operation; ``labels`` is the
-    receiver's preparation record, published for those origins. Every
+    receiver's preparation record, published for those origins.
+    ``h_orders[i]`` and ``iu_orders[i]`` are the controller orders of
+    photon i's H and flip rounds, each a (photons, m) array. Every
     agent answers a round for all the photons it speaks for: the H round
     in one call, since no H announcement depends on another, the flip
     round turn by turn, each voice hearing the parity of those before it:
     every agent in chain order, for its photons of the turn in photon order.
     """
     k, m = len(rows), len(agents)
-    if schedule.h_orders.shape != (k, m):
+    if h_orders.shape != (k, m) or iu_orders.shape != (k, m):
         raise ProtocolError("schedule does not cover the check photons and the controllers")
     positions, origins, ops = rows.T
     h_bits = np.zeros((k, m), dtype=np.uint8)
@@ -253,7 +242,7 @@ def mc_check_round(
     flips = np.zeros((k, m), dtype=np.uint8)
     heard = np.zeros(k, dtype=np.uint8)
     for turn in range(m):
-        speakers = schedule.iu_orders[:, turn]
+        speakers = iu_orders[:, turn]
         by_speaker = np.argsort(speakers, kind="stable")
         bounds = np.bincount(speakers, minlength=m).cumsum().tolist()
         spoken, said, left = origins[by_speaker], heard[by_speaker], m - turn - 1
@@ -265,9 +254,9 @@ def mc_check_round(
     if public.listening:
         # One event for the whole dance, the bits by turn; its announcements
         # are numbered on from ``seq`` as if made one by one.
-        h_turns = np.take_along_axis(h_bits, schedule.h_orders, axis=1)
+        h_turns = np.take_along_axis(h_bits, h_orders, axis=1)
         public.record("dance", "check", seq=public.seq, positions=positions,
-                      h_order=schedule.h_orders, iu_order=schedule.iu_orders, h_bits=h_turns,
+                      h_order=h_orders, iu_order=iu_orders, h_bits=h_turns,
                       bases=Coded(bases, BASIS_TEXTS), outcomes=outcomes, reports=reports, flips=flips)
         public.seq += k * (2 * m + 1)
     return mismatches

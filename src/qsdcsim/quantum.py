@@ -88,31 +88,6 @@ class StateLabel:
         return 2 * (self.basis is Basis.X) + self.bit
 
 
-@dataclass(frozen=True)
-class FrameEffect:
-    """Net symbolic action of a unitary sequence: two parity bits.
-
-    ``flip`` is the accumulated bit-flip parity, ``swap`` the accumulated
-    basis-swap parity. Composition is component-wise XOR, so the composed
-    effect of a sequence is order-independent even though the amplitude
-    product is not (it may differ by a global phase). As a frame-code mask
-    it is ``2 * swap + flip``.
-    """
-
-    flip: int
-    swap: int
-
-    def combine(self, other: "FrameEffect") -> "FrameEffect":
-        return FrameEffect(self.flip ^ other.flip, self.swap ^ other.swap)
-
-    @property
-    def mask(self) -> int:
-        return 2 * self.swap + self.flip
-
-    def apply(self, label: StateLabel) -> StateLabel:
-        return CANONICAL_LABELS[label.code ^ self.mask]
-
-
 #: The operations, and their names, by frame mask: U flips the bit, H
 #: swaps the basis.
 OPS: tuple[OpLabel, ...] = (OpLabel.I, OpLabel.U, OpLabel.H)
@@ -170,13 +145,14 @@ def apply_op_symbolic(op: OpLabel, label: StateLabel) -> StateLabel:
     return CANONICAL_LABELS[label.code ^ OP_MASK[op]]
 
 
-def compose_effects(ops: Iterable[OpLabel]) -> FrameEffect:
-    """XOR-fold the per-op frame effects. The empty sequence composes to
-    the identity effect (0, 0)."""
+def compose_effects(ops: Iterable[OpLabel]) -> int:
+    """The frame mask of an op sequence, the XOR of its op masks: a code
+    ``c`` ends as ``c ^ compose_effects(ops)``. The empty sequence
+    composes to the identity mask 0."""
     mask = 0
     for op in ops:
         mask ^= OP_MASK[op]
-    return FrameEffect(mask & 1, mask >> 1)
+    return mask
 
 
 def measure(codes: np.ndarray, bases: np.ndarray, rng: RandomSource) -> np.ndarray:

@@ -107,6 +107,11 @@ class TestInterceptResendOracle:
             assert 0 < np.count_nonzero(matched) < 64
             assert tap.outcomes[matched].tolist() == [label.bit] * np.count_nonzero(matched)
             assert resent[matched].tolist() == [label.code] * np.count_nonzero(matched)
+            # A second relay appends its records after the first's, in order.
+            again = tap.relay(sent ^ 1, rng(6))
+            both = np.concatenate((resent, again))
+            assert tap.bases.tolist() == (both >> 1).tolist()
+            assert tap.outcomes.tolist() == (both & 1).tolist()
 
     def test_monotone_detection_in_check_size(self):
         freqs = []

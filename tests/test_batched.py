@@ -10,7 +10,7 @@ amplitude oracle, a measurement reading its Born probability against its
 pre-drawn double. The batched stages must deliver what the references
 deliver and leave the generator in the same state, and every encoded or
 controller-passed code must match the amplitude oracle, and the
-announcement schedule must order each photon's controllers as one
+announcement orders must order each photon's controllers as one
 ``permutation`` per photon would. The last test
 walks every output a run produces for numpy values, which would break
 ``json.dumps`` of reports and transcripts.
@@ -34,8 +34,8 @@ from qsdcsim.fabric import (
 )
 from qsdcsim.harness import ExperimentConfig, run_report, run_trial
 from qsdcsim.multiparty import (
-    AnnouncementSchedule,
     McSessionConfig,
+    announcement_orders,
     controller_pass,
     run_mc_session,
 )
@@ -190,12 +190,12 @@ def test_schedule_draw_matches_per_photon_permutations(n_check, m):
     one ``permutation(m)`` per photon would, and draws exactly as much."""
     rng = np.random.default_rng(1000 * n_check + m)
     twin = np.random.default_rng(1000 * n_check + m)
-    schedule = AnnouncementSchedule.draw(n_check, m, rng)
+    drawn_h, drawn_iu = announcement_orders(n_check, m, rng)
     h_orders = [twin.permutation(m).tolist() for _ in range(n_check)]
     iu_orders = [twin.permutation(m).tolist() for _ in range(n_check)]
-    assert schedule.h_orders.shape == schedule.iu_orders.shape == (n_check, m)
-    assert schedule.h_orders.tolist() == h_orders
-    assert schedule.iu_orders.tolist() == iu_orders
+    assert drawn_h.shape == drawn_iu.shape == (n_check, m)
+    assert drawn_h.tolist() == h_orders
+    assert drawn_iu.tolist() == iu_orders
     assert rng.bit_generator.state == twin.bit_generator.state
 
 

@@ -131,6 +131,29 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"protocol": "qsdc", "n_photons": 16, "frobnicate": 1})
 
+    @pytest.mark.parametrize("key,nested", [
+        ("noise_kind", {"kind": "bit_flip"}),
+        ("noise_p", {"kind": "bit_flip", "p": 0.1}),
+        ("attack_name", {"name": "intercept_resend"}),
+        ("attack_params", {"name": "return_leg_tap", "params": {"disclose_permutation": True}}),
+    ])
+    def test_flat_object_key_refused(self, key, nested):
+        """A field of the ``noise`` or ``attack`` object has one spelling:
+        flattened to the top level it is an unknown key, while the object
+        spelling of the same value loads."""
+        obj, part = key.split("_", 1)
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(dict(SMALL_QSDC, **{key: nested[part]}))
+        assert str(exc.value) == f"unknown config key {key!r}"
+        config = ExperimentConfig.from_dict(dict(SMALL_QSDC, **{obj: nested}))
+        assert config.to_dict()[obj][part] == nested[part]
+
+    def test_controllers_default_to_zero(self):
+        """A controlled session built without ``controllers`` has the chain
+        a controlled config without the key runs: none."""
+        loaded = ExperimentConfig.from_dict({"protocol": "mcqsdc"}).session
+        assert McSessionConfig().controllers == loaded.controllers == 0
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(

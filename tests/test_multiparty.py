@@ -12,10 +12,10 @@ from frame_codes import as_labels, codes
 from qsdcsim.errors import ConfigError, ProtocolError
 from qsdcsim.fabric import ClassicalChannel, NoiseModel, Transcript
 from qsdcsim.multiparty import (
-    AnnouncementSchedule,
     ControllerRecord,
     HonestReporter,
     McSessionConfig,
+    announcement_orders,
     controller_pass,
     mc_check_round,
     release_and_reconstruct,
@@ -85,7 +85,7 @@ class TestControllerPass:
                 assert after == label_of(apply_op(OPS[op], state_from_label(photon)))
 
 
-def dance_one_photon(initial, agents, schedule, bob_op):
+def dance_one_photon(initial, agents, orders, bob_op):
     """Run the check dance for one photon prepared as ``initial`` (and
     still in that state when measured) with a listening channel; returns
     the dance's transcript event and the photon's mismatch flag."""
@@ -93,7 +93,7 @@ def dance_one_photon(initial, agents, schedule, bob_op):
     rows = np.array([[0, 0, OP_MASK[bob_op]]])
     transcript = Transcript()
     mismatches = mc_check_round(
-        codes([initial]), rows, schedule, reporter, agents, ClassicalChannel(transcript)
+        codes([initial]), rows, *orders, reporter, agents, ClassicalChannel(transcript)
     )
     (dance,) = transcript.events
     return dance, bool(mismatches[0])
@@ -112,8 +112,8 @@ def expected_check_outcome(initial, controller_ops, bob_op):
         ControllerRecord(np.array([0]), np.array([OP_MASK[op]]))
         for op in controller_ops
     ]
-    schedule = AnnouncementSchedule.draw(1, len(agents), rng(43))
-    return expected_label(*dance_one_photon(initial, agents, schedule, bob_op))
+    orders = announcement_orders(1, len(agents), rng(43))
+    return expected_label(*dance_one_photon(initial, agents, orders, bob_op))
 
 
 class TestExpectedCheckOutcome:
@@ -159,8 +159,8 @@ class TestCheckPhotonRound:
         # announce flips 1 and 1. H parity 1 turns the receiver's Z basis
         # into X, flip parity 0 leaves the expected bit at 0.
         agents = [ScriptedController(h=0, flip=1), ScriptedController(h=1, flip=1)]
-        schedule = AnnouncementSchedule(np.array([[1, 0]]), np.array([[0, 1]]))
-        dance, mismatch = dance_one_photon(Z0, agents, schedule, OpLabel.I)
+        orders = (np.array([[1, 0]]), np.array([[0, 1]]))
+        dance, mismatch = dance_one_photon(Z0, agents, orders, OpLabel.I)
         # The dance line writes each round's speakers and bits turn by turn.
         assert (dance["h_order"], dance["h_bits"]) == ([[1, 0]], [[1, 0]])
         assert (dance["iu_order"], dance["flips"]) == ([[0, 1]], [[1, 1]])
@@ -180,10 +180,10 @@ class TestMcCheckRound:
             for op in controller_ops
         ]
         reporter = HonestReporter(codes([initial]), codes([label_of(state)]), rng(42))
-        schedule = AnnouncementSchedule.draw(1, m, rng(43))
+        orders = announcement_orders(1, m, rng(43))
         rows = np.array([[0, 0, OP_MASK[bob_op]]])
         public = ClassicalChannel()
-        return mc_check_round(codes([initial]), rows, schedule, reporter, agents, public)
+        return mc_check_round(codes([initial]), rows, *orders, reporter, agents, public)
 
     def test_two_controller_example(self):
         # Chain [H, U] on (Z,0): announced H parity 1, so the receiver
@@ -203,11 +203,16 @@ class TestMcCheckRound:
                         assert mismatches.mean() == 0.0
 
     def test_schedule_must_cover_photons(self):
-        schedule = AnnouncementSchedule.draw(1, 2, rng(0))
+        orders = announcement_orders(1, 2, rng(0))
         reporter = HonestReporter(codes([Z0]), codes([Z0]), rng(1))
         rows = np.array([[0, 0, OP_MASK[OpLabel.I]], [1, 0, OP_MASK[OpLabel.I]]])
         with pytest.raises(ProtocolError):
-            mc_check_round(codes([Z0]), rows, schedule, reporter, [], ClassicalChannel())
+            mc_check_round(codes([Z0]), rows, *orders, reporter, [], ClassicalChannel())
+        # Right-shaped H orders do not excuse flip orders of another shape.
+        agents = [ScriptedController(h=0, flip=0), ScriptedController(h=0, flip=0)]
+        h_orders, _ = announcement_orders(2, 2, rng(0))
+        with pytest.raises(ProtocolError, match="schedule does not cover"):
+            mc_check_round(codes([Z0]), rows, h_orders, orders[1], reporter, agents, ClassicalChannel())
 
 
 class Recording:
@@ -261,10 +266,10 @@ class TestFlipTurnContract:
         inner = [ControllerRecord(np.arange(n), gen.integers(0, 3, size=n))
                  for _ in range(m - 1)] + [ColluderAgent(rng(7))]
         agents = [Recording(agent, c, log) for c, agent in enumerate(inner)]
-        schedule = AnnouncementSchedule.draw(k, m, gen)
+        h_orders, iu_orders = announcement_orders(k, m, gen)
         reporter = HonestReporter(labels, labels[origins], gen)
         transcript = Transcript()
-        mc_check_round(labels, rows, schedule, reporter, agents, ClassicalChannel(transcript))
+        mc_check_round(labels, rows, h_orders, iu_orders, reporter, agents, ClassicalChannel(transcript))
 
         assert log == [c for _ in range(m) for c in range(m)]
         answers = {
@@ -274,7 +279,7 @@ class TestFlipTurnContract:
             for origin, flip in zip(spoken, flips)
         }
         assert len(answers) == k * m
-        expected = reference_flip_calls(origins.tolist(), schedule.iu_orders.tolist(), answers, m)
+        expected = reference_flip_calls(origins.tolist(), iu_orders.tolist(), answers, m)
         for agent, calls in zip(agents, expected):
             assert [call[:4] for call in agent.calls] == calls
         (dance,) = transcript.events
@@ -283,8 +288,8 @@ class TestFlipTurnContract:
 
 class TestSchedule:
     def test_orders_are_permutations(self):
-        sched = AnnouncementSchedule.draw(50, 4, rng(9))
-        for order in np.concatenate((sched.h_orders, sched.iu_orders)).tolist():
+        h_orders, iu_orders = announcement_orders(50, 4, rng(9))
+        for order in np.concatenate((h_orders, iu_orders)).tolist():
             assert sorted(order) == [0, 1, 2, 3]
 
     def test_rounds_independent(self):
@@ -292,18 +297,22 @@ class TestSchedule:
         time, and first speakers are uniform across photons."""
         m = 3
         n = 30_000
-        sched = AnnouncementSchedule.draw(n, m, rng(10))
-        same = np.count_nonzero((sched.h_orders == sched.iu_orders).all(axis=1))
+        h_orders, iu_orders = announcement_orders(n, m, rng(10))
+        same = np.count_nonzero((h_orders == iu_orders).all(axis=1))
         assert abs(same / n - 1 / 6) < 0.02
-        for round_orders in (sched.h_orders, sched.iu_orders):
+        for round_orders in (h_orders, iu_orders):
             for c in range(m):
                 freq = np.count_nonzero(round_orders[:, 0] == c) / n
                 assert abs(freq - 1 / m) < 0.02
 
     def test_chain_order_variant(self):
-        sched = AnnouncementSchedule.chain_order(3, 4)
-        assert sched.h_orders.tolist() == [[0, 1, 2, 3]] * 3
-        assert sched.iu_orders.tolist() == [[0, 1, 2, 3]] * 3
+        gen = rng(11)
+        before = gen.bit_generator.state
+        h_orders, iu_orders = announcement_orders(3, 4, gen, fixed=True)
+        assert h_orders.tolist() == [[0, 1, 2, 3]] * 3
+        assert iu_orders.tolist() == [[0, 1, 2, 3]] * 3
+        # The fixed orders draw nothing.
+        assert gen.bit_generator.state == before
 
 
 class TestReconstruction:

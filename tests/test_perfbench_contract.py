@@ -36,6 +36,20 @@ UNREACHED = {
 }
 
 
+def test_traced_symbols_resolve():
+    """Every function and method the tracer wraps is still defined under
+    its name, so removing one fails here, naming it, rather than with an
+    ``AttributeError`` or ``KeyError`` from inside ``Tracer.install``."""
+    missing = [f"{module.__name__}.{name}" for module, name, _span in tracing.FUNCTIONS
+               if not callable(getattr(module, name, None))]
+    missing += [f"{cls.__module__}.{cls.__qualname__}.{name}" for cls, name, _span in tracing.METHODS
+                if not callable(vars(cls).get(name))]
+    assert not missing, (
+        f"perfbench traces {', '.join(missing)} by name; keep each until the benchmark "
+        "stops naming it (ROADMAP item 1)"
+    )
+
+
 def run_gated_and_traced(name: str, tmp_path: Path) -> dict[str, dict[str, float]]:
     """Run one operation of a workload plain and then traced, check that
     both pass its gates with the same output, and return the span summary."""

@@ -14,7 +14,6 @@ from qsdcsim.quantum import (
     BASES,
     CANONICAL_LABELS,
     Basis,
-    FrameEffect,
     OpLabel,
     PhotonState,
     StateLabel,
@@ -124,10 +123,10 @@ class TestSymbolicModel:
         assert apply_op_symbolic(OpLabel.I, X0) == X0
 
     def test_compose_cancelling_flips(self):
-        assert compose_effects([OpLabel.U, OpLabel.H, OpLabel.U]) == FrameEffect(0, 1)
+        assert compose_effects([OpLabel.U, OpLabel.H, OpLabel.U]) == 2
 
     def test_compose_empty(self):
-        assert compose_effects([]) == FrameEffect(0, 0)
+        assert compose_effects([]) == 0
 
     def test_compose_three_h_one_u(self):
         # Oracle: fold single-op applications over every starting label and
@@ -138,11 +137,15 @@ class TestSymbolicModel:
             folded = start
             for op in seq:
                 folded = apply_op_symbolic(op, folded)
-            assert effect.apply(start) == folded
-        assert effect == FrameEffect(1, 1)
+            assert CANONICAL_LABELS[start.code ^ effect] == folded
+        assert effect == 3
 
-    def test_effect_combine_is_xor(self):
-        assert FrameEffect(1, 0).combine(FrameEffect(1, 1)) == FrameEffect(0, 1)
+    def test_composition_is_xor_of_parts(self):
+        """The mask of a joined sequence is the XOR of its parts' masks,
+        for every pair of sequences of length <= 3."""
+        seqs = [seq for n in range(4) for seq in itertools.product(OpLabel, repeat=n)]
+        for a, b in itertools.product(seqs, repeat=2):
+            assert compose_effects(a + b) == compose_effects(a) ^ compose_effects(b)
 
     def test_frame_operations_return_interned_labels(self):
         """Every label a frame operation returns is one of the four
@@ -166,7 +169,7 @@ class TestSymbolicModel:
                 assert fresh.code == CANONICAL_LABELS.index(fresh)
                 for op in OpLabel:
                     assert interned(apply_op_symbolic(op, fresh))
-                assert interned(compose_effects([OpLabel.U, OpLabel.H]).apply(fresh))
+                assert interned(CANONICAL_LABELS[fresh.code ^ compose_effects([OpLabel.U, OpLabel.H])])
                 sent = np.full(32, fresh.code, dtype=np.uint8)
                 tap = attacks.MeasureResendTap()
                 resent = frame_codes(tap.relay(sent, rng))
@@ -193,7 +196,7 @@ class TestExhaustiveEquivalence:
                     label = apply_op_symbolic(op, label)
                     assert abs(overlap(state, state_from_label(label)) - 1.0) < ATOL
                     assert abs(norm_sq(state) - 1.0) < ATOL
-                assert compose_effects(seq).apply(start) == label
+                assert CANONICAL_LABELS[start.code ^ compose_effects(seq)] == label
                 checked += 1
         assert checked == 4 * 3**6
 

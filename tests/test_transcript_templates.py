@@ -15,7 +15,7 @@ from qsdcsim.attacks import ATTACK_REGISTRY
 from qsdcsim.errors import ConfigError
 from qsdcsim.fabric import DECIMAL_CAP, ClassicalChannel, Coded, Transcript, json_texts
 from qsdcsim.harness import ExperimentConfig, run_report
-from qsdcsim.multiparty import MAX_CONTROLLERS, AnnouncementSchedule, mc_check_round
+from qsdcsim.multiparty import MAX_CONTROLLERS, mc_check_round
 from qsdcsim.quantum import OP_NAMES
 
 positions = st.integers(0, 10**6)
@@ -150,8 +150,7 @@ def test_dance_line(dance):
     transcript = Transcript()
     public = ClassicalChannel(transcript)
     public.seq = seq
-    schedule = AnnouncementSchedule(h_orders, iu_orders)
-    mc_check_round(np.zeros(k, dtype=np.uint8), rows, schedule, reporter, agents, public)
+    mc_check_round(np.zeros(k, dtype=np.uint8), rows, h_orders, iu_orders, reporter, agents, public)
     assert public.seq == seq + k * (2 * m + 1)
     event = {
         "kind": "dance", "stage": "check", "seq": seq,
