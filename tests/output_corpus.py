@@ -16,7 +16,7 @@ run report as canonical JSON), ``transcript`` (the same run's JSON Lines),
 fields and its row of the strategy's report columns, as canonical JSON);
 a session the program refuses reports its error. The run cases cover
 every registry attack and its flags in every protocol it supports, with
-controller chains of 0, 1, 3 and 16, loss, both noise kinds, a passing
+controller chains of 0, 1, 3, 16 and 64, loss, both noise kinds, a passing
 and an aborting threshold, and withheld releases. The sweeps cover both
 protocols with points of several batches each, and one small sweep
 covers the axes the others leave out. The row cases run a batch
@@ -79,7 +79,7 @@ def run_cases() -> list[tuple[str, dict]]:
     for (protocol, name, params), loss, noise, seed, threshold in product(
         attacks(), (0.0, 0.1), NOISES, (1, 2), (0.0, 1.0)
     ):
-        for m in (0, 1, 3, 16) if protocol == "mcqsdc" else (None,):
+        for m in (0, 1, 3, 16, 64) if protocol == "mcqsdc" else (None,):
             raw = {"protocol": protocol, "n_photons": N_PHOTONS, "check_count": 30, "seed": seed,
                    "loss": loss, "error_threshold": threshold,
                    "attack": {"name": name, "params": params}}

@@ -167,7 +167,7 @@ SWEEP_DIGESTS = {
     "qsdc_sweep_one_message_bit": "1357a3dbe37d24ecca8b49a364db3bd318379bf3bfe1e7e4420c51d75751d514",
 }
 
-CORPUS_DIGEST = "a7ae7fa77804e5d9414de14b2b7babcfb57e3a0aafb763ba1544c361e9dde3ba"
+CORPUS_DIGEST = "f6ce57bd565f2b22a080d88a92c9ddae27e7589a382695770b42a3a573a4b794"
 
 
 def _sha(text: str) -> str:
