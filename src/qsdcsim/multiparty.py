@@ -16,9 +16,11 @@ runs a two-round announcement dance for every check photon:
      op, read in its bit.
 
 Every quantity of the dance is an XOR of 2-bit frames, so all check
-photons dance at once as array operations: each agent answers a round for
-an array of origins, and the flip round steps through the m turns so that
-a voice hears the parity of the voices before it.
+photons dance at once as array operations. An honest controller's answers
+never depend on what it heard, so its record answers both rounds in one
+gather of its ops. Any other agent listens: it answers the H round for an
+array of origins, and the flip round turn by turn, each voice hearing the
+parity of the voices before it.
 
 Decoding requires every controller's full operation record; withholding
 any single record provably reduces the receiver to coin-flip accuracy,
@@ -63,6 +65,9 @@ if TYPE_CHECKING:
 #: The JSON texts of the initial states the receiver discloses for the
 #: check, by code.
 STATE_TEXTS = json_texts([{"basis": s.basis.value, "bit": s.bit} for s in CANONICAL_LABELS])
+
+#: The op masks an honest controller's two announcements test for.
+H_MASK, U_MASK = OP_MASK[OpLabel.H], OP_MASK[OpLabel.U]
 
 #: The policy cap on the controller chain. Every controller adds a hop,
 #: a private record of N ops and two announcements per check photon, so a
@@ -121,10 +126,10 @@ class ControllerRecord:
         return self.ops[self.origins.searchsorted(origins)]
 
     def announce_h(self, origins: np.ndarray) -> np.ndarray:
-        return (self._ops(origins) == OP_MASK[OpLabel.H]).astype(np.uint8)
+        return (self._ops(origins) == H_MASK).astype(np.uint8)
 
     def announce_flip(self, origins: np.ndarray, heard: np.ndarray, remaining: int) -> np.ndarray:
-        return (self._ops(origins) == OP_MASK[OpLabel.U]).astype(np.uint8)
+        return (self._ops(origins) == U_MASK).astype(np.uint8)
 
     def release(self, origins: np.ndarray) -> "ControllerRecord":
         return self
@@ -224,31 +229,38 @@ def mc_check_round(
     op being the encoder's private check operation; ``labels`` is the
     receiver's preparation record, published for those origins.
     ``h_orders[i]`` and ``iu_orders[i]`` are the controller orders of
-    photon i's H and flip rounds, each a (photons, m) array. Every
-    agent answers a round for all the photons it speaks for: the H round
-    in one call, since no H announcement depends on another, the flip
-    round turn by turn, each voice hearing the parity of those before it:
-    every agent in chain order, for its photons of the turn in photon order.
+    photon i's H and flip rounds, each a (photons, m) array. An honest
+    ``ControllerRecord`` answers by its ops, read once for every photon.
+    Any other agent listens, and is called for each round: the H round in
+    one call, since no H announcement depends on another, the flip round
+    turn by turn, each voice hearing the parity of those before it, honest
+    ones included: in each turn, every listener in chain order, for its
+    photons of the turn in photon order.
     """
     k, m = len(rows), len(agents)
     if h_orders.shape != (k, m) or iu_orders.shape != (k, m):
         raise ProtocolError("schedule does not cover the check photons and the controllers")
     positions, origins, ops = rows.T
-    h_bits = np.zeros((k, m), dtype=np.uint8)
+    # The op mask by controller; a listener's column stays I.
+    held = np.zeros((k, m), dtype=np.uint8)
+    listeners = []
     for c, agent in enumerate(agents):
+        if type(agent) is ControllerRecord:
+            held[:, c] = agent._ops(origins)
+        else:
+            listeners.append((c, agent))
+    h_bits = (held == H_MASK).astype(np.uint8)
+    for c, agent in listeners:
         h_bits[:, c] = agent.announce_h(origins)
     h_parity = np.bitwise_xor.reduce(h_bits, axis=1)
     bases, outcomes, reports = reporter.report(positions, origins, h_parity)
-    flips = np.zeros((k, m), dtype=np.uint8)
-    heard = np.zeros(k, dtype=np.uint8)
+    flips = np.take_along_axis((held == U_MASK).astype(np.uint8), iu_orders, axis=1)
     for turn in range(m):
-        speakers = iu_orders[:, turn]
-        by_speaker = np.argsort(speakers, kind="stable")
-        bounds = np.bincount(speakers, minlength=m).cumsum().tolist()
-        spoken, said, left = origins[by_speaker], heard[by_speaker], m - turn - 1
-        flips[by_speaker, turn] = np.concatenate([agent.announce_flip(spoken[lo:hi], said[lo:hi], left)
-                                                  for agent, lo, hi in zip(agents, [0, *bounds], bounds)])
-        heard ^= flips[:, turn]
+        for c, agent in listeners:
+            spoken = np.flatnonzero(iu_orders[:, turn] == c)
+            said = np.bitwise_xor.reduce(flips[spoken, :turn], axis=1)
+            flips[spoken, turn] = agent.announce_flip(origins[spoken], said, m - turn - 1)
+    heard = np.bitwise_xor.reduce(flips, axis=1)
     expected = (labels[origins] ^ (2 * h_parity + heard) ^ ops) & 1
     mismatches = reports != expected
     if public.listening:

@@ -250,9 +250,11 @@ def reference_flip_calls(origins, iu_orders, answers, m):
 
 
 class TestFlipTurnContract:
-    """Beyond m = 3: every agent, honest or the colluder, is called once
-    per flip turn in chain order, with the origins it speaks for in photon
-    order, the parity each of them has heard and the voices remaining."""
+    """Beyond m = 3: every agent that listens is called once per flip turn
+    in chain order, with the origins it speaks for in photon order, the
+    parity each of them has heard and the voices remaining. Here every
+    agent listens, honest or the colluder, since each is wrapped in a
+    ``Recording`` and so is not a ``ControllerRecord``."""
 
     @pytest.mark.parametrize("m", [4, 16])
     @pytest.mark.parametrize("k", [0, 1, 7, 40])
@@ -284,6 +286,62 @@ class TestFlipTurnContract:
             assert [call[:4] for call in agent.calls] == calls
         (dance,) = transcript.events
         assert dance["flips"] == [[answers[t, origin] for t in range(m)] for origin in origins.tolist()]
+
+
+class PassThrough:
+    """Answers as the agent it wraps, but is not a ``ControllerRecord``,
+    so the dance calls it turn by turn as an agent that listens."""
+
+    def __init__(self, agent):
+        self.agent = agent
+
+    def announce_h(self, origins):
+        return self.agent.announce_h(origins)
+
+    def announce_flip(self, origins, heard, remaining):
+        return self.agent.announce_flip(origins, heard, remaining)
+
+
+def check_dance(m, k, colluder, wrap):
+    """One dance over k check photons of a 64-photon session: m records,
+    each wrapped in a ``PassThrough`` if ``wrap``, and a ``ColluderAgent``
+    in place of record ``colluder`` (if not None), drawing its coins from
+    the generator the receiver measures with. Returns the mismatches, the
+    dance line and the generator's state after the dance."""
+    gen = rng(1000 * m + k)
+    n = 64
+    labels = prepare_p_sequence(n, gen)
+    origins = gen.choice(n, size=k, replace=False)
+    rows = np.column_stack((np.arange(k), origins, gen.integers(0, 2, size=k)))
+    records = [ControllerRecord(np.arange(n), gen.integers(0, 3, size=n).astype(np.uint8))
+               for _ in range(m)]
+    effect = np.bitwise_xor.reduce([record.ops[origins] for record in records], axis=0)
+    photons = labels[origins] ^ effect ^ rows[:, 2]
+    agents = [PassThrough(record) if wrap else record for record in records]
+    if colluder is not None:
+        agents[colluder] = ColluderAgent(gen)
+    h_orders, iu_orders = announcement_orders(k, m, gen)
+    transcript = Transcript()
+    mismatches = mc_check_round(labels, rows, h_orders, iu_orders, HonestReporter(labels, photons, gen),
+                                agents, ClassicalChannel(transcript))
+    return mismatches.tolist(), transcript.to_jsonl(), gen.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [1, 4, 16, 64])
+@pytest.mark.parametrize("k", [0, 1, 40])
+@pytest.mark.parametrize("colluder", [None, "first", "middle", "last"])
+def test_honest_records_answer_as_listening_agents(m, k, colluder):
+    """Honest records answer each round in one gather; the same records
+    wrapped in agents that listen answer turn by turn. Both give the same
+    mismatches, flips and dance line, and draw the same coins."""
+    at = {None: None, "first": 0, "middle": m // 2, "last": m - 1}[colluder]
+    gathered = check_dance(m, k, at, wrap=False)
+    assert check_dance(m, k, at, wrap=True) == gathered
+    mismatches, line, _ = gathered
+    dance = json.loads(line)
+    assert len(dance["flips"]) == len(mismatches) == k
+    if colluder is None:
+        assert not any(mismatches)
 
 
 class TestSchedule:
