@@ -117,7 +117,9 @@ class ControllerRecord:
     """One controller's private operations: ``ops[k]`` is the op mask it
     applied to the photon of prepared-order index ``origins[k]``. As an
     honest controller it answers each announcement round truthfully for an
-    array of origins at once, and releases itself after a passing check."""
+    array of origins at once, and releases itself after a passing check.
+    The dance reads a record's ops directly; the two announcements serve
+    agents that wrap one."""
 
     origins: np.ndarray
     ops: np.ndarray

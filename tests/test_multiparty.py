@@ -288,26 +288,13 @@ class TestFlipTurnContract:
         assert dance["flips"] == [[answers[t, origin] for t in range(m)] for origin in origins.tolist()]
 
 
-class PassThrough:
-    """Answers as the agent it wraps, but is not a ``ControllerRecord``,
-    so the dance calls it turn by turn as an agent that listens."""
-
-    def __init__(self, agent):
-        self.agent = agent
-
-    def announce_h(self, origins):
-        return self.agent.announce_h(origins)
-
-    def announce_flip(self, origins, heard, remaining):
-        return self.agent.announce_flip(origins, heard, remaining)
-
-
 def check_dance(m, k, colluder, wrap):
     """One dance over k check photons of a 64-photon session: m records,
-    each wrapped in a ``PassThrough`` if ``wrap``, and a ``ColluderAgent``
-    in place of record ``colluder`` (if not None), drawing its coins from
-    the generator the receiver measures with. Returns the mismatches, the
-    dance line and the generator's state after the dance."""
+    each wrapped in a ``Recording`` (an agent that listens) if ``wrap``,
+    and a ``ColluderAgent`` in place of record ``colluder`` (if not None),
+    drawing its coins from the generator the receiver measures with.
+    Returns the mismatches, the dance line and the generator's state
+    after the dance."""
     gen = rng(1000 * m + k)
     n = 64
     labels = prepare_p_sequence(n, gen)
@@ -317,7 +304,8 @@ def check_dance(m, k, colluder, wrap):
                for _ in range(m)]
     effect = np.bitwise_xor.reduce([record.ops[origins] for record in records], axis=0)
     photons = labels[origins] ^ effect ^ rows[:, 2]
-    agents = [PassThrough(record) if wrap else record for record in records]
+    log = []
+    agents = [Recording(record, c, log) if wrap else record for c, record in enumerate(records)]
     if colluder is not None:
         agents[colluder] = ColluderAgent(gen)
     h_orders, iu_orders = announcement_orders(k, m, gen)
